@@ -159,7 +159,7 @@ def main() -> None:
     )
     print(f"\napplied activation decay to {decayed} chunks in one sweep")
     strongest = max(
-        (record for _, record in memory.scan()), key=lambda r: r.data
+        (record for _, _, record in memory.scan()), key=lambda r: r.data
     )
     after = retrieve(relation="chases", agent="dog")
     assert after is not None

@@ -32,7 +32,7 @@ from repro.core.composer import ComposedDatabase, OverflowKind, compose_database
 from repro.core.config import Arrangement, SliceConfig
 from repro.core.index import KeyInput
 from repro.core.record import Record, RecordFormat
-from repro.core.slice import SearchResult
+from repro.core.results import SearchResult
 from repro.core.subsystem import CARAMSubsystem
 from repro.cost.powermgmt import PowerPolicy, SubsystemPowerModel
 from repro.errors import CapacityError, ConfigurationError

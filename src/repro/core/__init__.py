@@ -5,9 +5,13 @@ Public surface:
 * :class:`~repro.core.key.TernaryKey` / :class:`~repro.core.record.Record` /
   :class:`~repro.core.record.RecordFormat` — searchable data items.
 * :class:`~repro.core.config.SliceConfig` — geometry of one slice.
-* :class:`~repro.core.slice.CARAMSlice` — search/insert/delete plus RAM mode.
-* :class:`~repro.core.subsystem.CARAMSubsystem` — slice groups (horizontal /
-  vertical arrangements), overflow areas, victim TCAM, request ports.
+* :class:`~repro.core.subsystem.SliceGroup` — the one bucket store:
+  search/insert/delete, bulk load, batch lookup, scan/update over
+  horizontal or vertical slice arrangements.
+* :class:`~repro.core.slice.CARAMSlice` — a one-array slice group plus RAM
+  mode and cycle latency.
+* :class:`~repro.core.subsystem.CARAMSubsystem` — named slice groups,
+  overflow areas, victim TCAM, request ports.
 """
 
 from repro.core.batch import ENGINE_KINDS, BatchSearchEngine
@@ -24,7 +28,8 @@ from repro.core.match import MatchProcessor, MatchResult
 from repro.core.probing import DoubleHashing, LinearProbing, ProbingPolicy
 from repro.core.record import Record, RecordFormat
 from repro.core.registers import MemoryMappedCaRam
-from repro.core.slice import CARAMSlice, SearchResult
+from repro.core.results import SearchResult
+from repro.core.slice import CARAMSlice
 from repro.core.stats import SearchStats
 from repro.core.subsystem import CARAMSubsystem, SliceGroup
 

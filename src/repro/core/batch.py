@@ -1,9 +1,11 @@
 """The vectorized batch-lookup engine behind ``search_batch``.
 
-One :class:`BatchSearchEngine` serves both :class:`~repro.core.slice.CARAMSlice`
-and :class:`~repro.core.subsystem.SliceGroup`: the two differ only in how
-logical buckets map to physical rows, and that difference is entirely
-absorbed by the :class:`~repro.memory.mirror.DecodedMirror` they hand in.
+One :class:`BatchSearchEngine` serves the one bucket store,
+:class:`~repro.core.subsystem.SliceGroup` (a
+:class:`~repro.core.slice.CARAMSlice` is a one-array group): arrangements
+differ only in how logical buckets map to physical rows, and that
+difference is entirely absorbed by the
+:class:`~repro.memory.mirror.DecodedMirror` the group hands in.
 
 A batch lookup proceeds in three vectorized stages:
 
@@ -33,8 +35,8 @@ records/rows/slots, same ``bucket_accesses``, ``multiple_matches``, and
 the same ``SearchStats`` counters (AMAL, hit rate, access histogram,
 match passes).  By default the physical
 :class:`~repro.memory.array.ArrayStats` read counters are not advanced by
-mirror-served accesses (the mirror replaces the row fetches); slices and
-groups built with ``account_reads=True`` route every mirror-served access
+mirror-served accesses (the mirror replaces the row fetches); groups
+built with ``account_reads=True`` route every mirror-served access
 through an ``access_sink`` that charges the physical counters too,
 restoring exact parity with the scalar path.
 

@@ -1,4 +1,5 @@
-"""Vectorized bulk-build pipeline shared by CARAMSlice and SliceGroup.
+"""Vectorized bulk-build pipeline behind ``SliceGroup.bulk_load`` (which a
+``CARAMSlice``, a one-array group, inherits).
 
 Sequential construction replays the hardware insert path once per record:
 hash, walk the probe sequence, unpack and repack a whole big-int row.  For

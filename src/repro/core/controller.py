@@ -28,7 +28,7 @@ from typing import Deque, List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError
 from repro.core.config import Arrangement
 from repro.core.index import KeyInput
-from repro.core.slice import SearchResult
+from repro.core.results import SearchResult
 from repro.core.subsystem import CARAMSubsystem, SliceGroup
 
 

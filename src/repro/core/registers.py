@@ -43,7 +43,8 @@ from repro.core.config import (
 )
 from repro.core.index import IndexGenerator
 from repro.core.record import RecordFormat
-from repro.core.slice import CARAMSlice, SearchResult
+from repro.core.results import SearchResult
+from repro.core.slice import CARAMSlice
 from repro.errors import ConfigurationError, LookupError_, RamModeError
 from repro.hashing.bit_select import BitSelectHash
 

@@ -1,7 +1,8 @@
-"""Columnar (struct-of-arrays) batch-lookup results.
+"""Lookup results: the scalar :class:`SearchResult` and the columnar
+(struct-of-arrays) batch form.
 
 The scalar-compatible ``search_batch`` returns one frozen
-:class:`~repro.core.slice.SearchResult` per key — on the mixed
+:class:`SearchResult` per key — on the mixed
 high-hit-rate stream that per-hit Python allocation is the throughput
 bound of the whole batch path.  :class:`BatchResultSet` is the columnar
 alternative the vectorized engine produces natively: parallel NumPy
@@ -30,13 +31,42 @@ and the materialized form consistent.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.core.record import Record
 from repro.errors import ConfigurationError
 
-__all__ = ["BatchResultSet"]
+__all__ = ["BatchResultSet", "SearchResult"]
+
+
+@dataclass(frozen=True)
+class SearchResult:
+    """Outcome of one lookup.
+
+    Attributes:
+        hit: whether any record matched.
+        record: the winning record (priority-encoded), or None.
+        row: bucket of the winning record, or None.
+        slot: slot of the winning record, or None.
+        bucket_accesses: number of bucket fetches this lookup performed —
+            the per-lookup contribution to AMAL.
+        multiple_matches: True if several slots matched in the winning
+            bucket.
+    """
+
+    hit: bool
+    record: Optional[Record]
+    row: Optional[int]
+    slot: Optional[int]
+    bucket_accesses: int
+    multiple_matches: bool = False
+
+    @property
+    def data(self) -> Optional[int]:
+        return self.record.data if self.record else None
 
 
 class BatchResultSet:
@@ -132,8 +162,6 @@ class BatchResultSet:
 
     def result_at(self, index: int):
         """Materialize a single key's ``SearchResult`` (override-aware)."""
-        from repro.core.slice import SearchResult
-
         index = int(index)
         override = self._overrides.get(index)
         if override is not None:
@@ -166,8 +194,6 @@ class BatchResultSet:
         distinct access count (the same instance-sharing the row-major
         engine used).  The list is cached — repeated calls are free.
         """
-        from repro.core.slice import SearchResult
-
         if self._results is not None:
             return self._results
         results: List[Optional[SearchResult]] = [None] * self._size

@@ -4,96 +4,34 @@
 lookup.  Its main components include an index generator, a memory array
 (either SRAM or DRAM), and P match processors." (Section 3.1, Figure 3)
 
-Behavioral semantics implemented here:
-
-* **Search** — hash the key, fetch the home row, match all candidates in
-  parallel; on a miss, consult the auxiliary reach field and extend the
-  search along the probing sequence.  Every row fetch is counted, so
-  ``stats.amal`` reproduces the paper's AMAL metric directly.
-* **Insert** — place the record in the first bucket on its probe sequence
-  with a free slot, updating the home bucket's reach.  Ternary keys with
-  don't-care bits in hash positions are duplicated into every matching row.
-* **Delete** — remove every stored copy of the exact key.  The reach field
-  is deliberately *not* shrunk (a real device cannot cheaply know whether
-  other records still need it); ``rebuild()`` recomputes it.
-* **RAM mode** — the slice doubles as plain addressable memory
-  (Section 3.2), including DMA-style bulk loading of a pre-hashed database.
-
-Within a bucket, slot 0 has the highest match priority.  An optional
-``slot_priority`` function keeps bucket slots sorted (descending priority)
-on insert — how longest-prefix-match ordering is realized for IP lookup.
+A lone slice is a slice group of one (Section 3.2 builds every database
+from slices), so :class:`CARAMSlice` is a one-array
+:class:`~repro.core.subsystem.SliceGroup`: search, insert/delete, bulk
+load, batch lookup, scan/update, reliability, telemetry and rebuild are the
+group's.  The slice adds only what a single array has — construction from
+an :class:`~repro.core.index.IndexGenerator`, its :attr:`memory`, RAM mode
+(Section 3.2: the slice doubles as plain addressable memory, including
+DMA-style loading of a pre-hashed database) and the cycle latency of one
+lookup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, List, Optional
 
-from repro.errors import CapacityError, ConfigurationError, LookupError_
-from repro.core.engines import (
-    MIRROR_LAYOUT_CODES,
-    format_engine_spec,
-    parse_engine_spec,
-)
-from repro.core.config import SliceConfig
-from repro.core.index import IndexGenerator, KeyInput
-from repro.core.key import TernaryKey
-from repro.core.match import MatchProcessor, MatchResult
-from repro.core.probing import LinearProbing, ProbingPolicy
+from repro.errors import ConfigurationError
+from repro.core.config import Arrangement, SliceConfig
+from repro.core.index import IndexGenerator
+from repro.core.probing import ProbingPolicy
 from repro.core.record import Record
-from repro.core.stats import SearchStats
+from repro.core.results import SearchResult
+from repro.core.subsystem import SliceGroup
 from repro.memory.array import MemoryArray
-from repro.telemetry.profiling import profile
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.batch import BatchSearchEngine
-    from repro.core.bulk import BulkPlan
-    from repro.core.parallel import ParallelBatchEngine
-    from repro.core.results import BatchResultSet
-    from repro.memory.mirror import DecodedMirror
-    from repro.reliability.faults import FaultConfig
-    from repro.reliability.manager import ReliabilityManager, ReliabilityPolicy
-    from repro.telemetry.metrics import MetricsRegistry
-    from repro.telemetry.trace import Tracer
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    """Outcome of one slice lookup.
-
-    Attributes:
-        hit: whether any record matched.
-        record: the winning record (priority-encoded), or None.
-        row: row of the winning record, or None.
-        slot: slot of the winning record, or None.
-        bucket_accesses: number of row fetches this lookup performed — the
-            per-lookup contribution to AMAL.
-        multiple_matches: True if several slots matched in the winning row.
-    """
-
-    hit: bool
-    record: Optional[Record]
-    row: Optional[int]
-    slot: Optional[int]
-    bucket_accesses: int
-    multiple_matches: bool = False
-
-    @property
-    def data(self) -> Optional[int]:
-        return self.record.data if self.record else None
-
-
-class CARAMSlice:
-    """One CA-RAM slice (Figure 3).
+class CARAMSlice(SliceGroup):
+    """One CA-RAM slice (Figure 3): a one-array :class:`SliceGroup` named
+    ``slice``, whose buckets are its rows.
 
     Args:
         config: slice geometry.
@@ -102,20 +40,8 @@ class CARAMSlice:
         slot_priority: optional record-priority function; when given, bucket
             slots are kept sorted descending so the priority encoder returns
             the highest-priority match (LPM ordering).
-        account_reads: when True, batch lookups served from the decoded
-            mirror also charge the physical :class:`ArrayStats` read
-            counters, restoring exact counter parity with the scalar path.
-        batch_chunk_size: keys per vectorized batch-lookup chunk; None
-            derives a default from the row geometry
-            (:func:`repro.core.batch.default_chunk_size`).
-        engine: batch match backend spec — ``"word"`` (slot-major word
-            mirror, the default), ``"bitplane"`` (transposed bit-plane
-            mirror + plane kernel), or a ``"parallel[-<layout>][:W]"``
-            form that fans large batches out across ``W`` worker
-            processes sharing a shared-memory mirror export
-            (:func:`~repro.core.engines.parse_engine_spec`); switchable
-            later through the :attr:`engine` property.  Scalar searches
-            are unaffected.
+        account_reads, batch_chunk_size, engine: as for
+            :class:`SliceGroup`.
     """
 
     def __init__(
@@ -128,477 +54,23 @@ class CARAMSlice:
         batch_chunk_size: Optional[int] = None,
         engine: str = "word",
     ) -> None:
-        if index_generator.rows != config.rows:
-            raise CapacityError(
-                f"index generator addresses {index_generator.rows} rows but "
-                f"the slice has {config.rows}"
-            )
-        self._config = config
-        self._layout = config.layout
+        super().__init__(
+            config,
+            1,
+            Arrangement.VERTICAL,
+            index_generator.hash_function,
+            probing=probing,
+            slot_priority=slot_priority,
+            name="slice",
+            account_reads=account_reads,
+            batch_chunk_size=batch_chunk_size,
+            engine=engine,
+        )
         self._index = index_generator
-        self._probing = probing if probing is not None else LinearProbing()
-        self._slot_priority = slot_priority
-        self._memory = MemoryArray(config.rows, config.row_bits, config.timing)
-        self._matcher = MatchProcessor(config.record_format.key_bits)
-        self._record_count = 0
-        self._mirror: Optional["DecodedMirror"] = None
-        self._batch_engine = None
-        self._last_bulk_plan: Optional["BulkPlan"] = None
-        self._batch_chunk_size = batch_chunk_size
-        self._engine_kind, self._engine_workers = parse_engine_spec(engine)
-        self._engine_gauges: List = []
-        self.account_reads = account_reads
-        self.stats = SearchStats()
-        self._reliability: Optional["ReliabilityManager"] = None
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    @property
-    def config(self) -> SliceConfig:
-        return self._config
-
-    @property
-    def index_generator(self) -> IndexGenerator:
-        return self._index
 
     @property
     def memory(self) -> MemoryArray:
-        return self._memory
-
-    @property
-    def record_count(self) -> int:
-        """Stored record copies (duplicated ternary keys count per copy)."""
-        return self._record_count
-
-    # ------------------------------------------------------------------
-    # Reliability (fault injection, ECC, graceful degradation)
-    # ------------------------------------------------------------------
-
-    @property
-    def reliability(self) -> Optional["ReliabilityManager"]:
-        """The active reliability manager, or None (layer disabled)."""
-        return self._reliability
-
-    def enable_reliability(
-        self,
-        policy: Optional["ReliabilityPolicy"] = None,
-        faults: Optional["FaultConfig"] = None,
-    ) -> "ReliabilityManager":
-        """Protect this slice's array with the reliability layer.
-
-        Installs a per-row ECC guard (checkwords encoded over the current
-        content, so enable *after* loading the database), an optional fault
-        injector, and the quarantine/victim/retry machinery.  Scalar and
-        batch lookups then satisfy the detect-or-correct contract: every
-        injected fault is corrected, retried around, or surfaced as a
-        :class:`~repro.errors.CorruptionError` — never a silent wrong
-        answer.
-        """
-        from repro.reliability.manager import (
-            ReliabilityManager,
-            ReliabilityPolicy,
-        )
-
-        if self._reliability is not None:
-            self.disable_reliability()
-        if policy is None:
-            policy = ReliabilityPolicy()
-        self._reliability = ReliabilityManager.for_slice(self, policy, faults)
-        return self._reliability
-
-    def disable_reliability(self) -> None:
-        """Detach the reliability layer (arrays return to raw access)."""
-        if self._reliability is not None:
-            self._reliability.detach()
-            self._reliability = None
-
-    # ------------------------------------------------------------------
-    # Telemetry
-    # ------------------------------------------------------------------
-
-    @property
-    def tracer(self) -> Optional["Tracer"]:
-        """The structured-event tracer, or None (tracing disabled)."""
-        return self.stats.tracer
-
-    @tracer.setter
-    def tracer(self, tracer: Optional["Tracer"]) -> None:
-        """Attach (or detach, with None) one tracer to the whole slice:
-        the search statistics, the memory array, and — through the stats —
-        the batch engine all emit into it."""
-        self.stats.tracer = tracer
-        self._memory.tracer = tracer
-
-    def enable_latency_tracking(
-        self, relative_error: Optional[float] = None
-    ) -> None:
-        """Record per-chunk lookup latency into the search stats' sketch
-        (parallel workers inherit the setting per batch)."""
-        self.stats.enable_latency_tracking(relative_error)
-
-    def disable_latency_tracking(self) -> None:
-        self.stats.disable_latency_tracking()
-
-    def register_telemetry(
-        self, registry: "MetricsRegistry", prefix: str = "slice"
-    ) -> None:
-        """Mount this slice's counters into a metrics registry.
-
-        Registers the search statistics, the physical array counters, and
-        a live occupancy provider under ``prefix``; each ``snapshot()``
-        re-reads them, so one registration covers the whole run.  With a
-        parallel engine, per-shard search stats mount as
-        ``{prefix}.shard{i}.search`` — the rollup's worker children.
-        """
-        registry.register_provider(f"{prefix}.search", self.stats)
-        registry.register_provider(f"{prefix}.memory", self._memory.stats)
-        layout_gauge = registry.gauge(f"{prefix}.mirror_layout")
-        layout_gauge.set(MIRROR_LAYOUT_CODES[self._engine_kind])
-        self._engine_gauges.append(layout_gauge)
-        registry.register_provider(
-            f"{prefix}.occupancy",
-            lambda: {
-                "record_count": self._record_count,
-                "load_factor": self.load_factor,
-                "capacity_records": self._config.capacity_records,
-            },
-        )
-        registry.register_provider(
-            f"{prefix}.bulk",
-            lambda: (
-                self._last_bulk_plan.as_dict()
-                if self._last_bulk_plan is not None
-                else {}
-            ),
-        )
-        registry.register_provider(
-            f"{prefix}.reliability",
-            lambda: (
-                self._reliability.as_dict()
-                if self._reliability is not None
-                else {}
-            ),
-        )
-        registry.register_provider(
-            f"{prefix}.batch",
-            lambda: {
-                "columnar_rows": (
-                    self._batch_engine.columnar_rows
-                    if self._batch_engine is not None
-                    else 0
-                ),
-                "worker_count": self._engine_workers,
-            },
-        )
-
-        def _shard_provider(worker: int):
-            def provider() -> dict:
-                shards = getattr(self._batch_engine, "shard_stats", None)
-                if shards is None or worker >= len(shards):
-                    return {}
-                return shards[worker].as_dict()
-
-            return provider
-
-        for worker in range(self._engine_workers):
-            registry.register_provider(
-                f"{prefix}.shard{worker}.search", _shard_provider(worker)
-            )
-
-    @property
-    def last_bulk_plan(self) -> Optional["BulkPlan"]:
-        """Planner totals from the most recent fast-path :meth:`bulk_load`."""
-        return self._last_bulk_plan
-
-    @property
-    def load_factor(self) -> float:
-        """Current ``alpha`` of this slice."""
-        return self._record_count / self._config.capacity_records
-
-    def records(self) -> Iterator[Tuple[int, int, Record]]:
-        """Yield every stored record as ``(row, slot, record)``, row-major."""
-        yield from self._synced_mirror().iter_valid()
-
-    # ------------------------------------------------------------------
-    # Decoded mirror (the batch-lookup substrate)
-    # ------------------------------------------------------------------
-
-    @property
-    def engine(self) -> str:
-        """The batch engine spec, canonically spelled (``"word"``,
-        ``"bitplane"``, or ``"parallel-<layout>:<workers>"``)."""
-        return format_engine_spec(self._engine_kind, self._engine_workers)
-
-    @engine.setter
-    def engine(self, spec: str) -> None:
-        kind, workers = parse_engine_spec(spec)
-        if kind == self._engine_kind and workers == self._engine_workers:
-            return
-        layout_changed = kind != self._engine_kind
-        self._engine_kind = kind
-        self._engine_workers = workers
-        # Drop the cached engine (and, on a layout change, the mirror);
-        # both are rebuilt lazily with the new configuration.  A parallel
-        # engine also owns a worker pool and shared-memory segments —
-        # release them eagerly.
-        self._close_batch_engine()
-        if layout_changed and self._mirror is not None:
-            self._mirror.detach()
-            self._mirror = None
-        for gauge in self._engine_gauges:
-            gauge.set(MIRROR_LAYOUT_CODES[kind])
-
-    @property
-    def engine_worker_count(self) -> int:
-        """Configured parallel workers (0 = single-core batch engine)."""
-        return self._engine_workers
-
-    def _close_batch_engine(self) -> None:
-        engine = self._batch_engine
-        self._batch_engine = None
-        if engine is not None and hasattr(engine, "close"):
-            engine.close()
-
-    def close(self) -> None:
-        """Release the batch engine and every resource it owns.
-
-        A parallel engine holds a forked worker pool and shared-memory
-        segments; callers retiring a slice (serving shards on drain) use
-        this so no workers leak.  The slice stays usable — the next batch
-        lookup lazily rebuilds a fresh engine.  Idempotent.
-        """
-        self._close_batch_engine()
-
-    def __enter__(self) -> "CARAMSlice":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _make_mirror(self) -> "DecodedMirror":
-        """Build the decoded mirror matching the active engine layout."""
-        if self._engine_kind == "bitplane":
-            from repro.memory.bitplane import BitPlaneMirror
-
-            return BitPlaneMirror([self._memory], self._layout)
-        from repro.memory.mirror import DecodedMirror
-
-        return DecodedMirror([self._memory], self._layout)
-
-    def _synced_mirror(self) -> "DecodedMirror":
-        """The decoded NumPy mirror of this slice's array, freshly synced.
-
-        Built lazily on first use; afterwards kept consistent incrementally
-        via the array's invalidation notifications, so repeated batch
-        lookups between writes re-decode nothing.
-        """
-        if self._mirror is None:
-            self._mirror = self._make_mirror()
-        self._mirror.sync()
-        return self._mirror
-
-    def _mirror_for_batch(self) -> "DecodedMirror":
-        """The mirror provider handed to the batch engine.
-
-        With reliability enabled, a sync that detects an uncorrectable row
-        quarantines it and retries, so the batch path shares the scalar
-        path's detect-or-correct contract.
-        """
-        if self._reliability is None:
-            return self._synced_mirror()
-        return self._reliability.synced_mirror(self._synced_mirror)
-
-    def _mirror_access_sink(self, buckets) -> None:
-        """Account a batch of mirror-served bucket fetches.
-
-        Only charges the physical read counters when this slice opted into
-        ``account_reads``; AMAL accounting lives in ``SearchStats`` either
-        way.  With reliability enabled, each served fetch also samples
-        access-time soft errors into the physical rows.
-        """
-        if self._reliability is not None:
-            self._reliability.on_batch_access(buckets)
-        if self.account_reads:
-            self._memory.charge_reads(len(buckets))
-
-    @property
-    def batch_engine(self):
-        """The lazily-built batch engine (None before the first batch) —
-        a :class:`BatchSearchEngine`, or a
-        :class:`~repro.core.parallel.ParallelBatchEngine` wrapping one when
-        the engine spec asks for workers."""
-        return self._batch_engine
-
-    def _build_batch_engine(self):
-        from repro.core.batch import BatchSearchEngine
-        from repro.memory.mirror import words_for_bits
-
-        record_format = self._config.record_format
-        inner = BatchSearchEngine(
-            index_generator=self._index,
-            mirror_provider=self._mirror_for_batch,
-            slots_per_bucket=self._layout.slots_per_bucket,
-            match_processors=self._config.match_processors,
-            key_bits=record_format.key_bits,
-            stats=self.stats,
-            scalar_search=self.search,
-            probing=self._probing,
-            access_sink=self._mirror_access_sink,
-            chunk_size=self._batch_chunk_size,
-            engine=self._engine_kind,
-            ternary=record_format.ternary,
-            value_words=(
-                words_for_bits(record_format.data_bits)
-                if record_format.data_bits
-                else 0
-            ),
-        )
-        if self._engine_workers < 2:
-            return inner
-        from repro.core.parallel import ParallelBatchEngine
-
-        return ParallelBatchEngine(inner, self._engine_workers)
-
-    def search_batch_columnar(
-        self, keys: Sequence[KeyInput], search_mask: int = 0
-    ) -> "BatchResultSet":
-        """Vectorized lookup returning the columnar ``BatchResultSet``.
-
-        The native product of the batch path: struct-of-arrays columns
-        (hit mask, winning row/slot, per-key access and match-pass
-        counts) written directly by the match kernels.
-        ``BatchResultSet.results()`` materializes the same
-        ``SearchResult`` list :meth:`search_batch` returns;
-        ``data_values()`` skips record objects entirely.
-        """
-        if self._batch_engine is None:
-            self._batch_engine = self._build_batch_engine()
-        # Parallel engines compose with the reliability layer: workers
-        # read a guarded snapshot mirror and ship the bucket ids they
-        # touched back with their columns; the merge replays them through
-        # the access sink in deterministic shard order, so fault
-        # sampling, scrub ticks, and read accounting all happen
-        # in-process exactly as on the serial path.
-        result_set = self._batch_engine.search_columnar(keys, search_mask)
-        if self._reliability is not None:
-            result_set = self._reliability.overlay_result_set(
-                result_set, keys, search_mask
-            )
-        return result_set
-
-    def search_batch(
-        self, keys: Sequence[KeyInput], search_mask: int = 0
-    ) -> List[SearchResult]:
-        """Vectorized lookup of a whole key array.
-
-        Produces exactly the results (and ``SearchStats`` accounting) of
-        calling :meth:`search` once per key, in order, but resolves both the
-        common case — single home row, hit or reach-0 miss — and the
-        extended probe walk against the decoded mirror in bulk NumPy
-        operations.  Only keys needing the Section-4 multi-row enumeration
-        (don't-care bits over hash positions) fall back to the scalar path.
-
-        A materializing wrapper over :meth:`search_batch_columnar`.
-        """
-        return self.search_batch_columnar(keys, search_mask).results()
-
-    # ------------------------------------------------------------------
-    # CAM mode: search
-    # ------------------------------------------------------------------
-
-    def _fetch_and_match(
-        self, row: int, search_key: int, search_mask: int
-    ) -> Tuple[MatchResult, int]:
-        """One bucket access + parallel match.  Returns (result, row_value).
-
-        With fewer match processors than slots (``P < S``), matching is
-        pipelined over several passes, which are accounted in the stats.
-        """
-        row_value = self._memory.read_row(row)
-        candidates = self._layout.read_all(row_value)
-        result, passes = self._matcher.match_pipelined(
-            candidates, search_key, search_mask,
-            processors=self._config.match_processors,
-        )
-        self.stats.record_match_passes(passes)
-        return result, row_value
-
-    def search(self, key: KeyInput, search_mask: int = 0) -> SearchResult:
-        """Look up a key; extend along the probe sequence if the home
-        bucket's reach says overflows were spilled.
-
-        A search key with don't-care bits over hash positions visits every
-        candidate home row (Section 4's multi-bucket access case).
-
-        With reliability enabled the lookup retries around detected
-        corruptions (quarantining the failing bucket) and consults the
-        victim store in parallel, so it returns a correct answer or raises
-        — never a silently wrong result.
-        """
-        if self._reliability is None:
-            return self._search_once(key, search_mask)
-        return self._reliability.guarded_search(
-            key, search_mask, self._search_once
-        )
-
-    def _search_once(self, key: KeyInput, search_mask: int = 0) -> SearchResult:
-        """One un-retried pass of the scalar search algorithm."""
-        search_value = key.value if isinstance(key, TernaryKey) else int(key)
-        if isinstance(key, TernaryKey):
-            search_mask |= key.mask
-        homes = self._index.indices_for_search(key, search_mask)
-
-        accesses = 0
-        for home in homes:
-            result, row_value = self._fetch_and_match(
-                home, search_value, search_mask
-            )
-            accesses += 1
-            if result.hit:
-                self.stats.record_lookup(accesses, hit=True)
-                return SearchResult(
-                    hit=True,
-                    record=result.record,
-                    row=home,
-                    slot=result.matched_slot,
-                    bucket_accesses=accesses,
-                    multiple_matches=result.multiple_matches,
-                )
-            reach = self._layout.read_aux(row_value)
-            for attempt in range(1, reach + 1):
-                row = self._probing.probe(
-                    home, attempt, self._config.rows, search_value
-                )
-                if self.stats.tracer is not None:
-                    self.stats.tracer.emit(
-                        "probe_step", attempt=attempt, row=row, keys=1
-                    )
-                result, _ = self._fetch_and_match(row, search_value, search_mask)
-                accesses += 1
-                if result.hit:
-                    self.stats.record_lookup(accesses, hit=True)
-                    return SearchResult(
-                        hit=True,
-                        record=result.record,
-                        row=row,
-                        slot=result.matched_slot,
-                        bucket_accesses=accesses,
-                        multiple_matches=result.multiple_matches,
-                    )
-        self.stats.record_lookup(max(accesses, 1), hit=False)
-        return SearchResult(
-            hit=False,
-            record=None,
-            row=None,
-            slot=None,
-            bucket_accesses=max(accesses, 1),
-        )
-
-    def lookup(self, key: KeyInput, search_mask: int = 0) -> Optional[int]:
-        """Convenience: return the matched record's data, or None."""
-        return self.search(key, search_mask).data
+        return self._arrays[0]
 
     def search_latency_cycles(self, result: SearchResult) -> int:
         """Cycles one lookup took: memory accesses plus matching passes.
@@ -613,317 +85,13 @@ class CARAMSlice:
         )
         return result.bucket_accesses * per_access
 
-    def __contains__(self, key: KeyInput) -> bool:
-        return self.search(key).hit
-
-    # ------------------------------------------------------------------
-    # CAM mode: insert / delete
-    # ------------------------------------------------------------------
-
-    def _insert_into_bucket(self, row: int, record: Record) -> Optional[int]:
-        """Try to place a record in one bucket; returns the slot or None.
-
-        With a slot-priority function, the bucket is kept sorted descending
-        so the priority encoder's lowest-index-wins rule returns the right
-        record.
-        """
-        row_value = self._memory.verified_peek_row(row)
-        free = self._layout.find_free_slot(row_value)
-        if free is None:
-            return None
-        if self._slot_priority is None:
-            self._memory.write_row(row, self._layout.write_slot(row_value, free, record))
-            return free
-        # Sorted insert: decode occupants, splice, re-encode.
-        occupants = [
-            rec
-            for valid, rec in self._layout.read_all(row_value)
-            if valid
-        ]
-        priority = self._slot_priority(record)
-        position = len(occupants)
-        for i, existing in enumerate(occupants):
-            if self._slot_priority(existing) < priority:
-                position = i
-                break
-        occupants.insert(position, record)
-        reach = self._layout.read_aux(row_value)
-        self._memory.write_row(row, self._layout.pack(occupants, reach))
-        return position
-
-    def insert(self, key: KeyInput, data: int = 0) -> int:
-        """Insert a record; returns the number of stored copies.
-
-        Ternary keys with don't-care bits in hash positions are duplicated
-        into every matching home row.  Each copy walks its probe sequence to
-        the first bucket with a free slot; the home bucket's reach field is
-        raised to cover the spill.
-
-        Raises:
-            CapacityError: when no bucket within the reach limit has space.
-        """
-        record = Record.make(key, data, self._config.record_format)
-        homes = self._index.indices_for_stored(record.key)
-        for home in homes:
-            self._place_copy(home, record)
-        self.stats.record_insert(len(homes))
-        return len(homes)
-
-    def bulk_load(self, records: Iterable[Tuple[KeyInput, int]]) -> int:
-        """Insert many ``(key, data)`` pairs at once; returns stored copies.
-
-        Semantically identical to calling :meth:`insert` per pair in order —
-        same final memory image bit for bit, same record count, same
-        ``SearchStats`` — but built as one vectorized pipeline: batch
-        hashing, the :func:`~repro.hashing.analysis.simulate_linear_probing`
-        spill model for placement, one vectorized row-encoding pass, and a
-        single DMA-style install (Section 3.2's bulk construction).
-
-        The fast path requires an empty slice, linear probing, and a reach
-        field of at most 64 bits; otherwise the pairs are inserted
-        sequentially (same result, scalar speed).  Unlike the sequential
-        loop, the fast path is all-or-nothing: a
-        :class:`~repro.errors.CapacityError` is raised before any row is
-        written, leaving the slice untouched.
-        """
-        pairs = list(records)
-        if not pairs:
-            return 0
-        fast = (
-            self._record_count == 0
-            and type(self._probing) is LinearProbing
-            and self._layout.aux_bits <= 64
-        )
-        if not fast:
-            return sum(self.insert(key, data) for key, data in pairs)
-        from repro.core.bulk import build_bulk_image
-
-        max_reach = self._layout.max_reach if self._layout.aux_bits else 0
-        image = build_bulk_image(
-            pairs,
-            record_format=self._config.record_format,
-            layout=self._layout,
-            index_generator=self._index,
-            bucket_count=self._config.rows,
-            slots_per_bucket=self._layout.slots_per_bucket,
-            reach_limit=min(max_reach, self._config.rows - 1),
-            slot_priority=self._slot_priority,
-            slice_count=1,
-            rows_per_slice=self._config.rows,
-            horizontal=False,
-            tracer=self.stats.tracer,
-        )
-        self._last_bulk_plan = image.plan
-        with profile("bulk.install"):
-            self.dma_load(
-                image.array_rows[0], record_count=image.plan.copy_count
-            )
-            self.stats.record_insert_batch(
-                image.plan.record_count, image.plan.copy_count
-            )
-            if self._mirror is None:
-                self._mirror = self._make_mirror()
-            self._mirror.install(
-                image.mirror_valid,
-                image.mirror_key_words,
-                image.mirror_mask_words,
-                image.mirror_reach,
-                image.mirror_records,
-                data_words=image.mirror_data_words,
-            )
-        return image.plan.copy_count
-
-    def _place_copy(self, home: int, record: Record) -> None:
-        max_reach = self._layout.max_reach if self._layout.aux_bits else 0
-        limit = min(max_reach, self._config.rows - 1)
-        for attempt in range(limit + 1):
-            row = self._probing.probe(
-                home, attempt, self._config.rows, record.key.value
-            )
-            slot = self._insert_into_bucket(row, record)
-            if slot is not None:
-                if attempt > 0:
-                    if self.stats.tracer is not None:
-                        self.stats.tracer.emit(
-                            "spill", home=home, attempt=attempt
-                        )
-                    self._raise_reach(home, attempt)
-                self._record_count += 1
-                return
-        raise CapacityError(
-            f"no free slot within reach {limit} of row {home} "
-            f"(load factor {self.load_factor:.2f})"
-        )
-
-    def _raise_reach(self, home: int, attempt: int) -> None:
-        row_value = self._memory.verified_peek_row(home)
-        current = self._layout.read_aux(row_value)
-        if attempt > current:
-            self._memory.write_row(
-                home, self._layout.write_aux(row_value, attempt)
-            )
-
-    def delete(self, key: KeyInput) -> int:
-        """Remove every stored copy of the exact key (value *and* mask).
-
-        Returns the number of copies removed.  Raises
-        :class:`~repro.errors.LookupError_` when the key is absent.
-        """
-        target = self._config.record_format.normalize_key(
-            key if isinstance(key, TernaryKey) else int(key)
-        )
-        homes = self._index.indices_for_stored(target)
-        removed = 0
-        for home in homes:
-            row_value = self._memory.verified_peek_row(home)
-            reach = self._layout.read_aux(row_value)
-            for attempt in range(reach + 1):
-                row = self._probing.probe(
-                    home, attempt, self._config.rows, target.value
-                )
-                row_value = self._memory.verified_peek_row(row)
-                for slot in range(self._layout.slots_per_bucket):
-                    valid, record = self._layout.read_slot(row_value, slot)
-                    if valid and record.key == target:
-                        row_value = self._layout.write_slot(row_value, slot, None)
-                        self._memory.write_row(row, row_value)
-                        self._record_count -= 1
-                        removed += 1
-                        break
-                else:
-                    continue
-                break
-        if not removed:
-            raise LookupError_(f"key {target} not present")
-        self.stats.record_delete()
-        return removed
-
-    # ------------------------------------------------------------------
-    # Massive data evaluation and modification (Sections 1 / 3.2)
-    # ------------------------------------------------------------------
-    #
-    # "its decoupled match logic can be easily extended to implement more
-    # advanced functionality such as massive data evaluation and
-    # modification" — the match processors sweep every row once, applying
-    # the ternary comparison to all slots in parallel; one row access per
-    # row regardless of how many records match.
-
-    def scan(
-        self, search_key: int = 0, search_mask: Optional[int] = None
-    ) -> List[Tuple[int, int, Record]]:
-        """Evaluate a ternary predicate over the whole database.
-
-        Args:
-            search_key: the predicate's value bits.
-            search_mask: don't-care bits of the predicate; defaults to
-                all-don't-care (match everything).
-
-        Returns:
-            All matching ``(row, slot, record)`` triples.  Costs one
-            bucket access per row (counted in the memory statistics).
-        """
-        import numpy as np
-
-        if search_mask is None:
-            search_mask = (1 << self._config.record_format.key_bits) - 1
-        mirror = self._synced_mirror()
-        match = mirror.match_predicate(search_key, search_mask)
-        # The sweep still fetches every row once — same AMAL cost as the
-        # scalar row loop, served from the mirror.
-        self._memory.stats.reads += self._config.rows
-        return [
-            (int(row), int(slot), mirror.records[row, slot])
-            for row, slot in np.argwhere(match)
-        ]
-
-    def scan_count(
-        self, search_key: int = 0, search_mask: Optional[int] = None
-    ) -> int:
-        """Count records matching a ternary predicate (one row pass)."""
-        return len(self.scan(search_key, search_mask))
-
-    def update_where(
-        self,
-        search_key: int,
-        search_mask: int,
-        transform: Callable[[Record], int],
-    ) -> int:
-        """Massive modification: rewrite the data of every matching record.
-
-        Args:
-            search_key / search_mask: the ternary selection predicate.
-            transform: maps each matching record to its new data payload.
-
-        Returns:
-            Number of records modified.  Costs one read-modify-write per
-            row that contains a match.
-        """
-        import numpy as np
-
-        mirror = self._synced_mirror()
-        match = mirror.match_predicate(search_key, search_mask)
-        # One read per row for the evaluation sweep (as in the scalar loop),
-        # plus one write per row that holds a match.
-        self._memory.stats.reads += self._config.rows
-        modified = 0
-        for row in np.flatnonzero(match.any(axis=1)).tolist():
-            row_value = self._memory.peek_row(row)
-            for slot in np.flatnonzero(match[row]).tolist():
-                record = mirror.records[row, slot]
-                new_record = Record.make(
-                    record.key,
-                    transform(record),
-                    self._config.record_format,
-                )
-                row_value = self._layout.write_slot(row_value, slot, new_record)
-                modified += 1
-            self._memory.write_row(row, row_value)
-        return modified
-
-    # ------------------------------------------------------------------
-    # Maintenance
-    # ------------------------------------------------------------------
-
-    def rebuild(self) -> None:
-        """Re-insert everything to compact spills and recompute reach.
-
-        The software analogue of the paper's database (re)construction in
-        RAM mode: after heavy deletes, reach fields over-approximate.
-        """
-        if self._reliability is not None:
-            # Sync under the retry loop (a corrupt row quarantines instead
-            # of aborting the rebuild), then fold the victim store back in.
-            mirror = self._reliability.synced_mirror(self._synced_mirror)
-            stored = [record for _, _, record in mirror.iter_valid()]
-            stored.extend(self._reliability.drain_victims())
-            self._reliability.quarantined_buckets.clear()
-        else:
-            stored = [record for _, _, record in self.records()]
-        self._memory.fill(0)
-        self._record_count = 0
-        # Stable priority order so sorted buckets rebuild identically.
-        if self._slot_priority is not None:
-            stored.sort(key=self._slot_priority, reverse=True)
-        for record in stored:
-            # Re-place a single copy per stored entry: duplicates were
-            # stored explicitly, so bypass duplication here.
-            self._place_copy(self._index.index(record.key), record)
-
-    def clear(self) -> None:
-        """Drop every record and reset statistics."""
-        self._memory.fill(0)
-        self._record_count = 0
-        self.stats.reset()
-        if self._reliability is not None:
-            self._reliability.reset()
-
     # ------------------------------------------------------------------
     # RAM mode (Section 3.2)
     # ------------------------------------------------------------------
 
     def ram_read(self, row: int) -> int:
         """Address-based row read — the slice as plain on-chip memory."""
-        return self._memory.read_row(row)
+        return self.memory.read_row(row)
 
     def ram_write(self, row: int, value: int) -> None:
         """Address-based row write.
@@ -931,8 +99,8 @@ class CARAMSlice:
         The record count tracks the occupancy delta of the overwritten row,
         so CAM-mode bookkeeping survives RAM-mode writes.
         """
-        removed = self._layout.occupancy(self._memory.peek_row(row))
-        self._memory.write_row(row, value)
+        removed = self._layout.occupancy(self.memory.peek_row(row))
+        self.memory.write_row(row, value)
         self._record_count += self._layout.occupancy(value) - removed
 
     def dma_load(
@@ -946,26 +114,26 @@ class CARAMSlice:
 
         The record count is updated incrementally from the valid bits of the
         overwritten and incoming rows — no full-database re-scan.  A caller
-        that already knows the incoming image's occupant count (the bulk
-        builder) may pass ``record_count`` to skip the per-row occupancy
-        scans; this shortcut requires a full-array load so the displaced
-        count is exactly the current record count.
+        that already knows the incoming image's occupant count may pass
+        ``record_count`` to skip the per-row occupancy scans; this shortcut
+        requires a full-array load so the displaced count is exactly the
+        current record count.
         """
         if record_count is not None:
             if offset != 0 or len(rows) != self._config.rows:
                 raise ConfigurationError(
                     "record_count shortcut requires a full-array load"
                 )
-            self._memory.load(rows, offset)
+            self.memory.load(rows, offset)
             self._record_count = record_count
             return
         removed = sum(
-            self._layout.occupancy(self._memory.peek_row(offset + i))
+            self._layout.occupancy(self.memory.peek_row(offset + i))
             for i in range(len(rows))
         )
-        self._memory.load(rows, offset)
+        self.memory.load(rows, offset)
         added = sum(self._layout.occupancy(value) for value in rows)
         self._record_count += added - removed
 
 
-__all__ = ["CARAMSlice", "SearchResult"]
+__all__ = ["CARAMSlice"]

@@ -7,7 +7,9 @@ dedicated slices (or a small CAM) serving as an overflow area "accessed
 together with other slices ... similar to the popular victim cache
 technique".
 
-* :class:`SliceGroup` — one database over ``k`` identical slices.
+* :class:`SliceGroup` — one database over ``k`` identical slices, and the
+  only bucket store: a lone :class:`~repro.core.slice.CARAMSlice` is a
+  group of one.
 
   - VERTICAL: the row spaces concatenate; a bucket is one row of one slice.
     Bucket count = ``k * 2**R`` (not necessarily a power of two — design B
@@ -16,6 +18,12 @@ technique".
     fetched in parallel.  One logical bucket access therefore costs ``k``
     physical row fetches but only **one** AMAL access — this is exactly why
     the paper's horizontal designs beat vertical ones at equal load factor.
+
+  Writes are per slot: an insert takes the lowest free slot on its probe
+  walk and a delete clears one slot, each one row write, so buckets may
+  hold holes.  Only a ``slot_priority`` insert (LPM ordering: slots sorted
+  descending, slot 0 matching first) decodes and re-packs its bucket.
+  Reach fields only grow; ``rebuild()`` recomputes them.
 
 * :class:`CARAMSubsystem` — named groups behind request ports, with an
   optional overflow store (e.g. a small TCAM) searched in parallel with the
@@ -27,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     Iterator,
     List,
@@ -48,18 +57,14 @@ from repro.core.key import TernaryKey
 from repro.core.match import MatchProcessor
 from repro.core.probing import LinearProbing, ProbingPolicy
 from repro.core.record import Record
-from repro.core.slice import SearchResult
+from repro.core.results import BatchResultSet, SearchResult
 from repro.core.stats import SearchStats
 from repro.hashing.base import HashFunction
 from repro.memory.array import MemoryArray
 from repro.telemetry.profiling import profile
 
-from typing import Callable
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.batch import BatchSearchEngine
     from repro.core.bulk import BulkPlan
-    from repro.core.results import BatchResultSet
     from repro.memory.mirror import DecodedMirror
     from repro.reliability.faults import FaultConfig
     from repro.reliability.manager import ReliabilityManager, ReliabilityPolicy
@@ -162,13 +167,14 @@ class SliceGroup:
         policy: Optional["ReliabilityPolicy"] = None,
         faults: Optional["FaultConfig"] = None,
     ) -> "ReliabilityManager":
-        """Protect every physical array of this group (see
-        :meth:`repro.core.slice.CARAMSlice.enable_reliability`).
+        """Protect every physical array with the reliability layer.
 
-        Each array gets its own guard and an independently-salted fault
-        stream; quarantine operates at logical-bucket granularity, so a
-        horizontal group spares all constituent rows of a failing bucket
-        together.
+        Each array gets an ECC guard (checkwords encoded over the current
+        content, so enable *after* loading) and an independently-salted
+        fault stream; lookups then correct, retry around, or surface every
+        fault as a :class:`~repro.errors.CorruptionError` — never a silent
+        wrong answer.  Quarantine operates at logical-bucket granularity,
+        so a horizontal group spares all rows of a failing bucket together.
         """
         from repro.reliability.manager import (
             ReliabilityManager,
@@ -640,15 +646,20 @@ class SliceGroup:
     def search_batch_columnar(
         self, keys: Sequence[KeyInput], search_mask: int = 0
     ) -> "BatchResultSet":
-        """Vectorized group lookup returning the columnar
-        ``BatchResultSet`` (see
-        :meth:`repro.core.slice.CARAMSlice.search_batch_columnar`)."""
+        """Vectorized lookup returning the columnar ``BatchResultSet``.
+
+        The native product of the batch path: struct-of-arrays columns
+        (hit mask, winning bucket/slot, per-key access and match-pass
+        counts) written directly by the match kernels.
+        ``BatchResultSet.results()`` materializes the same
+        ``SearchResult`` list :meth:`search_batch` returns;
+        ``data_values()`` skips record objects entirely.
+        """
         if self._batch_engine is None:
             self._batch_engine = self._build_batch_engine()
-        # Parallel engines compose with the reliability layer — see
-        # CARAMSlice.search_batch_columnar: workers report touched
-        # bucket ids and the merge replays them through the access sink
-        # in-process, in deterministic shard order.
+        # Parallel engines compose with the reliability layer: workers
+        # report the bucket ids they touched and the merge replays them
+        # through the access sink in-process, in deterministic shard order.
         result_set = self._batch_engine.search_columnar(keys, search_mask)
         if self._reliability is not None:
             result_set = self._reliability.overlay_result_set(
@@ -665,7 +676,9 @@ class SliceGroup:
         :attr:`physical_row_fetches`) — to calling :meth:`search` per key
         in order; both the home-bucket common case and the extended probe
         walk are served by the decoded mirror, fanned across all slices at
-        once.
+        once.  Only keys needing the Section-4 multi-bucket enumeration
+        (don't-care bits over hash positions) fall back to the scalar
+        path.
 
         A materializing wrapper over :meth:`search_batch_columnar`.
         """
@@ -714,8 +727,10 @@ class SliceGroup:
         )
         self._last_bulk_plan = image.plan
         with profile("bulk.install"):
-            self.dma_load(
-                image.array_rows, record_count=image.plan.copy_count
+            # The group's full-image install, whatever a subclass's
+            # ``dma_load`` means.
+            SliceGroup.dma_load(
+                self, image.array_rows, record_count=image.plan.copy_count
             )
             self.stats.record_insert_batch(
                 image.plan.record_count, image.plan.copy_count
@@ -739,8 +754,7 @@ class SliceGroup:
     ) -> None:
         """DMA-install one full pre-packed row image per slice.
 
-        Every slice image must cover its whole array (the group analogue of
-        :meth:`CARAMSlice.dma_load` at offset 0).  ``record_count`` is the
+        Every slice image must cover its whole array.  ``record_count`` is the
         incoming occupant total; when omitted it is recovered by scanning
         the images' valid bits.
         """
@@ -766,6 +780,9 @@ class SliceGroup:
     def insert(self, key: KeyInput, data: int = 0, allow_spill: bool = True) -> int:
         """Insert a record; returns the number of stored copies.
 
+        Ternary keys with don't-care bits in hash positions are duplicated
+        into every matching home bucket; each copy walks its probe sequence
+        to the first bucket with a free slot and raises its home's reach.
         With ``allow_spill=False`` the insert fails (CapacityError) instead
         of probing past a full home bucket — the hook the subsystem uses to
         divert overflows into a victim store.
@@ -799,67 +816,132 @@ class SliceGroup:
         )
 
     def _try_place(self, bucket: int, record: Record) -> bool:
+        """Store a record in one bucket; False when the bucket is full.
+
+        Without a slot-priority function the record takes the lowest free
+        slot — one row write.  With one, the bucket is decoded, the record
+        spliced in ahead of the first lower-priority occupant and the
+        bucket re-packed, so the priority encoder's lowest-slot-wins rule
+        returns the highest-priority match.
+        """
+        if self._slot_priority is None:
+            for slice_id, row in self._bucket_rows(bucket):
+                array = self._arrays[slice_id]
+                row_value = array.verified_peek_row(row)
+                free = self._layout.find_free_slot(row_value)
+                if free is not None:
+                    array.write_row(
+                        row, self._layout.write_slot(row_value, free, record)
+                    )
+                    return True
+            return False
         records, reach = self._occupants(bucket)
         if len(records) >= self.slots_per_bucket:
             return False
-        if self._slot_priority is None:
-            records.append(record)
-        else:
-            priority = self._slot_priority(record)
-            position = len(records)
-            for i, existing in enumerate(records):
-                if self._slot_priority(existing) < priority:
-                    position = i
-                    break
-            records.insert(position, record)
+        priority = self._slot_priority(record)
+        position = len(records)
+        for i, existing in enumerate(records):
+            if self._slot_priority(existing) < priority:
+                position = i
+                break
+        records.insert(position, record)
         self._write_occupants(bucket, records, reach)
         return True
 
+    def _first_row(self, bucket: int) -> Tuple[MemoryArray, int, int]:
+        """``(array, row, row_value)`` of a bucket's first physical row —
+        the one holding its reach field."""
+        slice_id, row = self._bucket_rows(bucket)[0]
+        array = self._arrays[slice_id]
+        return array, row, array.verified_peek_row(row)
+
     def _raise_reach(self, home: int, attempt: int) -> None:
-        records, reach = self._occupants(home)
-        if attempt > reach:
-            self._write_occupants(home, records, attempt)
+        array, row, row_value = self._first_row(home)
+        if attempt > self._layout.read_aux(row_value):
+            array.write_row(row, self._layout.write_aux(row_value, attempt))
 
     def delete(self, key: KeyInput) -> int:
-        """Remove every stored copy of the exact key."""
+        """Remove every stored copy of the exact key (value *and* mask).
+
+        Each home's probe walk clears the first slot holding the key — one
+        row write — and leaves a hole; reach fields are not shrunk.
+
+        Returns the number of copies removed.  Raises
+        :class:`~repro.errors.LookupError_` when the key is absent.
+        """
         target = self._config.record_format.normalize_key(
             key if isinstance(key, TernaryKey) else int(key)
         )
-        homes = self._index.indices_for_stored(target)
-        removed = 0
-        for home in homes:
-            _, reach = self._occupants(home)
-            for attempt in range(reach + 1):
-                bucket = self._probing.probe(
-                    home, attempt, self.bucket_count, target.value
-                )
-                records, bucket_reach = self._occupants(bucket)
-                kept = [r for r in records if r.key != target]
-                if len(kept) != len(records):
-                    self._write_occupants(bucket, kept, bucket_reach)
-                    self._record_count -= len(records) - len(kept)
-                    removed += len(records) - len(kept)
-                    break
+        removed = sum(
+            self._clear_first(home, target)
+            for home in self._index.indices_for_stored(target)
+        )
         if not removed:
             raise LookupError_(f"key {target} not present")
         self.stats.record_delete()
         return removed
 
+    def _clear_first(self, home: int, target: TernaryKey) -> bool:
+        """Clear the first slot holding ``target`` on ``home``'s probe walk."""
+        _, _, home_value = self._first_row(home)
+        for attempt in range(self._layout.read_aux(home_value) + 1):
+            bucket = self._probing.probe(
+                home, attempt, self.bucket_count, target.value
+            )
+            for slice_id, row in self._bucket_rows(bucket):
+                array = self._arrays[slice_id]
+                row_value = array.verified_peek_row(row)
+                for slot in range(self._layout.slots_per_bucket):
+                    valid, record = self._layout.read_slot(row_value, slot)
+                    if valid and record.key == target:
+                        array.write_row(
+                            row, self._layout.write_slot(row_value, slot, None)
+                        )
+                        self._record_count -= 1
+                        return True
+        return False
+
+    # ------------------------------------------------------------------
+    # Massive data evaluation and modification (Sections 1 / 3.2): the
+    # match processors sweep every row once.  The sweep is served from the
+    # decoded mirror but charged as one read per row of every array.
+    # ------------------------------------------------------------------
+
+    def _charge_sweep(self) -> None:
+        for array in self._arrays:
+            array.stats.reads += self._config.rows
+
     def scan(
         self, search_key: int = 0, search_mask: Optional[int] = None
-    ) -> List[Tuple[int, Record]]:
-        """Massive data evaluation: all records matching a ternary
-        predicate, one pass over every bucket (Sections 1 / 3.2)."""
+    ) -> List[Tuple[int, int, Record]]:
+        """Evaluate a ternary predicate over the whole database.
+
+        Args:
+            search_key: the predicate's value bits.
+            search_mask: don't-care bits of the predicate; defaults to
+                all-don't-care (match everything).
+
+        Returns:
+            All matching ``(bucket, slot, record)`` triples, bucket-major.
+            Costs one read per row of every array.
+        """
         import numpy as np
 
         if search_mask is None:
             search_mask = (1 << self._config.record_format.key_bits) - 1
         mirror = self._synced_mirror()
         match = mirror.match_predicate(search_key, search_mask)
+        self._charge_sweep()
         return [
-            (int(bucket), mirror.records[bucket, slot])
+            (int(bucket), int(slot), mirror.records[bucket, slot])
             for bucket, slot in np.argwhere(match)
         ]
+
+    def scan_count(
+        self, search_key: int = 0, search_mask: Optional[int] = None
+    ) -> int:
+        """Count records matching a ternary predicate (one row pass)."""
+        return len(self.scan(search_key, search_mask))
 
     def update_where(
         self,
@@ -867,38 +949,50 @@ class SliceGroup:
         search_mask: int,
         transform: Callable[[Record], int],
     ) -> int:
-        """Massive modification: rewrite the data payload of every record
-        matching the ternary predicate.  Returns the modified count."""
+        """Massive modification: rewrite the data of every matching record.
+
+        Args:
+            search_key / search_mask: the ternary selection predicate.
+            transform: maps each matching record to its new data payload.
+
+        Returns:
+            Number of records modified.  Costs one read per row of every
+            array for the sweep, plus one write per row holding a match;
+            the matched slots are rewritten in place.
+        """
         import numpy as np
 
-        # The mirror narrows the sweep to buckets that hold a match; the
-        # per-bucket rewrite is the original decode/compact/re-pack logic,
-        # so slot compaction behaves exactly as before.
         mirror = self._synced_mirror()
         match = mirror.match_predicate(search_key, search_mask)
+        self._charge_sweep()
+        per_row = self._layout.slots_per_bucket
+        record_format = self._config.record_format
         modified = 0
         for bucket in np.flatnonzero(match.any(axis=1)).tolist():
-            records, reach = self._occupants(bucket)
-            dirty = False
-            for i, record in enumerate(records):
-                if self._matcher.match_slot(
-                    True, record, search_key, search_mask
-                ):
-                    records[i] = Record.make(
-                        record.key,
-                        transform(record),
-                        self._config.record_format,
+            for i, (slice_id, row) in enumerate(self._bucket_rows(bucket)):
+                first = i * per_row
+                slots = np.flatnonzero(
+                    match[bucket, first : first + per_row]
+                ).tolist()
+                if not slots:
+                    continue
+                array = self._arrays[slice_id]
+                row_value = array.verified_peek_row(row)
+                for slot in slots:
+                    record = mirror.records[bucket, first + slot]
+                    row_value = self._layout.write_slot(
+                        row_value,
+                        slot,
+                        Record.make(record.key, transform(record), record_format),
                     )
-                    dirty = True
                     modified += 1
-            if dirty:
-                self._write_occupants(bucket, records, reach)
+                array.write_row(row, row_value)
         return modified
 
-    def records(self) -> Iterator[Tuple[int, Record]]:
-        """Yield every stored record as ``(bucket, record)``, bucket-major."""
-        for bucket, _, record in self._synced_mirror().iter_valid():
-            yield bucket, record
+    def records(self) -> Iterator[Tuple[int, int, Record]]:
+        """Yield every stored record as ``(bucket, slot, record)``,
+        bucket-major."""
+        yield from self._synced_mirror().iter_valid()
 
     def rebuild(self) -> None:
         """Re-insert everything to compact spills and recompute reach.
@@ -909,12 +1003,14 @@ class SliceGroup:
         paper performs through RAM mode.
         """
         if self._reliability is not None:
+            # Sync under the retry loop (a corrupt row quarantines instead
+            # of aborting the rebuild), then fold the victim store back in.
             mirror = self._reliability.synced_mirror(self._synced_mirror)
             stored = [record for _, _, record in mirror.iter_valid()]
             stored.extend(self._reliability.drain_victims())
             self._reliability.quarantined_buckets.clear()
         else:
-            stored = [record for _, record in self.records()]
+            stored = [record for _, _, record in self.records()]
         for array in self._arrays:
             array.fill(0)
         self._record_count = 0

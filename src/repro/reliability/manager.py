@@ -1,7 +1,8 @@
-"""Slice/group-level reliability policy: quarantine, victims, retries.
+"""Bucket-store reliability policy: quarantine, victims, retries.
 
-The :class:`ReliabilityManager` sits between a :class:`~repro.core.slice.
-CARAMSlice` (or :class:`~repro.core.subsystem.SliceGroup`) and its guarded
+The :class:`ReliabilityManager` sits between a
+:class:`~repro.core.subsystem.SliceGroup` (a
+:class:`~repro.core.slice.CARAMSlice` is a group of one) and its guarded
 memory arrays, and implements graceful degradation on top of the guard's
 detect-or-correct primitive:
 
@@ -124,10 +125,10 @@ class ReliabilityPolicy:
 
 
 class ReliabilityManager:
-    """Reliability orchestration for one slice or slice group.
+    """Reliability orchestration for one slice group (or lone slice).
 
-    Built through :meth:`for_slice` / :meth:`for_group`; shared logic is
-    parameterized only by the bucket <-> (array, row) mapping.
+    Built through :meth:`for_group`; the logic is parameterized only by
+    the bucket <-> (array, row) mapping.
     """
 
     def __init__(
@@ -181,24 +182,6 @@ class ReliabilityManager:
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-
-    @classmethod
-    def for_slice(
-        cls,
-        slice_,
-        policy: ReliabilityPolicy,
-        faults: Optional[FaultConfig] = None,
-    ) -> "ReliabilityManager":
-        return cls(
-            owner=slice_,
-            arrays=[slice_._memory],
-            layout=slice_._layout,
-            matcher=slice_._matcher,
-            slot_priority=slice_._slot_priority,
-            policy=policy,
-            faults=faults,
-            horizontal=False,
-        )
 
     @classmethod
     def for_group(
@@ -433,7 +416,7 @@ class ReliabilityManager:
         if not self.victims:
             return result
         from repro.core.key import TernaryKey
-        from repro.core.slice import SearchResult
+        from repro.core.results import SearchResult
 
         if isinstance(key, TernaryKey):
             value = key.value
@@ -506,8 +489,6 @@ class ReliabilityManager:
             if injector is None:
                 continue
             if self._horizontal:
-                rows = ids
-            elif len(self._arrays) == 1:
                 rows = ids
             else:
                 rows = ids[ids // self._rows == array_index] % self._rows

@@ -43,7 +43,7 @@ from repro.errors import ConfigurationError
 from repro.core.config import Arrangement, SliceConfig
 from repro.core.index import KeyInput
 from repro.core.record import RecordFormat
-from repro.core.slice import SearchResult
+from repro.core.results import SearchResult
 from repro.core.stats import SearchStats
 from repro.core.subsystem import CARAMSubsystem, SliceGroup
 from repro.hashing.bit_select import BitSelectHash

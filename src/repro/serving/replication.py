@@ -65,7 +65,7 @@ from repro.errors import (
     ShardUnavailableError,
 )
 from repro.core.index import KeyInput
-from repro.core.slice import SearchResult
+from repro.core.results import SearchResult
 from repro.core.stats import SearchStats
 from repro.serving.cluster import CaramCluster, CaramShard, ShardSpec
 from repro.serving.router import ConsistentHashRouter, ShardRouter

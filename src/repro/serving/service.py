@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError, ServiceOverloadError
 from repro.core.index import KeyInput
-from repro.core.slice import SearchResult
+from repro.core.results import SearchResult
 from repro.serving.cluster import CaramCluster
 
 __all__ = ["ShardedService", "CoalescerStats"]

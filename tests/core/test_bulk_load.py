@@ -91,8 +91,6 @@ def sequential_reference(store_factory, pairs):
 
 
 def array_snapshots(store):
-    if isinstance(store, CARAMSlice):
-        return [store.memory.snapshot()]
     return [array.snapshot() for array in store._arrays]
 
 
@@ -104,14 +102,12 @@ def assert_same_state(bulk, reference):
 
 def assert_mirror_matches_rows(store):
     """The installed mirror must equal one decoded fresh from the rows."""
-    if isinstance(store, CARAMSlice):
-        arrays, layout = [store._memory], store._layout
-        horizontal = False
-    else:
-        arrays, layout = store._arrays, store._layout
-        horizontal = store.arrangement is Arrangement.HORIZONTAL
     installed = store._synced_mirror()
-    fresh = DecodedMirror(arrays, layout, horizontal=horizontal)
+    fresh = DecodedMirror(
+        store._arrays,
+        store._layout,
+        horizontal=store.arrangement is Arrangement.HORIZONTAL,
+    )
     fresh.sync()
     assert np.array_equal(installed.valid, fresh.valid)
     assert np.array_equal(installed.key_words, fresh.key_words)

@@ -98,7 +98,7 @@ class TestOverflowBehavior:
         sub, composed = compose(overflow=OverflowKind.CA_RAM_SLICE)
         self.overload_bucket(sub, composed)
         overflow = composed.overflow
-        rows = {bucket for bucket, _ in overflow.records()}
+        rows = {bucket for bucket, _, _ in overflow.records()}
         # All spills share home bucket 0 of the main group; the overflow
         # hash maps them to row 0 of the overflow slice.
         assert rows == {0}

@@ -11,6 +11,18 @@ from repro.hashing.base import ModuloHash
 from repro.utils.bits import mask_of
 
 
+def row_writes(group):
+    """Log every physical row write from now on as ``(slice, row)``."""
+    log = []
+    for slice_id, array in enumerate(group._arrays):
+        array.subscribe_invalidation(
+            lambda start, count, slice_id=slice_id: log.extend(
+                (slice_id, row) for row in range(start, start + count)
+            )
+        )
+    return log
+
+
 def make_group(arrangement=Arrangement.VERTICAL, slice_count=2):
     config = SliceConfig(
         index_bits=3, row_bits=128,
@@ -43,9 +55,25 @@ class TestGroupBulkOps:
             group.insert(k, data=k)
         mask = mask_of(16) & ~0x7  # select low 3 bits == 0b101
         keys = sorted(
-            record.key.value for _, record in group.scan(0x5, mask)
+            record.key.value for _, _, record in group.scan(0x5, mask)
         )
         assert keys == [5, 13, 21, 29]
+
+    def test_sweeps_read_every_row_of_every_slice(self, arrangement):
+        group = make_group(arrangement)
+        for k in range(30):
+            group.insert(k, data=1)
+        sweep = [group.config.rows] * group.slice_count
+
+        def reads():
+            return [array.stats.reads for array in group._arrays]
+
+        before = reads()
+        group.scan()
+        after_scan = reads()
+        assert [a - b for a, b in zip(after_scan, before)] == sweep
+        group.update_where(0, mask_of(16), lambda r: 2)
+        assert [a - b for a, b in zip(reads(), after_scan)] == sweep
 
     def test_update_where(self, arrangement):
         group = make_group(arrangement)
@@ -65,6 +93,44 @@ class TestGroupBulkOps:
         group.update_where(0, mask_of(16), lambda r: 3)
         for key in keys:
             assert group.lookup(key) == 3
+
+
+class TestPerSlotWrites:
+    """Without slot priority, a write touches only the row it changes."""
+
+    def fill_home(self, group, count):
+        """Insert ``count`` keys that all hash to bucket 0."""
+        for i in range(count):
+            group.insert(i * group.bucket_count, data=1)
+
+    def test_insert_writes_only_the_free_slots_row(self):
+        group = make_group(Arrangement.HORIZONTAL)
+        self.fill_home(group, group.config.slots_per_bucket)  # slice 0 full
+        log = row_writes(group)
+        group.insert(group.config.slots_per_bucket * group.bucket_count)
+        assert log == [(1, 0)]
+
+    def test_delete_writes_only_the_cleared_row(self):
+        group = make_group(Arrangement.HORIZONTAL)
+        self.fill_home(group, group.config.slots_per_bucket + 1)
+        log = row_writes(group)
+        assert group.delete(0) == 1
+        assert log == [(0, 0)]
+        # The cleared slot stays a hole until the next insert takes it.
+        assert (0, 0) not in {(b, s) for b, s, _ in group.records()}
+        group.insert(0, data=2)
+        assert log == [(0, 0), (0, 0)]
+        assert group.lookup(0) == 2
+
+    def test_reach_raise_writes_only_the_homes_first_row(self):
+        group = make_group(Arrangement.HORIZONTAL)
+        self.fill_home(group, group.slots_per_bucket)  # bucket 0 full
+        log = row_writes(group)
+        spilled = group.slots_per_bucket * group.bucket_count
+        group.insert(spilled, data=1)
+        # The spilled record's row in bucket 1, then the home's reach.
+        assert log == [(0, 1), (0, 0)]
+        assert group.search(spilled).bucket_accesses == 2
 
 
 class TestHandleDelegation:

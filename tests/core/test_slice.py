@@ -8,7 +8,7 @@ from repro.core.key import TernaryKey
 from repro.core.probing import DoubleHashing
 from repro.core.record import RecordFormat
 from repro.core.slice import CARAMSlice
-from repro.errors import CapacityError, LookupError_
+from repro.errors import CapacityError, ConfigurationError, LookupError_
 from repro.hashing.base import ModuloHash
 from repro.hashing.bit_select import BitSelectHash
 
@@ -84,6 +84,19 @@ class TestBasicOperations:
         sl.search(1)
         assert sl.stats.amal == pytest.approx(1.0)
         assert sl.stats.hits == 2
+
+
+class TestGeometry:
+    def test_index_generator_must_address_every_row(self):
+        """A slice checks its geometry like any group: a generator over the
+        wrong row count is a configuration mistake, not a full table."""
+        config = SliceConfig(
+            index_bits=4,
+            row_bits=128,
+            record_format=RecordFormat(key_bits=16, data_bits=8),
+        )
+        with pytest.raises(ConfigurationError):
+            CARAMSlice(config, make_index_generator(ModuloHash(8)))
 
 
 class TestOverflowBehavior:

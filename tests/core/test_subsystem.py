@@ -112,7 +112,7 @@ class TestOperations:
         group = make_group()
         group.insert(1, data=1)
         group.insert(20, data=2)
-        assert {r.key.value for _, r in group.records()} == {1, 20}
+        assert {r.key.value for _, _, r in group.records()} == {1, 20}
 
     def test_clear(self):
         group = make_group()
