@@ -1,47 +1,40 @@
-"""Throughput of the vectorized batch-lookup engines vs the scalar path.
+"""Throughput of the vectorized batch-lookup kernel vs the scalar path.
 
 The behavioral scalar search decodes every slot of every fetched row
 through arbitrary-precision bit slicing — exact, but slow.  The batch
-path resolves the same lookups against a decoded NumPy mirror, through
-one of two match backends: the slot-major word mirror (``word``) or the
-transposed bit-plane layout (``bitplane``, the DRAMA-style kernel).  This
-benchmark measures the scalar path and each requested engine over two
->=100k-key streams on a slice at alpha=0.9 — a mixed stream (50% stored
-keys) and uniform traffic (overwhelmingly misses, the regime where the
-reach-driven probe walk dominates) — checks all answers are identical,
-exercises a churn phase so the incremental re-decode shows up in the
-telemetry block, and writes the keys/sec figures to
-``BENCH_batch_lookup.json`` at the repository root.
+path resolves the same lookups against a decoded NumPy mirror, comparing
+each fetched bucket's stored keys word by word.  This benchmark measures
+the scalar path and the batch kernel over two >=100k-key streams on a
+slice at alpha=0.9 — a mixed stream (50% stored keys) and uniform traffic
+(overwhelmingly misses, the regime where the reach-driven probe walk
+dominates) — checks all answers are identical, exercises a churn phase so
+the incremental re-decode shows up in the telemetry block, and writes the
+keys/sec figures to ``BENCH_batch_lookup.json`` at the repository root.
 
-Each engine is timed twice per stream: ``search_batch`` (columnar kernel
+The kernel is timed twice per stream: ``search_batch`` (columnar kernel
 plus ``SearchResult`` materialization, the legacy representation) and
 ``search_batch_columnar`` (the struct-of-arrays result set alone —
 parity against the scalar answers is checked *outside* the timed
-region).  A final leg measures the multi-core ``parallel-bitplane``
-engine at ``--workers`` workers; on hosts with fewer than two CPUs the
-leg is recorded as skipped rather than reporting meaningless
-oversubscribed numbers.  The report carries a ``metadata`` block
-(engines, worker count, result representation) so the telemetry differ
-refuses to compare runs with different configurations.
+region).  The ``batch`` section holds those figures; CI's regression
+gate diffs it against the committed file.  The report's ``metadata``
+block records the result representation so the telemetry differ refuses
+to compare runs with different configurations.
 
 Run standalone with::
 
-    PYTHONPATH=src python benchmarks/bench_batch_lookup.py [--engine=bitplane] [--workers=4]
+    PYTHONPATH=src python benchmarks/bench_batch_lookup.py
 
-or through pytest (asserts the >=10x speedup and engine parity)::
+or through pytest (asserts the >=10x speedup and scalar parity)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_batch_lookup.py
 """
 
-import argparse
 import gc
 import json
-import os
 import time
 
 from harness import finalize, result_path
 from repro.core.config import SliceConfig
-from repro.core.engines import ENGINE_KINDS
 from repro.core.index import IndexGenerator
 from repro.core.record import RecordFormat
 from repro.core.slice import CARAMSlice
@@ -61,10 +54,9 @@ QUERY_COUNT = 120_000
 HIT_FRACTION = 0.5
 CHURN_ROWS = 12          # rows rewritten between the churn batches
 SEED = 1234
-DEFAULT_WORKERS = 4      # parallel-leg pool size (ISSUE target point)
 
 
-def build_slice(engine: str = "word") -> CARAMSlice:
+def build_slice() -> CARAMSlice:
     record_format = RecordFormat(key_bits=KEY_BITS, data_bits=DATA_BITS)
     aux_bits = 8
     config = SliceConfig(
@@ -77,9 +69,7 @@ def build_slice(engine: str = "word") -> CARAMSlice:
     hash_function = BitSelectHash(
         KEY_BITS, tuple(range(12, 12 + INDEX_BITS))
     )
-    return CARAMSlice(
-        config, IndexGenerator(hash_function, config.rows), engine=engine
-    )
+    return CARAMSlice(config, IndexGenerator(hash_function, config.rows))
 
 
 def populate(slice_: CARAMSlice):
@@ -114,15 +104,14 @@ def make_uniform_queries():
     return [int(k) for k in rng.integers(0, 1 << KEY_BITS, size=QUERY_COUNT)]
 
 
-def bench_engine(engine, stored, streams, scalars):
-    """Cold, warm, churn, and uniform batch timings for one backend."""
+def bench_kernel(stored, streams, scalars):
+    """Cold, warm, churn, and uniform batch timings."""
     mixed, uniform = streams["mixed"], streams["uniform"]
-    slice_ = build_slice(engine)
+    slice_ = build_slice()
     for key in stored:
         slice_.insert(key, key & 0xFFFF)
 
-    # Cold batch: the first call pays the full mirror decode (and, for the
-    # bit-plane engine, the full transpose).
+    # Cold batch: the first call pays the full mirror decode.
     start = time.perf_counter()
     batch_results = slice_.search_batch(mixed)
     batch_seconds = time.perf_counter() - start
@@ -136,20 +125,20 @@ def bench_engine(engine, stored, streams, scalars):
         warm_seconds = min(warm_seconds, time.perf_counter() - start)
 
     assert batch_results == scalars["mixed"]["results"], (
-        f"{engine} batch/scalar result divergence"
+        "batch/scalar result divergence"
     )
     assert warm_results == scalars["mixed"]["results"]
 
     # Columnar-only timing: the struct-of-arrays result set with no
     # SearchResult materialization — the representation the apps and the
-    # parallel merge consume.  Parity is checked after the clock stops.
+    # serving tier consume.  Parity is checked after the clock stops.
     columnar_seconds = float("inf")
     for _ in range(2):
         start = time.perf_counter()
         columnar_set = slice_.search_batch_columnar(mixed)
         columnar_seconds = min(columnar_seconds, time.perf_counter() - start)
     assert columnar_set.results() == scalars["mixed"]["results"], (
-        f"{engine} columnar/scalar result divergence"
+        "columnar/scalar result divergence"
     )
 
     # Uniform traffic: overwhelmingly misses, every one with a reach-driven
@@ -160,7 +149,7 @@ def bench_engine(engine, stored, streams, scalars):
         uniform_results = slice_.search_batch(uniform)
         uniform_seconds = min(uniform_seconds, time.perf_counter() - start)
     assert uniform_results == scalars["uniform"]["results"], (
-        f"{engine} uniform batch/scalar result divergence"
+        "uniform batch/scalar result divergence"
     )
 
     uniform_columnar_seconds = float("inf")
@@ -171,13 +160,12 @@ def bench_engine(engine, stored, streams, scalars):
             uniform_columnar_seconds, time.perf_counter() - start
         )
     assert uniform_set.results() == scalars["uniform"]["results"], (
-        f"{engine} uniform columnar/scalar result divergence"
+        "uniform columnar/scalar result divergence"
     )
 
     # Churn: rewrite a few rows, then batch again — the steady state of a
-    # live table, where sync() re-decodes (and re-transposes) only the
-    # dirty rows.  This is what puts mirror.incremental_decode on the
-    # profile for every engine.
+    # live table, where sync() re-decodes only the dirty rows.  This is
+    # what puts mirror.incremental_decode on the profile.
     rng = make_rng(SEED + 2)
     churn_victims = [
         stored[int(i)]
@@ -221,54 +209,7 @@ def bench_engine(engine, stored, streams, scalars):
     }
 
 
-def bench_parallel(stored, streams, scalars, workers, baseline_section):
-    """Multi-core fan-out leg; records a skip on single-CPU hosts."""
-    cpu_count = os.cpu_count() or 1
-    if cpu_count < 2 or workers < 2:
-        return {
-            "skipped": True,
-            "reason": (
-                f"parallel leg needs >=2 CPUs and >=2 workers "
-                f"(host has {cpu_count}, requested {workers})"
-            ),
-        }
-    mixed, uniform = streams["mixed"], streams["uniform"]
-    slice_ = build_slice(f"parallel-bitplane:{workers}")
-    for key in stored:
-        slice_.insert(key, key & 0xFFFF)
-    slice_.search_batch_columnar(mixed[:4096])  # decode + fork the pool
-    try:
-        mixed_seconds = float("inf")
-        for _ in range(2):
-            start = time.perf_counter()
-            mixed_set = slice_.search_batch_columnar(mixed)
-            mixed_seconds = min(mixed_seconds, time.perf_counter() - start)
-        assert mixed_set.results() == scalars["mixed"]["results"], (
-            "parallel mixed/scalar result divergence"
-        )
-        uniform_seconds = float("inf")
-        for _ in range(2):
-            start = time.perf_counter()
-            uniform_set = slice_.search_batch_columnar(uniform)
-            uniform_seconds = min(
-                uniform_seconds, time.perf_counter() - start
-            )
-        assert uniform_set.results() == scalars["uniform"]["results"], (
-            "parallel uniform/scalar result divergence"
-        )
-    finally:
-        slice_._close_batch_engine()
-    single = baseline_section["uniform"]["columnar_keys_per_sec"]
-    uniform_kps = len(uniform) / uniform_seconds
-    return {
-        "workers": workers,
-        "mixed_columnar_keys_per_sec": round(len(mixed) / mixed_seconds),
-        "uniform_columnar_keys_per_sec": round(uniform_kps),
-        "uniform_speedup_vs_single_core": round(uniform_kps / single, 2),
-    }
-
-
-def run_benchmark(engines=ENGINE_KINDS, workers=DEFAULT_WORKERS) -> dict:
+def run_benchmark() -> dict:
     reference = build_slice()
     stored = populate(reference)
     streams = {
@@ -284,14 +225,14 @@ def run_benchmark(engines=ENGINE_KINDS, workers=DEFAULT_WORKERS) -> dict:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return _run_benchmark(reference, stored, streams, engines, workers)
+        return _run_benchmark(reference, stored, streams)
     finally:
         if gc_was_enabled:
             gc.enable()
             gc.collect()
 
 
-def _run_benchmark(reference, stored, streams, engines, workers) -> dict:
+def _run_benchmark(reference, stored, streams) -> dict:
     with enabled_profiler() as profiler:
         scalars = {}
         for name, queries in streams.items():
@@ -306,26 +247,12 @@ def _run_benchmark(reference, stored, streams, engines, workers) -> dict:
                 "hit_rate": reference.stats.hit_rate,
             }
 
-        engine_sections = {}
-        last_slice = None
-        for engine in engines:
-            last_slice, section = bench_engine(
-                engine, stored, streams, scalars
-            )
-            engine_sections[engine] = section
-
-        baseline_section = engine_sections.get(
-            "bitplane", engine_sections[engines[-1]]
-        )
-        parallel_section = bench_parallel(
-            stored, streams, scalars, workers, baseline_section
-        )
+        slice_, section = bench_kernel(stored, streams, scalars)
 
     # Mount telemetry after the run: providers are read lazily at
-    # snapshot() time.  The registry reports the last engine measured
-    # (the one a single-engine CI gate asked for).
+    # snapshot() time.
     registry = MetricsRegistry()
-    last_slice.register_telemetry(registry)
+    slice_.register_telemetry(registry)
 
     result = {
         "keys": len(streams["mixed"]),
@@ -339,62 +266,36 @@ def _run_benchmark(reference, stored, streams, engines, workers) -> dict:
         "scalar_uniform_keys_per_sec": round(
             len(streams["uniform"]) / scalars["uniform"]["seconds"]
         ),
-        "engines": engine_sections,
-        "parallel": parallel_section,
-    }
-    metadata = {
-        "engines": list(engines),
-        "worker_count": workers,
-        "result_representation": "columnar",
+        "batch": section,
     }
     return finalize(
         RESULT_PATH,
         result,
         registry=registry,
         profiler=profiler,
-        metadata=metadata,
+        metadata={"result_representation": "columnar"},
     )
 
 
 def test_batch_lookup_speedup():
     result = run_benchmark()
     assert result["keys"] >= 100_000
-    for engine, section in result["engines"].items():
-        assert section["mixed"]["speedup"] >= 10, (engine, result)
-        assert section["uniform"]["speedup"] >= 10, (engine, result)
-        # The columnar set skips ~10^5 SearchResult allocations, so it
-        # must not be slower than the materializing warm batch (10% slack
-        # for shared-runner noise).
-        assert (
-            section["mixed"]["columnar_keys_per_sec"]
-            >= 0.9 * section["mixed"]["batch_warm_keys_per_sec"]
-        ), (engine, result)
-    parallel = result["parallel"]
-    if not parallel.get("skipped"):
-        assert parallel["uniform_columnar_keys_per_sec"] > 0, result
+    section = result["batch"]
+    assert section["mixed"]["speedup"] >= 10, result
+    assert section["uniform"]["speedup"] >= 10, result
+    # The columnar set skips ~10^5 SearchResult allocations, so it must
+    # not be slower than the materializing warm batch (10% slack for
+    # shared-runner noise).
+    assert (
+        section["mixed"]["columnar_keys_per_sec"]
+        >= 0.9 * section["mixed"]["batch_warm_keys_per_sec"]
+    ), result
     assert result["metadata"]["result_representation"] == "columnar"
     phases = result["telemetry"]["phases"]
     assert "mirror.incremental_decode" in phases
-    assert "batch.bitplane_match" in phases
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--engine",
-        choices=list(ENGINE_KINDS) + ["both"],
-        default="both",
-        help="match backend(s) to measure (default: both)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=DEFAULT_WORKERS,
-        help="parallel-leg worker count (default: 4; leg is skipped on "
-        "hosts with fewer than two CPUs)",
-    )
-    args = parser.parse_args()
-    engines = ENGINE_KINDS if args.engine == "both" else (args.engine,)
-    stats = run_benchmark(engines, workers=args.workers)
+    stats = run_benchmark()
     print(json.dumps(stats, indent=2))
     print(f"\nwrote {RESULT_PATH}")

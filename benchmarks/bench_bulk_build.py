@@ -159,46 +159,27 @@ def bench_high_load_lookup(index_bits: int, slots: int, queries: int) -> dict:
     scalar_seconds = time.perf_counter() - start
     amal = group.stats.amal
 
-    sections = {}
-    for backend in ("word", "bitplane"):
-        group.engine = backend
-        group.search_batch(query_keys[:1])  # warm the mirror + engine
-        engine = group.batch_engine
-        fallbacks_before = engine.scalar_fallbacks
-        start = time.perf_counter()
-        batch_results = group.search_batch(query_keys)
-        batch_seconds = time.perf_counter() - start
+    group.search_batch(query_keys[:1])  # warm the mirror + engine
+    engine = group.batch_engine
+    fallbacks_before = engine.scalar_fallbacks
+    start = time.perf_counter()
+    batch_results = group.search_batch(query_keys)
+    batch_seconds = time.perf_counter() - start
 
-        assert batch_results == scalar_results, (
-            f"{backend} batch/scalar result divergence"
-        )
-        fallback_fraction = (
-            (engine.scalar_fallbacks - fallbacks_before) / queries
-        )
-        assert fallback_fraction <= 0.01, (
-            f"{fallback_fraction:.1%} of keys fell back to scalar search"
-        )
-        sections[backend] = {
-            "keys_per_sec": round(queries / batch_seconds),
-            "speedup": round(scalar_seconds / batch_seconds, 2),
-            "fallback_fraction": fallback_fraction,
-        }
-
-    word = sections["word"]
+    assert batch_results == scalar_results, "batch/scalar result divergence"
+    fallback_fraction = (engine.scalar_fallbacks - fallbacks_before) / queries
+    assert fallback_fraction <= 0.01, (
+        f"{fallback_fraction:.1%} of keys fell back to scalar search"
+    )
     return {
         "load_factor": round(group.load_factor, 3),
         "amal": round(amal, 4),
         "keys": queries,
         "scalar_keys_per_sec": round(queries / scalar_seconds),
-        # Legacy flat keys (CI gates, baselines) report the word engine;
-        # the per-backend sections carry both layouts.
-        "batch_keys_per_sec": word["keys_per_sec"],
-        "batch_speedup": word["speedup"],
-        "scalar_fallback_fraction": max(
-            s["fallback_fraction"] for s in sections.values()
-        ),
-        "probe_walk_keys": group.batch_engine.probe_walk_keys,
-        "engines": sections,
+        "batch_keys_per_sec": round(queries / batch_seconds),
+        "batch_speedup": round(scalar_seconds / batch_seconds, 2),
+        "scalar_fallback_fraction": fallback_fraction,
+        "probe_walk_keys": engine.probe_walk_keys,
     }
 
 

@@ -1,7 +1,7 @@
 """Serving-tier benchmark: coalesced async throughput vs one-at-a-time.
 
 The serving tier's claim is that request coalescing turns live
-one-key-at-a-time traffic into the batch work the vectorized engines are
+one-key-at-a-time traffic into the batch work the vectorized kernel is
 built for.  This benchmark quantifies it on a sharded cluster
 (:class:`~repro.serving.cluster.CaramCluster` behind a consistent-hash
 router) with Zipf-skewed verified traffic from

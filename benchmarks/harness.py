@@ -53,14 +53,14 @@ def finalize(
     them); pass the run's instruments — or a pre-built ``telemetry``
     block — to attach the observability data.
 
-    ``metadata`` records the run *configuration* (engine spec, worker
-    count, result representation) under a single ``"metadata"`` key.  The
-    telemetry differ ignores it as measurement but refuses to compare two
-    reports whose metadata disagrees — a 4-worker run diffed against a
-    single-core baseline is a config change, not a regression.
+    ``metadata`` records the run *configuration* (e.g. the result
+    representation) under a single ``"metadata"`` key.  The telemetry
+    differ ignores it as measurement but refuses to compare two reports
+    whose metadata disagrees — a materializing run diffed against a
+    columnar baseline is a config change, not a regression.
 
-    ``topology`` nests the shard/worker layout (shard count, router
-    class, worker processes...) under ``metadata["topology"]``.  It is
+    ``topology`` nests the shard layout (shard count, router class...)
+    under ``metadata["topology"]``.  It is
     plain metadata as far as the differ is concerned — two reports with
     different topologies refuse to diff — but giving it its own key keeps
     sharded-serving reports self-describing and greppable.

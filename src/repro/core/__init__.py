@@ -14,12 +14,7 @@ Public surface:
   overflow areas, victim TCAM, request ports.
 """
 
-from repro.core.batch import ENGINE_KINDS, BatchSearchEngine
-from repro.core.bitmatch import (
-    plane_match,
-    plane_match_rows,
-    priority_encode_packed,
-)
+from repro.core.batch import BatchSearchEngine
 from repro.core.composer import ComposedDatabase, OverflowKind, compose_database
 from repro.core.config import Arrangement, SliceConfig
 from repro.core.index import IndexGenerator
@@ -36,10 +31,6 @@ from repro.core.subsystem import CARAMSubsystem, SliceGroup
 __all__ = [
     "Arrangement",
     "BatchSearchEngine",
-    "ENGINE_KINDS",
-    "plane_match",
-    "plane_match_rows",
-    "priority_encode_packed",
     "ComposedDatabase",
     "OverflowKind",
     "compose_database",

@@ -27,7 +27,7 @@ A batch lookup proceeds in three vectorized stages:
 The engine's native product is **columnar**: :meth:`search_columnar`
 returns a :class:`~repro.core.results.BatchResultSet` whose struct-of-
 arrays columns (hit mask, winning row/slot, per-key access and match-pass
-counts) are written directly by the match kernels — zero per-key Python
+counts) are written directly by the match kernel — zero per-key Python
 objects on the hot path.  :meth:`search` is a thin wrapper that lazily
 materializes the ``SearchResult`` list, **bit-identical** to calling the
 scalar ``search`` once per key, in key order — same hits, same winning
@@ -39,12 +39,6 @@ mirror-served accesses (the mirror replaces the row fetches); groups
 built with ``account_reads=True`` route every mirror-served access
 through an ``access_sink`` that charges the physical counters too,
 restoring exact parity with the scalar path.
-
-The split into :meth:`_prepare` (hashing, key normalization) and the
-chunk-level :meth:`_run_vectorized` also serves the multi-core fan-out:
-:class:`~repro.core.parallel.ParallelBatchEngine` prepares once in the
-parent, then drives ``_run_vectorized`` inside worker processes against a
-shared-memory view of the mirror.
 """
 
 from __future__ import annotations
@@ -55,29 +49,14 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError, KeyFormatError
-from repro.core.bitmatch import (
-    SLOT_WORD_BITS,
-    plane_match_rows,
-    priority_encode_packed,
-)
-from repro.core.engines import (
-    ENGINE_KINDS,
-    MIRROR_LAYOUT_CODES,
-    validate_engine,
-)
+from repro.errors import KeyFormatError
 from repro.core.index import IndexGenerator, KeyInput
 from repro.core.key import TernaryKey
 from repro.core.match import priority_encode_batch
 from repro.core.probing import ProbingPolicy
 from repro.core.results import BatchResultSet
 from repro.core.stats import SearchStats
-from repro.memory.mirror import (
-    DecodedMirror,
-    keys_to_words,
-    words_for_bits,
-    words_to_bits,
-)
+from repro.memory.mirror import DecodedMirror, keys_to_words, words_for_bits
 from repro.telemetry.profiling import profile
 from repro.utils.bits import mask_of
 
@@ -100,22 +79,15 @@ _COLUMNAR_FIELD_WORDS = 4
 def default_chunk_size(
     slots_per_bucket: int,
     word_count: int,
-    engine: str = "word",
-    key_bits: Optional[int] = None,
-    ternary: bool = False,
     value_words: int = 0,
 ) -> int:
-    """Chunk size scaled to the row geometry *of the active layout*.
+    """Chunk size scaled to the row geometry.
 
     Narrow-key configurations keep the full :data:`DEFAULT_CHUNK_SIZE`;
-    wide rows shrink the chunk so the gathered intermediates stay within a
-    fixed element budget instead of growing with the layout.  The two
-    engines gather different shapes per key:
-
-    * ``word`` — ``slots x words`` stored-key words (e.g. the trigram
-      study's 384-slot x 2-word horizontal buckets);
-    * ``bitplane`` — ``key_bits x ceil(slots / 64)`` plane words, doubled
-      when stored masks add a second plane set.
+    wide rows shrink the chunk so the gathered intermediates — ``slots x
+    words`` stored-key words per key (e.g. the trigram study's 384-slot x
+    2-word horizontal buckets) — stay within a fixed element budget
+    instead of growing with the layout.
 
     On top of the match intermediates every key also carries its columnar
     output row — the fixed result columns plus ``value_words`` packed
@@ -123,14 +95,7 @@ def default_chunk_size(
     wide payloads chunk smaller instead of blowing the cache with the
     output alone.
     """
-    if engine == "bitplane":
-        planes = key_bits if key_bits else word_count * 64
-        if ternary:
-            planes *= 2
-        lanes = -(-slots_per_bucket // SLOT_WORD_BITS)
-        per_key = max(1, planes * lanes)
-    else:
-        per_key = max(1, slots_per_bucket * word_count)
+    per_key = max(1, slots_per_bucket * word_count)
     per_key += _COLUMNAR_FIELD_WORDS + max(0, int(value_words))
     return int(
         min(
@@ -144,9 +109,8 @@ def default_chunk_size(
 class PreparedBatch:
     """Stage-0/1 product: normalized keys, packed words, home buckets.
 
-    Produced by :meth:`BatchSearchEngine._prepare`; consumed either
-    in-process by :meth:`BatchSearchEngine._finish` or shard-wise by the
-    parallel dispatcher.
+    Produced by :meth:`BatchSearchEngine._prepare`; consumed by
+    :meth:`BatchSearchEngine._finish`.
     """
 
     total: int
@@ -156,8 +120,6 @@ class PreparedBatch:
     mask_words: Optional[np.ndarray]        # (total, W) or None
     homes: np.ndarray                       # (total,) int64
     needs_scalar: np.ndarray                # (total,) bool
-    query_bits: Optional[np.ndarray]        # (total, key_bits) bool
-    query_mask_bits: Optional[np.ndarray]   # (total, key_bits) or None
 
 
 class BatchSearchEngine:
@@ -183,12 +145,6 @@ class BatchSearchEngine:
             to charge the physical read counters.
         chunk_size: keys per vectorized chunk; None picks
             :func:`default_chunk_size` from the row geometry.
-        engine: match-backend layout — ``"word"`` (the default slot-major
-            word comparison) or ``"bitplane"`` (the transposed plane kernel
-            of :mod:`repro.core.bitmatch`; the mirror provider must then
-            return a :class:`~repro.memory.bitplane.BitPlaneMirror`).
-        ternary: whether the stored record format carries don't-care
-            masks; only used to size the bit-plane chunk default.
         value_words: packed data-payload words per record
             (``words_for_bits(data_bits)``); sizes the columnar output
             term of the chunk default.
@@ -206,13 +162,10 @@ class BatchSearchEngine:
         probing: ProbingPolicy,
         access_sink: Optional[Callable[[np.ndarray], None]] = None,
         chunk_size: Optional[int] = None,
-        engine: str = "word",
-        ternary: bool = False,
         value_words: int = 0,
     ) -> None:
         self._index = index_generator
         self._mirror_provider = mirror_provider
-        self._slots = slots_per_bucket
         self._processors = match_processors
         self._key_bits = key_bits
         self._full_mask = mask_of(key_bits)
@@ -220,15 +173,10 @@ class BatchSearchEngine:
         self._scalar_search = scalar_search
         self._probing = probing
         self._access_sink = access_sink
-        self._engine = validate_engine(engine)
-        self._value_words = value_words
         if chunk_size is None:
             chunk_size = default_chunk_size(
                 slots_per_bucket,
                 words_for_bits(key_bits),
-                engine=engine,
-                key_bits=key_bits,
-                ternary=ternary,
                 value_words=value_words,
             )
         self._chunk_size = max(1, chunk_size)
@@ -239,11 +187,6 @@ class BatchSearchEngine:
     @property
     def chunk_size(self) -> int:
         return self._chunk_size
-
-    @property
-    def engine(self) -> str:
-        """The match-backend layout this engine drives."""
-        return self._engine
 
     @property
     def stats(self) -> SearchStats:
@@ -299,16 +242,9 @@ class BatchSearchEngine:
     # ------------------------------------------------------------------
 
     def _prepare(
-        self,
-        keys: Sequence[KeyInput],
-        search_mask: int,
-        compute_bits: bool = True,
+        self, keys: Sequence[KeyInput], search_mask: int
     ) -> PreparedBatch:
-        """Normalize and hash the whole key array (stage 0/1).
-
-        ``compute_bits=False`` skips the bit-plane query unpack — the
-        parallel dispatcher sets it, since workers unpack their own shard.
-        """
+        """Normalize and hash the whole key array (stage 0/1)."""
         total = len(keys)
         with profile("batch.index"):
             # Fast path: a batch of plain machine-width ints (the common
@@ -351,16 +287,6 @@ class BatchSearchEngine:
             homes, needs_scalar = self._index.indices_batch(
                 values, masks, words
             )
-            query_bits = query_mask_bits = None
-            if compute_bits and self._engine == "bitplane":
-                # The plane kernel consumes query *bits*; unpack the whole
-                # batch once and gather per chunk below.
-                query_bits = words_to_bits(words, self._key_bits)
-                query_mask_bits = (
-                    words_to_bits(mask_words, self._key_bits)
-                    if mask_words is not None
-                    else None
-                )
         return PreparedBatch(
             total=total,
             values=values,
@@ -369,27 +295,6 @@ class BatchSearchEngine:
             mask_words=mask_words,
             homes=homes,
             needs_scalar=needs_scalar,
-            query_bits=query_bits,
-            query_mask_bits=query_mask_bits,
-        )
-
-    def _checked_mirror(self) -> DecodedMirror:
-        """Fetch the synced mirror, verifying it fits the active layout."""
-        with profile("batch.mirror_sync"):
-            mirror = self._mirror_provider()
-        if self._engine == "bitplane" and not hasattr(mirror, "key_planes"):
-            raise ConfigurationError(
-                "engine='bitplane' needs a BitPlaneMirror; the provider "
-                f"returned {type(mirror).__name__}"
-            )
-        return mirror
-
-    def _plane_scratch(self, mirror, total: int) -> Optional[np.ndarray]:
-        if self._engine != "bitplane":
-            return None
-        return np.empty(
-            (min(self._chunk_size, total), self._key_bits, mirror.lanes),
-            dtype=np.uint64,
         )
 
     def _finish(
@@ -398,9 +303,9 @@ class BatchSearchEngine:
         search_mask: int,
         prep: PreparedBatch,
     ) -> BatchResultSet:
-        """Stages 2/3 plus the scalar fallback, in-process."""
-        mirror = self._checked_mirror()
-        plane_scratch = self._plane_scratch(mirror, prep.total)
+        """Stages 2/3 plus the scalar fallback."""
+        with profile("batch.mirror_sync"):
+            mirror = self._mirror_provider()
         rs = BatchResultSet(prep.total, mirror)
         vectorized = np.flatnonzero(~prep.needs_scalar)
         self._run_vectorized(
@@ -411,9 +316,6 @@ class BatchSearchEngine:
             prep.words,
             prep.mask_words,
             prep.values,
-            prep.query_bits,
-            prep.query_mask_bits,
-            plane_scratch,
         )
         self._scalar_fallback(rs, keys, search_mask, prep.needs_scalar)
         self.columnar_rows += prep.total
@@ -443,28 +345,20 @@ class BatchSearchEngine:
 
     def _run_vectorized(
         self,
-        mirror,
+        mirror: DecodedMirror,
         rs: BatchResultSet,
         positions: np.ndarray,
         homes: np.ndarray,
         words: np.ndarray,
         mask_words: Optional[np.ndarray],
         values: Sequence[int],
-        query_bits: Optional[np.ndarray],
-        query_mask_bits: Optional[np.ndarray],
-        plane_scratch: Optional[np.ndarray],
     ) -> None:
         """Resolve the listed key positions into the result columns.
 
         ``positions`` indexes into the batch-length arrays
         (``homes``/``words``/...); every outcome is scattered into ``rs``
-        at its global key position.  ``mirror`` only needs the match-kernel
-        surface (``match_rows`` or the plane attributes, plus ``reach`` and
-        ``buckets``) — a shared-memory
-        :class:`~repro.memory.shm.MirrorView` satisfies it inside worker
-        processes.
+        at its global key position.
         """
-        bitplane = self._engine == "bitplane"
         # Opt-in per-chunk lookup-latency sketch: one observation per
         # vectorized chunk (home match + probe walk), so serving-tier
         # percentiles come from the real work quanta, not per-key guesses.
@@ -474,29 +368,14 @@ class BatchSearchEngine:
             with profile("batch.home_match"):
                 chunk = positions[start : start + self._chunk_size]
                 chunk_homes = homes[chunk]
-                if bitplane:
-                    with profile("batch.bitplane_match"):
-                        match_words = plane_match_rows(
-                            mirror,
-                            chunk_homes,
-                            query_bits[chunk],
-                            query_mask_bits[chunk]
-                            if query_mask_bits is not None
-                            else None,
-                            scratch=plane_scratch,
-                        )
-                        hit, slot, passes, multiple = priority_encode_packed(
-                            match_words, self._slots, self._processors
-                        )
-                else:
-                    match = mirror.match_rows(
-                        chunk_homes,
-                        words[chunk],
-                        mask_words[chunk] if mask_words is not None else None,
-                    )
-                    hit, slot, passes, multiple = priority_encode_batch(
-                        match, self._processors
-                    )
+                match = mirror.match_rows(
+                    chunk_homes,
+                    words[chunk],
+                    mask_words[chunk] if mask_words is not None else None,
+                )
+                hit, slot, passes, multiple = priority_encode_batch(
+                    match, self._processors
+                )
                 # Every chunk key fetched its home bucket — the probe walk
                 # only adds the extension accesses on top.
                 self._stats.record_match_passes(int(passes.sum()))
@@ -539,27 +418,19 @@ class BatchSearchEngine:
                         if mask_words is not None
                         else None,
                         values,
-                        query_bits[pending] if bitplane else None,
-                        query_mask_bits[pending]
-                        if bitplane and query_mask_bits is not None
-                        else None,
-                        plane_scratch,
                     )
             if latency is not None:
                 latency.observe(perf_counter() - chunk_started)
 
     def _probe_walk(
         self,
-        mirror,
+        mirror: DecodedMirror,
         rs: BatchResultSet,
         key_idx: np.ndarray,
         homes: np.ndarray,
         query_words: np.ndarray,
         query_mask_words: Optional[np.ndarray],
         values: Sequence[int],
-        query_bits: Optional[np.ndarray] = None,
-        query_mask_bits: Optional[np.ndarray] = None,
-        plane_scratch: Optional[np.ndarray] = None,
     ) -> None:
         """Resolve home-miss/nonzero-reach keys attempt level by level.
 
@@ -593,31 +464,16 @@ class BatchSearchEngine:
                 tracer.emit(
                     "probe_step", attempt=attempt, keys=int(alive.size)
                 )
-            if query_bits is not None:
-                with profile("batch.bitplane_match"):
-                    match_words = plane_match_rows(
-                        mirror,
-                        rows,
-                        query_bits[alive],
-                        query_mask_bits[alive]
-                        if query_mask_bits is not None
-                        else None,
-                        scratch=plane_scratch,
-                    )
-                    hit, slot, passes, multiple = priority_encode_packed(
-                        match_words, self._slots, self._processors
-                    )
-            else:
-                match = mirror.match_rows(
-                    rows,
-                    query_words[alive],
-                    query_mask_words[alive]
-                    if query_mask_words is not None
-                    else None,
-                )
-                hit, slot, passes, multiple = priority_encode_batch(
-                    match, self._processors
-                )
+            match = mirror.match_rows(
+                rows,
+                query_words[alive],
+                query_mask_words[alive]
+                if query_mask_words is not None
+                else None,
+            )
+            hit, slot, passes, multiple = priority_encode_batch(
+                match, self._processors
+            )
             self._stats.record_match_passes(int(passes.sum()))
             if self._access_sink is not None:
                 self._access_sink(rows)
@@ -648,10 +504,7 @@ class BatchSearchEngine:
 __all__ = [
     "BatchSearchEngine",
     "DEFAULT_CHUNK_SIZE",
-    "ENGINE_KINDS",
     "MIN_CHUNK_SIZE",
-    "MIRROR_LAYOUT_CODES",
     "PreparedBatch",
     "default_chunk_size",
-    "validate_engine",
 ]

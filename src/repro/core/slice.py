@@ -40,8 +40,7 @@ class CARAMSlice(SliceGroup):
         slot_priority: optional record-priority function; when given, bucket
             slots are kept sorted descending so the priority encoder returns
             the highest-priority match (LPM ordering).
-        account_reads, batch_chunk_size, engine: as for
-            :class:`SliceGroup`.
+        account_reads, batch_chunk_size: as for :class:`SliceGroup`.
     """
 
     def __init__(
@@ -52,7 +51,6 @@ class CARAMSlice(SliceGroup):
         slot_priority: Optional[Callable[[Record], float]] = None,
         account_reads: bool = False,
         batch_chunk_size: Optional[int] = None,
-        engine: str = "word",
     ) -> None:
         super().__init__(
             config,
@@ -64,7 +62,6 @@ class CARAMSlice(SliceGroup):
             name="slice",
             account_reads=account_reads,
             batch_chunk_size=batch_chunk_size,
-            engine=engine,
         )
         self._index = index_generator
 

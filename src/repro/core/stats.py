@@ -23,7 +23,6 @@ the lookups did, not over which engine did it.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Union
 
@@ -142,16 +141,14 @@ class SearchStats:
 
     def record_lookup_batch_varied(
         self,
-        accesses: Union[Sequence[int], Mapping[int, int]],
+        accesses: Sequence[int],
         hits: Union[int, Sequence[bool]],
     ) -> None:
         """Account a batch whose lookups touched *differing* bucket counts.
 
         Args:
             accesses: per-lookup bucket-access counts (any int sequence or
-                array), one entry per lookup — or a ready-made
-                ``{access_count: lookups}`` histogram mapping (the form a
-                parallel worker ships back, merged without re-expansion).
+                array), one entry per lookup.
             hits: either the total hit count, or a per-lookup hit flag
                 sequence of the same length as ``accesses``.
 
@@ -159,12 +156,7 @@ class SearchStats:
         including the exact per-count access histogram, which
         :meth:`record_lookup_batch` cannot represent when attempts differ.
         """
-        if isinstance(accesses, Mapping):
-            counts = Counter(
-                {int(k): int(v) for k, v in accesses.items() if v}
-            )
-        else:
-            counts = Counter(int(a) for a in accesses)
+        counts = Counter(int(a) for a in accesses)
         n = sum(counts.values())
         if not n:
             return

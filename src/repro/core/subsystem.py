@@ -46,11 +46,6 @@ from typing import (
 )
 
 from repro.errors import CapacityError, ConfigurationError, LookupError_
-from repro.core.engines import (
-    MIRROR_LAYOUT_CODES,
-    format_engine_spec,
-    parse_engine_spec,
-)
 from repro.core.config import Arrangement, SliceConfig
 from repro.core.index import IndexGenerator, KeyInput
 from repro.core.key import TernaryKey
@@ -64,6 +59,7 @@ from repro.memory.array import MemoryArray
 from repro.telemetry.profiling import profile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.batch import BatchSearchEngine
     from repro.core.bulk import BulkPlan
     from repro.memory.mirror import DecodedMirror
     from repro.reliability.faults import FaultConfig
@@ -99,13 +95,6 @@ class SliceGroup:
             derives a width-aware default
             (:func:`repro.core.batch.default_chunk_size`), which shrinks
             the chunk for wide-bucket groups like the trigram study.
-        engine: batch match backend spec — ``"word"`` (slot-major word
-            mirror, the default), ``"bitplane"`` (transposed bit-plane
-            mirror + plane kernel), or a ``"parallel[-<layout>][:W]"``
-            form fanning large batches across ``W`` worker processes
-            (:func:`~repro.core.engines.parse_engine_spec`); switchable
-            later through the :attr:`engine` property.  Scalar searches
-            are unaffected.
     """
 
     def __init__(
@@ -119,7 +108,6 @@ class SliceGroup:
         name: str = "db",
         account_reads: bool = False,
         batch_chunk_size: Optional[int] = None,
-        engine: str = "word",
     ) -> None:
         if slice_count <= 0:
             raise ConfigurationError(f"slice_count must be positive: {slice_count}")
@@ -146,8 +134,6 @@ class SliceGroup:
         self._batch_engine = None
         self._last_bulk_plan: Optional["BulkPlan"] = None
         self._batch_chunk_size = batch_chunk_size
-        self._engine_kind, self._engine_workers = parse_engine_spec(engine)
-        self._engine_gauges: List = []
         self.account_reads = account_reads
         self.stats = SearchStats()
         self.physical_row_fetches = 0
@@ -213,8 +199,7 @@ class SliceGroup:
     def enable_latency_tracking(
         self, relative_error: Optional[float] = None
     ) -> None:
-        """Record per-chunk lookup latency into the group's search stats
-        (parallel workers inherit the setting per batch)."""
+        """Record per-chunk lookup latency into the group's search stats."""
         self.stats.enable_latency_tracking(relative_error)
 
     def disable_latency_tracking(self) -> None:
@@ -233,9 +218,6 @@ class SliceGroup:
         if prefix is None:
             prefix = self.name
         registry.register_provider(f"{prefix}.search", self.stats)
-        layout_gauge = registry.gauge(f"{prefix}.mirror_layout")
-        layout_gauge.set(MIRROR_LAYOUT_CODES[self._engine_kind])
-        self._engine_gauges.append(layout_gauge)
         for i, array in enumerate(self._arrays):
             registry.register_provider(f"{prefix}.slice{i}.memory", array.stats)
         registry.register_provider(
@@ -273,23 +255,8 @@ class SliceGroup:
                     if self._batch_engine is not None
                     else 0
                 ),
-                "worker_count": self._engine_workers,
             },
         )
-
-        def _shard_provider(worker: int):
-            def provider() -> dict:
-                shards = getattr(self._batch_engine, "shard_stats", None)
-                if shards is None or worker >= len(shards):
-                    return {}
-                return shards[worker].as_dict()
-
-            return provider
-
-        for worker in range(self._engine_workers):
-            registry.register_provider(
-                f"{prefix}.shard{worker}.search", _shard_provider(worker)
-            )
 
     @property
     def last_bulk_plan(self) -> Optional["BulkPlan"]:
@@ -489,51 +456,13 @@ class SliceGroup:
     # Batch lookup (decoded mirror over all slices)
     # ------------------------------------------------------------------
 
-    @property
-    def engine(self) -> str:
-        """The batch engine spec, canonically spelled (``"word"``,
-        ``"bitplane"``, or ``"parallel-<layout>:<workers>"``)."""
-        return format_engine_spec(self._engine_kind, self._engine_workers)
-
-    @engine.setter
-    def engine(self, spec: str) -> None:
-        kind, workers = parse_engine_spec(spec)
-        if kind == self._engine_kind and workers == self._engine_workers:
-            return
-        layout_changed = kind != self._engine_kind
-        self._engine_kind = kind
-        self._engine_workers = workers
-        # Drop the cached engine (and, on a layout change, the mirror);
-        # both are rebuilt lazily with the new configuration.  A parallel
-        # engine also owns a worker pool and shared-memory segments —
-        # release them eagerly.
-        self._close_batch_engine()
-        if layout_changed and self._mirror is not None:
-            self._mirror.detach()
-            self._mirror = None
-        for gauge in self._engine_gauges:
-            gauge.set(MIRROR_LAYOUT_CODES[kind])
-
-    @property
-    def engine_worker_count(self) -> int:
-        """Configured parallel workers (0 = single-core batch engine)."""
-        return self._engine_workers
-
-    def _close_batch_engine(self) -> None:
-        engine = self._batch_engine
-        self._batch_engine = None
-        if engine is not None and hasattr(engine, "close"):
-            engine.close()
-
     def close(self) -> None:
-        """Release the batch engine and every resource it owns.
+        """Drop the batch engine; serving shards call this on shutdown.
 
-        A parallel engine holds a forked worker pool and shared-memory
-        segments; serving shards call this on shutdown/drain so a retired
-        shard never leaks workers.  The group stays usable — the next
-        batch lookup lazily rebuilds a fresh engine.  Idempotent.
+        The group stays usable — the next batch lookup lazily rebuilds a
+        fresh engine.  Idempotent.
         """
-        self._close_batch_engine()
+        self._batch_engine = None
 
     def __enter__(self) -> "SliceGroup":
         return self
@@ -542,16 +471,10 @@ class SliceGroup:
         self.close()
 
     def _make_mirror(self) -> "DecodedMirror":
-        """Build the decoded mirror matching the active engine layout."""
-        horizontal = self._arrangement is Arrangement.HORIZONTAL
-        if self._engine_kind == "bitplane":
-            from repro.memory.bitplane import BitPlaneMirror
-
-            return BitPlaneMirror(
-                self._arrays, self._layout, horizontal=horizontal
-            )
+        """Build the decoded mirror over every slice of the group."""
         from repro.memory.mirror import DecodedMirror
 
+        horizontal = self._arrangement is Arrangement.HORIZONTAL
         return DecodedMirror(self._arrays, self._layout, horizontal=horizontal)
 
     def _synced_mirror(self) -> "DecodedMirror":
@@ -606,19 +529,16 @@ class SliceGroup:
                     array.charge_reads(int(reads))
 
     @property
-    def batch_engine(self):
-        """The lazily-built batch engine (None before the first batch) —
-        a :class:`BatchSearchEngine`, or a
-        :class:`~repro.core.parallel.ParallelBatchEngine` wrapping one when
-        the engine spec asks for workers."""
+    def batch_engine(self) -> Optional["BatchSearchEngine"]:
+        """The lazily-built batch engine (None before the first batch)."""
         return self._batch_engine
 
-    def _build_batch_engine(self):
+    def _build_batch_engine(self) -> "BatchSearchEngine":
         from repro.core.batch import BatchSearchEngine
         from repro.memory.mirror import words_for_bits
 
         record_format = self._config.record_format
-        inner = BatchSearchEngine(
+        return BatchSearchEngine(
             index_generator=self._index,
             mirror_provider=self._mirror_for_batch,
             slots_per_bucket=self.slots_per_bucket,
@@ -629,19 +549,12 @@ class SliceGroup:
             probing=self._probing,
             access_sink=self._mirror_access_sink,
             chunk_size=self._batch_chunk_size,
-            engine=self._engine_kind,
-            ternary=record_format.ternary,
             value_words=(
                 words_for_bits(record_format.data_bits)
                 if record_format.data_bits
                 else 0
             ),
         )
-        if self._engine_workers < 2:
-            return inner
-        from repro.core.parallel import ParallelBatchEngine
-
-        return ParallelBatchEngine(inner, self._engine_workers)
 
     def search_batch_columnar(
         self, keys: Sequence[KeyInput], search_mask: int = 0
@@ -657,9 +570,6 @@ class SliceGroup:
         """
         if self._batch_engine is None:
             self._batch_engine = self._build_batch_engine()
-        # Parallel engines compose with the reliability layer: workers
-        # report the bucket ids they touched and the merge replays them
-        # through the access sink in-process, in deterministic shard order.
         result_set = self._batch_engine.search_columnar(keys, search_mask)
         if self._reliability is not None:
             result_set = self._reliability.overlay_result_set(
@@ -1111,26 +1021,11 @@ class CARAMSubsystem:
             raise ConfigurationError(f"no group named {group!r}")
         self._overflow[group] = store
 
-    def set_engine(self, engine: str, group: Optional[str] = None) -> None:
-        """Select the batch engine for one group (or all of them).
-
-        ``engine`` is any spec :attr:`SliceGroup.engine` accepts —
-        ``"word"``, ``"bitplane"``, or ``"parallel[-<layout>][:W]"``;
-        scalar searches are unaffected and result parity is maintained
-        either way.
-        """
-        parse_engine_spec(engine)  # validate before touching any group
-        if group is not None:
-            self.group(group).engine = engine
-            return
-        for name in sorted(self._groups):
-            self._groups[name].engine = engine
-
     def overflow_store(self, group: str) -> Optional[OverflowStore]:
         return self._overflow.get(group)
 
     def close(self) -> None:
-        """Close every group's batch engine (worker pools, shared memory).
+        """Drop every group's batch engine.
 
         The subsystem-level teardown hook serving shards reach on drain;
         groups stay registered and usable afterwards.  Idempotent.

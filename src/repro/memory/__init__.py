@@ -3,7 +3,6 @@ model used to cost the software search baselines."""
 
 from repro.memory.array import MemoryArray
 from repro.memory.bank import BankedMemory
-from repro.memory.bitplane import BitPlaneMirror
 from repro.memory.cache import CacheSimulator, CacheStats
 from repro.memory.mirror import DecodedMirror, keys_to_words
 from repro.memory.timing import (
@@ -16,7 +15,6 @@ from repro.memory.timing import (
 __all__ = [
     "MemoryArray",
     "BankedMemory",
-    "BitPlaneMirror",
     "DecodedMirror",
     "keys_to_words",
     "CacheSimulator",

@@ -97,20 +97,6 @@ class MemoryArray:
         """
         self._invalidation_listeners.append(listener)
 
-    def unsubscribe_invalidation(
-        self, listener: Callable[[int, int], None]
-    ) -> None:
-        """Remove a previously subscribed listener (no-op when absent).
-
-        Mirrors detach themselves here when a slice swaps its decoded
-        layout for another engine, so abandoned mirrors stop receiving
-        dirty-row notifications (and can be garbage collected).
-        """
-        try:
-            self._invalidation_listeners.remove(listener)
-        except ValueError:
-            pass
-
     def _invalidate(self, start_row: int, row_count: int) -> None:
         if self.tracer is not None:
             self.tracer.emit(

@@ -19,8 +19,6 @@ values are serialized to bytes once, bit-unpacked as one matrix, and every
 slot field (valid, key value, don't-care mask, data) is sliced out as a
 column and re-packed through the same word codecs the bulk-build pipeline
 uses — only the per-valid-slot ``Record`` construction stays in Python.
-Subclasses hook :meth:`DecodedMirror._buckets_updated` to maintain derived
-layouts (the bit-plane transpose) from the same incremental dirty set.
 
 Keys wider than 64 bits (e.g. the trigram study's 128-bit keys) are held as
 little-endian 64-bit *word* columns; the ternary comparison is an exact
@@ -228,8 +226,8 @@ class DecodedMirror:
             result set gathers values from without touching ``records``.
         version: monotonically increasing content stamp, bumped whenever a
             sync re-decodes rows or a bulk image is installed — the
-            coherence token the shared-memory exporter keys its re-export
-            on.
+            coherence token a :class:`~repro.core.results.BatchResultSet`
+            checks before materializing its coordinates.
     """
 
     def __init__(
@@ -279,11 +277,8 @@ class DecodedMirror:
         self._any_dirty = True
         self.sync_count = 0
         self.rows_decoded = 0
-        self._listeners: List[Callable[[int, int], None]] = []
         for slice_id, array in enumerate(self._arrays):
-            listener = self._listener_for(slice_id)
-            self._listeners.append(listener)
-            array.subscribe_invalidation(listener)
+            array.subscribe_invalidation(self._listener_for(slice_id))
 
     # ------------------------------------------------------------------
     # Invalidation / synchronization
@@ -323,7 +318,6 @@ class DecodedMirror:
         from repro.telemetry.profiling import profile
 
         decoded = 0
-        updated: List[np.ndarray] = []
         with profile("mirror.incremental_decode"):
             for slice_id, array in enumerate(self._arrays):
                 dirty = self._dirty[slice_id]
@@ -357,18 +351,11 @@ class DecodedMirror:
                 )
                 decoded += dirty_rows.size
                 dirty[:] = False
-                updated.append(buckets)
         self._any_dirty = False
         self.sync_count += 1
         self.rows_decoded += decoded
         if decoded:
             self.version += 1
-        if updated:
-            self._buckets_updated(
-                np.unique(np.concatenate(updated))
-                if len(updated) > 1
-                else updated[0]
-            )
         return decoded
 
     def _decode_rows(
@@ -475,20 +462,6 @@ class DecodedMirror:
                 )
         self.records[buckets, columns] = recs
 
-    def _buckets_updated(self, bucket_ids: np.ndarray) -> None:
-        """Hook: the listed logical buckets were just re-decoded.
-
-        The base mirror has nothing derived to maintain; subclasses (the
-        bit-plane transpose) refresh their layouts from the fresh matrices.
-        """
-
-    def detach(self) -> None:
-        """Unsubscribe from the arrays' invalidation streams (called when a
-        slice/group swaps its mirror layout for another engine)."""
-        for array, listener in zip(self._arrays, self._listeners):
-            array.unsubscribe_invalidation(listener)
-        self._listeners = []
-
     def install(
         self,
         valid: np.ndarray,
@@ -550,22 +523,6 @@ class DecodedMirror:
         self._any_dirty = False
         self.sync_count += 1
         self.version += 1
-        self._buckets_updated(np.arange(self.buckets))
-
-    def shared_export_arrays(self) -> dict:
-        """Arrays a shared-memory export must copy for worker-side matching.
-
-        The word-layout match kernel reads exactly these matrices (plus the
-        scalar geometry shipped in the export spec); ``records`` and
-        ``data_words`` stay parent-side because workers return only
-        hit/row/slot coordinates.
-        """
-        return {
-            "valid": self.valid,
-            "key_words": self.key_words,
-            "mask_words": self.mask_words,
-            "reach": self.reach,
-        }
 
     # ------------------------------------------------------------------
     # Vectorized ternary matching (Figure 4(b), word-wise)

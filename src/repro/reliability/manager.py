@@ -300,7 +300,7 @@ class ReliabilityManager:
                 mirror.data_words[bucket, :, :] = 0
             mirror.reach[bucket] = reach
             # In-place mutation: stamp the change so cached columnar
-            # result sets (and shared-memory exports) see a new version.
+            # result sets see a new version.
             mirror.version += 1
         self.owner.stats.record_quarantine(len(records))
         return len(records)

@@ -2,7 +2,7 @@
 
 :class:`CaramShard` wraps one :class:`~repro.core.subsystem.CARAMSubsystem`
 holding one database group — a full subsystem per shard, so each shard can
-carry its own overflow store, ports, engine spec, and telemetry, exactly
+carry its own overflow store, ports, batch settings, and telemetry, exactly
 like an independent CA-RAM chip in a multi-bank deployment.
 :class:`CaramCluster` composes the shards with a
 :class:`~repro.serving.router.ShardRouter` and provides:
@@ -22,8 +22,8 @@ like an independent CA-RAM chip in a multi-bank deployment.
   rate, spill rate) are recomputed from the merged bases — the existing
   ``repro telemetry serve``/``health`` CLI reads the whole cluster off
   these mounts;
-* **lifecycle** — :meth:`close` tears down every shard's batch engine
-  (worker pools, shared memory); the cluster is a context manager.
+* **lifecycle** — :meth:`close` drops every shard's batch engine; the
+  cluster is a context manager.
 """
 
 from __future__ import annotations
@@ -61,13 +61,12 @@ DEFAULT_GROUP = "db"
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """Per-shard engine/telemetry configuration.
+    """Per-shard batch/telemetry configuration.
 
     One spec can configure the whole cluster, or a per-shard list can mix
-    configurations (e.g. a bitplane hot shard next to word-mirror ones).
+    configurations (e.g. latency tracking on one hot shard only).
     """
 
-    engine: str = "word"
     batch_chunk_size: Optional[int] = None
     account_reads: bool = False
     track_latency: bool = False
@@ -110,7 +109,7 @@ class CaramShard:
         return self.subsystem.bulk_load(self.group_name, records)
 
     def close(self) -> None:
-        """Tear down this shard's batch engines (pools, shared memory)."""
+        """Drop this shard's batch engine."""
         self.subsystem.close()
 
 
@@ -202,7 +201,6 @@ class CaramCluster:
                 name=DEFAULT_GROUP,
                 account_reads=spec.account_reads,
                 batch_chunk_size=spec.batch_chunk_size,
-                engine=spec.engine,
             )
             if spec.track_latency:
                 group.enable_latency_tracking(spec.latency_error)

@@ -27,8 +27,7 @@ Admission control and backpressure:
   every request is either answered or fails loudly, never dropped;
 * :meth:`drain` stops admission, flushes every queued request, and waits
   for the lanes to empty — graceful shutdown answers everything already
-  admitted; :meth:`aclose` additionally closes every shard's batch
-  engine, so drained shards never leak forked worker pools.
+  admitted; :meth:`aclose` additionally closes every shard.
 
 Batch execution runs on a thread-pool executor by default (NumPy kernels
 release the GIL for the heavy ops), keeping the event loop free to accept
@@ -57,12 +56,20 @@ DEFAULT_MAX_PENDING = 8192
 
 
 class CoalescerStats:
-    """Live counters of the coalescing front end (one per service)."""
+    """Live counters of the coalescing front end (one per service).
+
+    Every admitted request ends in exactly one of ``completed``, ``shed``
+    or ``failed`` (its future raised, cancellation included), so
+    ``requests == completed + shed + failed`` once no lookup is in
+    flight.  Requests rejected before admission (draining service, dead
+    lane) are not counted.
+    """
 
     __slots__ = (
         "requests",
         "completed",
         "shed",
+        "failed",
         "batches",
         "coalesced_keys",
         "max_batch_observed",
@@ -74,6 +81,7 @@ class CoalescerStats:
         self.requests = 0
         self.completed = 0
         self.shed = 0
+        self.failed = 0
         self.batches = 0
         self.coalesced_keys = 0
         self.max_batch_observed = 0
@@ -91,6 +99,7 @@ class CoalescerStats:
             "requests": self.requests,
             "completed": self.completed,
             "shed": self.shed,
+            "failed": self.failed,
             "batches": self.batches,
             "coalesced_keys": self.coalesced_keys,
             "coalescing_factor": self.coalescing_factor,
@@ -169,6 +178,9 @@ class ShardedService:
         self.stats = CoalescerStats()
         self._lanes = [_Lane(shard) for shard in cluster.shards]
         self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: Set by a lane each time it goes idle (queue empty, no batch in
+        #: flight); :meth:`drain` waits on it instead of polling.
+        self._idle: Optional[asyncio.Event] = None
         self._accepting = True
         self._closed = False
         self._close_task: Optional[asyncio.Task] = None
@@ -186,6 +198,8 @@ class ShardedService:
         Raises:
             ServiceOverloadError: the owning shard's queue is full, or
                 the service is draining/closed.
+            Exception: whatever the shard's batch raised (counted in
+                ``stats.failed``).
         """
         if not self._accepting:
             raise ServiceOverloadError(
@@ -217,7 +231,11 @@ class ShardedService:
         )
         assert lane.event is not None
         lane.event.set()
-        result = await future
+        try:
+            result = await future
+        except BaseException:
+            self.stats.failed += 1
+            raise
         self.stats.completed += 1
         return result
 
@@ -235,6 +253,7 @@ class ShardedService:
         loop = asyncio.get_running_loop()
         if self._loop is None:
             self._loop = loop
+            self._idle = asyncio.Event()
             for lane in self._lanes:
                 lane.event = asyncio.Event()
                 lane.task = loop.create_task(self._run_lane(lane))
@@ -248,9 +267,11 @@ class ShardedService:
     async def _run_lane(self, lane: _Lane) -> None:
         loop = self._loop
         assert loop is not None and lane.event is not None
+        assert self._idle is not None
         try:
             while True:
                 while not lane.pending:
+                    self._idle.set()
                     if self._closed:
                         return
                     lane.event.clear()
@@ -298,6 +319,7 @@ class ShardedService:
                     shard_id=lane.shard.shard_id,
                 ),
             )
+            self._idle.set()
 
     def _fail_pending(self, lane: _Lane, error: Exception) -> None:
         pending, lane.pending = lane.pending, []
@@ -366,7 +388,8 @@ class ShardedService:
             if lane.event is not None:
                 lane.event.set()
         while any(lane.pending or lane.busy for lane in self._lanes):
-            await asyncio.sleep(0)
+            self._idle.clear()
+            await self._idle.wait()
 
     async def aclose(self) -> None:
         """Drain, stop the lane workers, and close every shard.

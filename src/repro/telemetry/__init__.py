@@ -16,7 +16,7 @@ The cross-cutting observability layer of the CA-RAM stack:
 * :mod:`repro.telemetry.histogram` — mergeable log-bucketed
   :class:`LatencyHistogram` quantile sketches (bounded relative error);
 * :mod:`repro.telemetry.rollup` — hierarchical label-tagged aggregation of
-  registry snapshots (slice → group → subsystem, worker shards as
+  registry snapshots (slice → group → subsystem, serving shards as
   children) with commutative merge;
 * :mod:`repro.telemetry.export` — Prometheus text exposition, a periodic
   JSONL sampler, and an opt-in stdlib HTTP scrape endpoint;

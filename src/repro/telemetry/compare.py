@@ -43,9 +43,9 @@ class IncomparableRunsError(ConfigurationError):
     """The two snapshots were produced under different configurations.
 
     Raised when both snapshots carry a top-level ``"metadata"`` block (the
-    benchmark harness writes the run's engine spec, worker count, and
-    result representation there) and the blocks disagree — diffing a
-    4-worker parallel run against a single-core baseline would report a
+    benchmark harness writes the run's benchmark name, result
+    representation and shard topology there) and the blocks disagree —
+    diffing a 4-shard run against a 1-shard baseline would report a
     config change as a perf delta, so the comparison is refused outright.
     """
 

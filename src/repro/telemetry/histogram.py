@@ -20,13 +20,12 @@ Design (the classic log-bucket scheme):
 
 Because a value's bucket depends only on ``gamma``, two sketches with the
 same ``relative_error`` **merge by adding counts** — the merge is exact,
-commutative, and associative, which is what lets parallel-worker shards
-and per-slice histograms roll up into one subsystem distribution without
-caring about arrival order (:mod:`repro.telemetry.rollup`).
+commutative, and associative, which is what lets per-slice and
+per-shard histograms roll up into one subsystem or cluster distribution
+without caring about arrival order (:mod:`repro.telemetry.rollup`).
 
 ``as_dict()`` / :meth:`LatencyHistogram.from_dict` round-trip the full
-sketch through JSON (the cross-process shipping format of
-:class:`~repro.core.parallel.ParallelBatchEngine` worker payloads); the
+sketch through JSON (the form snapshots and bench reports carry); the
 exported dict also carries ready-made ``p50/p90/p99/p999`` leaves so
 snapshot diffs (:mod:`repro.telemetry.compare`) see latency percentiles as
 plain numeric metrics.

@@ -18,17 +18,10 @@ Phases may nest (``bulk-build`` around ``bulk-plan`` + ``bulk-encode``);
 each phase accumulates its own inclusive wall time, so nested totals
 overlap by design — the report is a per-phase profile, not a flame graph.
 
-Two serving-tier extensions ride on the same spans:
-
-* ``track_latency=True`` additionally folds every span duration into a
-  per-phase :class:`~repro.telemetry.histogram.LatencyHistogram`, so a
-  phase reports p50/p99 alongside its total — the difference between "the
-  probe walk is slow" and "one probe-walk chunk in a hundred is slow";
-* :meth:`PhaseProfiler.merge` folds a serialized ``as_dict()`` payload
-  back in (optionally under a prefix) — the cross-process span capture
-  path: :class:`~repro.core.parallel.ParallelBatchEngine` workers profile
-  their own match phases and ship the dict home with the stats deltas,
-  and the parent merges them in shard order under ``worker.*``.
+``track_latency=True`` additionally folds every span duration into a
+per-phase :class:`~repro.telemetry.histogram.LatencyHistogram`, so a phase
+reports p50/p99 alongside its total — the difference between "the probe
+walk is slow" and "one probe-walk chunk in a hundred is slow".
 """
 
 from __future__ import annotations
@@ -37,11 +30,7 @@ import time
 from typing import Dict, Optional
 
 from repro.errors import ConfigurationError
-from repro.telemetry.histogram import (
-    DEFAULT_RELATIVE_ERROR,
-    LatencyHistogram,
-    is_sketch_dict,
-)
+from repro.telemetry.histogram import DEFAULT_RELATIVE_ERROR, LatencyHistogram
 
 
 class _NullSpan:
@@ -158,32 +147,6 @@ class PhaseProfiler:
                 entry["latency"] = hist.as_dict()
             report[phase] = entry
         return report
-
-    def merge(self, phases: Dict[str, dict], prefix: str = "") -> None:
-        """Fold a serialized :meth:`as_dict` payload into this profiler.
-
-        ``prefix`` namespaces the incoming phases (the parallel engine
-        merges worker payloads under ``worker.``).  Seconds and calls sum;
-        span-latency sketches merge exactly, so parent-side percentiles
-        cover every worker span regardless of shard order.
-        """
-        for phase in sorted(phases):
-            entry = phases[phase]
-            name = prefix + phase
-            self._seconds[name] = self._seconds.get(name, 0.0) + float(
-                entry.get("seconds", 0.0)
-            )
-            self._calls[name] = self._calls.get(name, 0) + int(
-                entry.get("calls", 0)
-            )
-            payload = entry.get("latency")
-            if is_sketch_dict(payload):
-                incoming = LatencyHistogram.from_dict(payload)
-                mine = self._latency.get(name)
-                if mine is None:
-                    self._latency[name] = incoming
-                else:
-                    mine.merge(incoming)
 
 
 #: The process-wide profiler the instrumented pipelines report into.

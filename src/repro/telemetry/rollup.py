@@ -27,7 +27,7 @@ it.  Leaf-merge rules:
 
 Because every rule is commutative and the fold order is canonicalized,
 ``merge(a, b) == merge(b, a)`` holds for whole trees — the property the
-parallel shard tests pin down.  ``as_dict()``/:func:`rollup_from_dict`
+rollup tests pin down.  ``as_dict()``/:func:`rollup_from_dict`
 round-trip the tree through JSON, and :func:`flatten_rollup` exposes the
 aggregates as dotted numeric leaves for
 :func:`~repro.telemetry.compare.compare_telemetry`.

@@ -1,9 +1,8 @@
 """Explicit teardown: close()/context-manager on slice, group, subsystem.
 
 The serving tier drains shards and then closes them; these tests pin the
-contract that close() releases the batch engine (worker pools, shared
-memory for the parallel engines) everywhere in the composition hierarchy,
-is idempotent, and leaves the structure lazily reusable.
+contract that close() drops the batch engine everywhere in the composition
+hierarchy, is idempotent, and leaves the structure lazily reusable.
 """
 
 from repro.core.config import Arrangement, SliceConfig

@@ -435,6 +435,35 @@ class TestFaultTolerantService:
         # Every admitted request resolved: nothing hangs, nothing lost.
         assert service.stats.requests == len(keys)
 
+    def test_failed_lookups_close_the_coalescer_accounting(self):
+        """Lookups whose shard is down count as ``failed``, so the
+        coalescer's ``requests == completed + shed + failed`` identity
+        closes inside the service."""
+        cluster = build_replicated(
+            records=self.RECORDS,
+            policy=FailoverPolicy(evict_after=1, probation_after=60.0),
+        )
+        cluster.kill_replica(0, 0)
+        cluster.kill_replica(0, 1)
+        stored = [key for key, _ in self.RECORDS]
+        dead = [k for k in stored if cluster.router.shard_for_query(k) == 0]
+        live = [k for k in stored if cluster.router.shard_for_query(k) == 1]
+        dead, live = dead[:12], live[:7]
+        outcomes, service = self.run_service(
+            cluster, dead + live, max_batch_size=8, max_delay=0.0
+        )
+        assert all(
+            isinstance(outcome, ShardUnavailableError)
+            for outcome in outcomes[: len(dead)]
+        )
+        assert all(outcome.hit for outcome in outcomes[len(dead) :])
+        stats = service.stats
+        assert stats.failed == len(dead)
+        assert stats.completed == len(live)
+        assert stats.shed == 0
+        assert stats.requests == stats.completed + stats.shed + stats.failed
+        assert service.stats.as_dict()["failed"] == len(dead)
+
 
 class TestFaultScheduleProperty:
     """Hypothesis: random fault schedules never produce a silent wrong

@@ -7,6 +7,7 @@ an invisible optimization, never a semantic change.
 """
 
 import asyncio
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -206,6 +207,43 @@ class TestAdmissionControl:
                 ]
 
         asyncio.run(run())
+
+
+    def test_drain_waits_without_spinning(self):
+        """With a slow batch in flight on the executor, ``drain()``
+        sleeps until the lane goes idle instead of polling the loop."""
+        records = make_records()
+        service = make_service(
+            shard_count=1, records=records, max_delay=0.0, offload=True
+        )
+        shard = service.cluster.shards[0]
+        fast = shard.search_batch_columnar
+
+        def slow(keys, search_mask=0):
+            time.sleep(0.3)
+            return fast(keys, search_mask)
+
+        shard.search_batch_columnar = slow
+        lane = service._lanes[0]
+
+        async def run():
+            async with service:
+                task = asyncio.ensure_future(service.lookup(records[0][0]))
+                for _ in range(1000):
+                    if lane.busy:
+                        break
+                    await asyncio.sleep(0.001)
+                assert lane.busy
+                cpu, wall = time.process_time(), time.perf_counter()
+                await asyncio.wait_for(service.drain(), timeout=5.0)
+                cpu = time.process_time() - cpu
+                wall = time.perf_counter() - wall
+                assert (await task).data == records[0][1]
+                return cpu, wall
+
+        cpu, wall = asyncio.run(run())
+        assert wall >= 0.2
+        assert cpu < 0.5 * wall, (cpu, wall)
 
 
 class TestLifecycle:

@@ -158,41 +158,3 @@ class TestSnapshotIntegration:
         # The tracer accounting block participates in the same tree
         # (single-segment mount path -> a root-level block).
         assert "dropped_events" in tree.blocks["tracer"]
-
-    def test_parallel_shards_roll_up_to_parent_totals(self):
-        from repro.telemetry.metrics import MetricsRegistry
-        from repro.telemetry.workload import (
-            build_workload_slice,
-            make_keys,
-            make_queries,
-        )
-
-        slice_ = build_workload_slice(8, 16)
-        slice_.engine = "parallel-word:2"
-        registry = MetricsRegistry()
-        slice_.register_telemetry(registry)
-        stored = make_keys(slice_, 0.7, 5)
-        slice_.bulk_load([(key, key & 0xFFFF) for key in stored])
-        try:
-            slice_.search_batch(make_queries(stored, 8192, 0.5, 6))
-            snapshot = registry.snapshot()
-            tree = build_rollup(snapshot)
-            shard_blocks = [
-                child.blocks["search"]
-                for name, child in tree.children["slice"].children.items()
-                if name.startswith("shard")
-            ]
-            assert len(shard_blocks) == 2
-            merged = merge_blocks(shard_blocks)
-            parent = snapshot["stats"]["slice.search"]
-            # Shard totals merge back to exactly the parent's counters
-            # (scalar fallbacks never leave the parent, and this stream
-            # has none).
-            assert merged["lookups"] == parent["lookups"]
-            assert merged["hits"] == parent["hits"]
-            assert (
-                merged["total_bucket_accesses"]
-                == parent["total_bucket_accesses"]
-            )
-        finally:
-            slice_._close_batch_engine()
