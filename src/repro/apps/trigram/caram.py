@@ -135,15 +135,24 @@ class PackedStringDJBHash(HashFunction):
         return djb2_bytes(StringKeyCodec.decode(int(key))) % self.bucket_count
 
     def index_many(self, keys: Sequence[int]) -> np.ndarray:
-        """Vectorized bucket mapping of packed 128-bit keys.
+        """Vectorized bucket mapping of packed 128-bit keys."""
+        return self.index_words(keys_to_words(list(keys), TRIGRAM_KEY_BITS))
 
-        Unpacks all keys into one big-endian byte matrix, recovers each
+    def index_words(self, words: np.ndarray) -> np.ndarray:
+        """Bucket mapping of keys already packed as little-endian 64-bit
+        words (:func:`~repro.memory.mirror.keys_to_words` at 128 bits).
+
+        Views the words as one big-endian byte matrix, recovers each
         string's length from its trailing padding, and runs the columnwise
         DJB kernel — row for row equal to the scalar ``__call__``.
         """
-        if len(keys) == 0:
+        if words.shape[1] != _KEY_BYTES // 8:
+            raise KeyFormatError(
+                f"packed string keys are {TRIGRAM_KEY_BITS}-bit "
+                f"({_KEY_BYTES // 8} words), got {words.shape[1]} words"
+            )
+        if len(words) == 0:
             return np.empty(0, dtype=np.int64)
-        words = keys_to_words(list(keys), TRIGRAM_KEY_BITS)
         matrix = (
             words[:, ::-1].astype(">u8").view(np.uint8).reshape(-1, _KEY_BYTES)
         )

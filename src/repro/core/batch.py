@@ -13,9 +13,10 @@ A batch lookup proceeds in three vectorized stages:
    (:meth:`~repro.core.index.IndexGenerator.indices_batch`); keys whose
    don't-care bits touch hash positions are flagged for the scalar path;
 2. **home-row matching** — the home buckets are gathered from the decoded
-   mirror and compared word-wise (Figure 4(b) semantics) in one NumPy
-   expression; the winning slot is priority-encoded and pipelined match
-   passes are accounted exactly like :meth:`MatchProcessor.match_pipelined`;
+   mirror's per-word key planes and compared word by word (Figure 4(b)
+   semantics, :meth:`DecodedMirror.match_rows`); the winning slot is
+   priority-encoded and pipelined match passes are accounted exactly like
+   :meth:`MatchProcessor.match_pipelined`;
 3. **probe walk** — keys whose home bucket misses with a nonzero reach
    field iterate the probe sequence *as arrays*: every attempt level probes
    all still-unresolved keys at once against the mirror, so the extended

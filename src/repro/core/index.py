@@ -143,8 +143,9 @@ class IndexGenerator:
             masks: per-key don't-care masks, or None when the whole batch
                 is binary.
             words: optional ``(len(values), words)`` packed-key matrix
-                (see :func:`repro.memory.mirror.keys_to_words`), used for
-                keys wider than 64 bits.
+                (see :func:`repro.memory.mirror.keys_to_words`); a hash
+                that defines ``index_words`` indexes it directly instead
+                of re-packing ``values``.
 
         Returns:
             ``(homes, needs_scalar)``: int64 home row per key (meaningless
@@ -162,8 +163,9 @@ class IndexGenerator:
                 for i, mask in enumerate(masks):
                     if mask:
                         needs_scalar[i] = True
-        if isinstance(self._hash, BitSelectHash) and words is not None:
-            homes = self._hash.index_words(words)
+        index_words = getattr(self._hash, "index_words", None)
+        if index_words is not None and words is not None:
+            homes = index_words(words)
         else:
             try:
                 homes = self._hash.index_many(values)

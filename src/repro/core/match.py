@@ -208,8 +208,9 @@ def priority_encode_batch(
     batch, slots = match.shape
     if processors is not None and processors <= 0:
         raise KeyFormatError(f"processors must be positive: {processors}")
-    hit = match.any(axis=1)
+    rows = np.arange(batch)
     first = match.argmax(axis=1)
+    hit = match[rows, first]
     slot = np.where(hit, first, -1)
     chunk = slots if processors is None or processors >= slots else processors
     total_passes = -(-slots // chunk)
@@ -217,9 +218,12 @@ def priority_encode_batch(
     # Slots visible to the pipeline: every chunk up to and including the
     # one that produced the first match (all of them on a miss).
     scanned = np.minimum(np.where(hit, (first // chunk + 1) * chunk, slots), slots)
-    cumulative = match.cumsum(axis=1)
-    matches_seen = cumulative[np.arange(batch), scanned - 1]
-    multiple = matches_seen > 1
+    # A second match exists iff clearing the first still leaves one; it
+    # counts only if the pipeline scanned that far.
+    rest = match.copy()
+    rest[rows, first] = False
+    second = rest.argmax(axis=1)
+    multiple = rest[rows, second] & (second < scanned)
     return hit, slot, passes, multiple
 
 

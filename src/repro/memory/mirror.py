@@ -5,9 +5,9 @@ which keeps sub-field extraction exact for any row width — but forces every
 search to re-decode every slot of the fetched row through big-int bit
 slicing.  A :class:`DecodedMirror` maintains the *decoded* view of the
 array(s) as dense NumPy matrices — per logical bucket: valid bits, stored
-key values, stored don't-care masks, the auxiliary reach field, and the
-decoded :class:`~repro.core.record.Record` objects — so steady-state batch
-lookups never touch Python-int bit extraction.
+key values, stored care bits (ternary formats only), the auxiliary reach
+field, and the decoded :class:`~repro.core.record.Record` objects — so
+steady-state batch lookups never touch Python-int bit extraction.
 
 The mirror stays coherent through *dirty-row invalidation*: it subscribes to
 :meth:`~repro.memory.array.MemoryArray.subscribe_invalidation`, and every
@@ -20,11 +20,13 @@ slot field (valid, key value, don't-care mask, data) is sliced out as a
 column and re-packed through the same word codecs the bulk-build pipeline
 uses — only the per-valid-slot ``Record`` construction stays in Python.
 
-Keys wider than 64 bits (e.g. the trigram study's 128-bit keys) are held as
-little-endian 64-bit *word* columns; the ternary comparison is an exact
-word-wise rendering of Figure 4(b): a slot matches when, in every word,
-``(stored ^ search) & ~(stored_mask | search_mask)`` is zero over the key's
-width.
+Keys are held word-major: one contiguous ``(buckets, slots)`` uint64 plane
+per 64-bit word (word 0 = the low 64 bits), so a key wider than 64 bits
+(e.g. the trigram study's 128-bit keys) costs one more plane gather, not a
+wider temporary.  Ternary formats add a care plane per word (``~mask`` over
+the key's width); binary formats, whose masks are all zero, keep none.  The
+comparison is an exact word-wise rendering of Figure 4(b): a slot matches
+when, in every word, ``(stored ^ search) & care & ~search_mask`` is zero.
 
 Logical-bucket composition mirrors :class:`~repro.core.subsystem.SliceGroup`:
 
@@ -99,15 +101,25 @@ def keys_to_words(values: Sequence[int], key_bits: int) -> np.ndarray:
             )
         return arr.reshape(n, 1)
     nbytes = word_count * (KEY_WORD_BITS // 8)
-    buf = bytearray(n * nbytes)
-    for i, value in enumerate(values):
+    try:
+        packed = b"".join(int(v).to_bytes(nbytes, "little") for v in values)
+    except OverflowError:  # negative, or wider than the word storage
+        packed = None
+    if packed is not None:
+        words = np.frombuffer(packed, dtype="<u8").reshape(n, word_count)
+        top_bits = key_bits - (word_count - 1) * KEY_WORD_BITS
+        if top_bits == KEY_WORD_BITS or not (
+            words[:, -1] >> np.uint64(top_bits)
+        ).any():
+            return words
+    # Some key is out of range: the per-key check names the first one.
+    for value in values:
         value = int(value)
         if not 0 <= value <= full:
             raise KeyFormatError(
                 f"search key {value:#x} does not fit in {key_bits} bits"
             )
-        buf[i * nbytes : (i + 1) * nbytes] = value.to_bytes(nbytes, "little")
-    return np.frombuffer(bytes(buf), dtype="<u8").reshape(n, word_count)
+    raise AssertionError("an out-of-range key went unnamed")
 
 
 # ----------------------------------------------------------------------
@@ -214,9 +226,13 @@ class DecodedMirror:
 
     Attributes (all kept in sync by :meth:`sync`):
         valid: ``(buckets, slots)`` bool — slot occupancy.
-        key_words: ``(buckets, slots, words)`` uint64 — stored key values.
-        mask_words: ``(buckets, slots, words)`` uint64 — stored don't-care
-            masks (zero for binary records).
+        key_planes: ``(words, buckets, slots)`` uint64 — stored key values,
+            one contiguous ``(buckets, slots)`` plane per 64-bit word (the
+            layout the match kernel gathers from; see :attr:`key_words`).
+        care_planes: ``(words, buckets, slots)`` uint64 — the stored keys'
+            care bits (``~mask`` over the key width; ``width`` in invalid
+            slots), or None for binary record formats, whose keys have no
+            don't-care bits to store.
         reach: ``(buckets,)`` int64 — the auxiliary spill-reach field.
         records: ``(buckets, slots)`` object — decoded ``Record`` instances
             (``None`` in invalid slots), used for winner extraction.
@@ -260,19 +276,22 @@ class DecodedMirror:
         self._word_count = words_for_bits(key_bits)
         data_bits = layout.record_format.data_bits
         self._data_word_count = words_for_bits(data_bits) if data_bits else 0
-        shape = (self.buckets, self.slots, self._word_count)
+        planes = (self._word_count, self.buckets, self.slots)
+        self.width_words = np.array(
+            int_to_words(mask_of(key_bits), self._word_count), dtype=np.uint64
+        )
         self.valid = np.zeros((self.buckets, self.slots), dtype=bool)
-        self.key_words = np.zeros(shape, dtype=np.uint64)
-        self.mask_words = np.zeros(shape, dtype=np.uint64)
+        self.key_planes = np.zeros(planes, dtype=np.uint64)
+        self.care_planes: Optional[np.ndarray] = None
+        if layout.record_format.ternary:
+            self.care_planes = np.empty(planes, dtype=np.uint64)
+            self.care_planes[...] = self.width_words[:, None, None]
         self.reach = np.zeros(self.buckets, dtype=np.int64)
         self.records = np.empty((self.buckets, self.slots), dtype=object)
         self.data_words = np.zeros(
             (self.buckets, self.slots, self._data_word_count), dtype=np.uint64
         )
         self.version = 0
-        self.width_words = np.array(
-            int_to_words(mask_of(key_bits), self._word_count), dtype=np.uint64
-        )
         self._dirty = [np.ones(rows, dtype=bool) for _ in self._arrays]
         self._any_dirty = True
         self.sync_count = 0
@@ -300,6 +319,24 @@ class DecodedMirror:
     @property
     def word_count(self) -> int:
         return self._word_count
+
+    @property
+    def key_words(self) -> np.ndarray:
+        """``(buckets, slots, words)`` view of :attr:`key_planes` (no copy)."""
+        return self.key_planes.transpose(1, 2, 0)
+
+    @property
+    def mask_words(self) -> np.ndarray:
+        """``(buckets, slots, words)`` stored don't-care masks, derived from
+        :attr:`care_planes` (zeros for binary formats); a read-only copy."""
+        if self.care_planes is None:
+            masks = np.zeros(self.key_words.shape, dtype=np.uint64)
+        else:
+            masks = (
+                ~self.care_planes & self.width_words[:, None, None]
+            ).transpose(1, 2, 0)
+        masks.flags.writeable = False
+        return masks
 
     @property
     def data_word_count(self) -> int:
@@ -411,6 +448,7 @@ class DecodedMirror:
         ].reshape(n, slots, slot_bits)
         valid = region[:, :, 0].astype(bool)
         key_cols = region[:, :, 1 : 1 + key_bits]
+        mask_matrix = None
         if fmt.ternary:
             mask_cols = region[:, :, 1 + key_bits : 1 + 2 * key_bits]
             # TernaryKey normalizes the value under don't-care positions;
@@ -420,8 +458,6 @@ class DecodedMirror:
                 mask_cols.reshape(n * slots, key_bits), key_bits
             ).reshape(n, slots, word_count)
             mask_matrix[~valid] = 0
-        else:
-            mask_matrix = np.zeros((n, slots, word_count), dtype=np.uint64)
         key_matrix = bits_to_words(
             key_cols.reshape(n * slots, key_bits), key_bits
         ).reshape(n, slots, word_count)
@@ -429,8 +465,11 @@ class DecodedMirror:
 
         columns = slice(slot_base, slot_base + slots)
         self.valid[buckets, columns] = valid
-        self.key_words[buckets, columns] = key_matrix
-        self.mask_words[buckets, columns] = mask_matrix
+        self.key_planes[:, buckets, columns] = key_matrix.transpose(2, 0, 1)
+        if mask_matrix is not None:
+            self.care_planes[:, buckets, columns] = (
+                ~mask_matrix & self.width_words
+            ).transpose(2, 0, 1)
 
         data_bits = fmt.data_bits
         if data_bits:
@@ -450,11 +489,11 @@ class DecodedMirror:
         positions = np.argwhere(valid).tolist()
         if positions:
             key_list = key_matrix.tolist()
-            mask_list = mask_matrix.tolist()
+            mask_list = mask_matrix.tolist() if mask_matrix is not None else None
             data_list = data_matrix.tolist() if data_matrix is not None else None
             for i, j in positions:
                 value = _words_to_int(key_list[i][j])
-                mask = _words_to_int(mask_list[i][j])
+                mask = _words_to_int(mask_list[i][j]) if mask_list else 0
                 data = _words_to_int(data_list[i][j]) if data_list else 0
                 recs[i][j] = Record(
                     key=TernaryKey(value=value, mask=mask, width=key_bits),
@@ -484,21 +523,25 @@ class DecodedMirror:
             raise ConfigurationError(
                 f"decoded image shape {valid.shape} != {expected}"
             )
-        if key_words.shape != self.key_words.shape:
+        word_shape = (self.buckets, self.slots, self._word_count)
+        if key_words.shape != word_shape:
             raise ConfigurationError(
-                f"key-word shape {key_words.shape} != {self.key_words.shape}"
+                f"key-word shape {key_words.shape} != {word_shape}"
             )
-        if mask_words.shape != self.mask_words.shape:
+        if mask_words.shape != word_shape:
             raise ConfigurationError(
-                f"mask-word shape {mask_words.shape} != {self.mask_words.shape}"
+                f"mask-word shape {mask_words.shape} != {word_shape}"
             )
         if reach.shape != (self.buckets,):
             raise ConfigurationError(
                 f"reach shape {reach.shape} != ({self.buckets},)"
             )
         self.valid[...] = valid
-        self.key_words[...] = key_words
-        self.mask_words[...] = mask_words
+        self.key_planes[...] = key_words.transpose(2, 0, 1)
+        if self.care_planes is not None:
+            self.care_planes[...] = (
+                ~mask_words & self.width_words
+            ).transpose(2, 0, 1)
         self.reach[...] = reach
         self.records[...] = records
         if self._data_word_count:
@@ -524,9 +567,63 @@ class DecodedMirror:
         self.sync_count += 1
         self.version += 1
 
+    def clear_bucket(self, bucket: int, reach: int) -> None:
+        """Empty every slot of ``bucket`` in place, keeping ``reach``.
+
+        The decoded counterpart of rewriting the bucket's rows empty (the
+        reliability layer's quarantine does both, so a repeat failure
+        before the next :meth:`sync` cannot re-harvest the records).
+        Bumps :attr:`version` like any other content change.
+        """
+        self.valid[bucket] = False
+        self.records[bucket] = None
+        self.key_planes[:, bucket] = 0
+        if self.care_planes is not None:
+            self.care_planes[:, bucket] = self.width_words[:, None]
+        self.data_words[bucket] = 0
+        self.reach[bucket] = reach
+        self.version += 1
+
     # ------------------------------------------------------------------
-    # Vectorized ternary matching (Figure 4(b), word-wise)
+    # Vectorized ternary matching (Figure 4(b), word-major)
     # ------------------------------------------------------------------
+
+    def _match(
+        self,
+        bucket_ids: Optional[np.ndarray],
+        query_words: np.ndarray,
+        query_mask_words: Optional[np.ndarray],
+    ) -> np.ndarray:
+        """The one per-word match formula behind :meth:`match_rows` and
+        :meth:`match_all`.
+
+        For each 64-bit word: gather that plane's rows (every bucket when
+        ``bucket_ids`` is None), XOR the query word in, keep only the
+        cared-for bits (stored care plane for ternary formats, the query's
+        ``~mask`` when one is given), and OR into one accumulator.  A slot
+        matches when its accumulator is zero.  No ``& width`` term: stored
+        words and :func:`keys_to_words` queries both stay within
+        ``key_bits``.  ``query_words`` (and the mask) are ``(B, words)``,
+        or ``(1, words)`` to broadcast one query over every row.
+        """
+        care_planes = self.care_planes
+        query_care = None if query_mask_words is None else ~query_mask_words
+        acc = None
+        for w in range(self._word_count):
+            plane = self.key_planes[w]
+            diff = plane.copy() if bucket_ids is None else plane[bucket_ids]
+            diff ^= query_words[:, w, None]
+            if care_planes is not None:
+                care = care_planes[w]
+                diff &= care if bucket_ids is None else care[bucket_ids]
+            if query_care is not None:
+                diff &= query_care[:, w, None]
+            if acc is None:
+                acc = diff
+            else:
+                acc |= diff
+        valid = self.valid if bucket_ids is None else self.valid[bucket_ids]
+        return (acc == 0) & valid
 
     def match_rows(
         self,
@@ -547,8 +644,9 @@ class DecodedMirror:
 
         Raises:
             ConfigurationError: on out-of-range bucket ids (negative ids
-                would otherwise wrap around silently) or a query matrix
-                whose word width does not match the stored keys.
+                would otherwise wrap around silently), or a query or mask
+                matrix that is not ``(B, words)`` — a narrower mask would
+                otherwise broadcast one word's bits over the others.
         """
         ids = np.asarray(bucket_ids)
         if ids.size and (
@@ -562,14 +660,15 @@ class DecodedMirror:
                 f"query matrix must be (B, {self._word_count}), "
                 f"got {query_words.shape}"
             )
-        stored = self.key_words[bucket_ids]
-        stored_mask = self.mask_words[bucket_ids]
-        if query_mask_words is None:
-            care = ~stored_mask & self.width_words
-        else:
-            care = ~(stored_mask | query_mask_words[:, None, :]) & self.width_words
-        diff = (stored ^ query_words[:, None, :]) & care
-        return ~diff.any(axis=2) & self.valid[bucket_ids]
+        if (
+            query_mask_words is not None
+            and query_mask_words.shape != query_words.shape
+        ):
+            raise ConfigurationError(
+                f"query mask matrix must be {query_words.shape}, "
+                f"got {query_mask_words.shape}"
+            )
+        return self._match(ids, query_words, query_mask_words)
 
     def match_all(
         self, query_words: np.ndarray, query_mask_words: np.ndarray
@@ -582,9 +681,10 @@ class DecodedMirror:
         Returns:
             ``(buckets, slots)`` bool match matrix.
         """
-        care = ~(self.mask_words | query_mask_words) & self.width_words
-        diff = (self.key_words ^ query_words) & care
-        return ~diff.any(axis=2) & self.valid
+        shape = (1, self._word_count)
+        return self._match(
+            None, query_words.reshape(shape), query_mask_words.reshape(shape)
+        )
 
     def match_predicate(self, search_key: int, search_mask: int) -> np.ndarray:
         """Integer-predicate convenience wrapper around :meth:`match_all`."""

@@ -292,16 +292,7 @@ class ReliabilityManager:
         # failure before the next sync cannot double-harvest the records.
         mirror: Optional["DecodedMirror"] = getattr(self.owner, "_mirror", None)
         if mirror is not None:
-            mirror.valid[bucket, :] = False
-            mirror.records[bucket, :] = None
-            mirror.key_words[bucket, :, :] = 0
-            mirror.mask_words[bucket, :, :] = 0
-            if mirror.data_words.size:
-                mirror.data_words[bucket, :, :] = 0
-            mirror.reach[bucket] = reach
-            # In-place mutation: stamp the change so cached columnar
-            # result sets see a new version.
-            mirror.version += 1
+            mirror.clear_bucket(bucket, reach)
         self.owner.stats.record_quarantine(len(records))
         return len(records)
 

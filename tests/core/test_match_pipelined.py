@@ -1,11 +1,14 @@
 """Unit tests for pipelined matching (P < S configurations)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import SliceConfig
 from repro.core.index import make_index_generator
 from repro.core.key import TernaryKey
-from repro.core.match import MatchProcessor
+from repro.core.match import MatchProcessor, priority_encode_batch
 from repro.core.record import Record, RecordFormat
 from repro.core.slice import CARAMSlice
 from repro.errors import KeyFormatError
@@ -135,3 +138,38 @@ class TestSliceWithFewProcessors:
         assert narrow.search_latency_cycles(narrow_result) > (
             full.search_latency_cycles(full_result)
         )
+
+
+class TestPriorityEncodeBatchOracle:
+    """``priority_encode_batch`` against ``match_pipelined``, row by row."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_match_pipelined(self, data):
+        rows = data.draw(st.integers(0, 12))
+        slots = data.draw(st.integers(1, 130))
+        processors = data.draw(
+            st.sampled_from([None, 1, 2, 3, 7, slots, slots + 3])
+        )
+        hits = data.draw(st.lists(
+            st.sets(st.integers(0, slots - 1), max_size=min(slots, 8)),
+            min_size=rows,
+            max_size=rows,
+        ))
+        match = np.zeros((rows, slots), dtype=bool)
+        for row, matched in enumerate(hits):
+            match[row, sorted(matched)] = True
+        hit, slot, passes, multiple = priority_encode_batch(match, processors)
+
+        mp = MatchProcessor(8)
+        for row, matched in enumerate(hits):
+            # Slot s holds key 1 when it matched the search key 1, else 0.
+            candidates = [candidate(int(s in matched)) for s in range(slots)]
+            result, want_passes = mp.match_pipelined(
+                candidates, 1, processors=processors
+            )
+            want_slot = -1 if result.matched_slot is None else result.matched_slot
+            assert bool(hit[row]) == result.hit
+            assert int(slot[row]) == want_slot
+            assert int(passes[row]) == want_passes
+            assert bool(multiple[row]) == result.multiple_matches

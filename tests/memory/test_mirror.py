@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bucket import BucketLayout
 from repro.core.key import TernaryKey
 from repro.core.record import Record, RecordFormat
-from repro.errors import KeyFormatError
+from repro.errors import ConfigurationError, KeyFormatError
 from repro.memory.array import MemoryArray
 from repro.memory.mirror import (
     DecodedMirror,
@@ -70,6 +72,20 @@ class TestWordPacking:
             keys_to_words([-1], 16)
         with pytest.raises(KeyFormatError):
             keys_to_words([1 << 128], 128)
+
+    def test_multi_word_out_of_range_rejected(self):
+        # 101 bits fit the 16-byte word storage but not key_bits=100.
+        with pytest.raises(KeyFormatError, match=hex(1 << 100)):
+            keys_to_words([3, 1 << 100], 100)
+        with pytest.raises(KeyFormatError, match="-0x1 does not fit"):
+            keys_to_words([3, -1], 100)
+        with pytest.raises(KeyFormatError):
+            keys_to_words([1 << 130], 100)
+
+    def test_multi_word_full_width_keys(self):
+        top = (1 << 128) - 1
+        assert keys_to_words([top], 128).tolist() == [[(1 << 64) - 1] * 2]
+        assert keys_to_words([], 100).shape == (0, 2)
 
     @pytest.mark.parametrize("bits", [1, 16, 64, 65, 128])
     def test_bits_to_words_inverts_words_to_bits(self, bits):
@@ -195,6 +211,21 @@ class TestMatching:
         )
         assert bool(match[0, 0]) and not bool(match[1, 0])
 
+    def test_query_mask_must_cover_every_word(self):
+        fmt = RecordFormat(key_bits=100, data_bits=8)
+        layout = BucketLayout(row_bits=8 + 2 * fmt.slot_bits, record_format=fmt)
+        array = MemoryArray(4, layout.row_bits)
+        array.write_row(0, layout.pack([Record.make(1 << 70, 1, fmt)]))
+        mirror = DecodedMirror([array], layout)
+        mirror.sync()
+        ids = np.array([0])
+        probe = keys_to_words([0], 100)  # differs only in bit 70
+        zero_mask = np.zeros((1, 2), dtype=np.uint64)
+        assert not mirror.match_rows(ids, probe, zero_mask)[0, 0]
+        # A one-word mask must not broadcast word 0's bit 6 onto bit 70.
+        with pytest.raises(ConfigurationError):
+            mirror.match_rows(ids, probe, np.array([[1 << 6]], dtype=np.uint64))
+
     def test_match_predicate_full_wildcard(self):
         array = make_array()
         array.write_row(3, pack([record(5), record(6)]))
@@ -220,6 +251,161 @@ class TestWideKeyMirror:
             np.array([2, 2]), keys_to_words([key, key + 1], 128)
         )
         assert bool(match[0, 0]) and not bool(match[1, 0])
+
+
+class TestPlaneStorage:
+    def test_binary_format_keeps_no_care_planes(self):
+        fmt = RecordFormat(key_bits=16, data_bits=8)
+        layout = BucketLayout(row_bits=8 + 4 * fmt.slot_bits, record_format=fmt)
+        array = MemoryArray(ROWS, layout.row_bits)
+        array.write_row(2, layout.pack([Record.make(0x42, 1, fmt)]))
+        mirror = DecodedMirror([array], layout)
+        mirror.sync()
+        assert mirror.care_planes is None
+        assert mirror.key_planes.shape == (1, ROWS, 4)
+        assert np.shares_memory(mirror.key_words, mirror.key_planes)
+        assert int(mirror.key_words[2, 0, 0]) == 0x42
+        assert not mirror.mask_words.any()
+        assert not mirror.mask_words.flags.writeable
+
+    def test_ternary_care_planes_hold_width_in_invalid_slots(self):
+        array = make_array()
+        array.write_row(0, pack([None, record(0b1010, mask=0b11)]))
+        mirror = DecodedMirror([array], LAYOUT)
+        mirror.sync()
+        assert mirror.care_planes.shape == (1, ROWS, LAYOUT.slots_per_bucket)
+        assert int(mirror.care_planes[0, 0, 0]) == 0xFFFF
+        assert int(mirror.care_planes[0, 0, 1]) == 0xFFFF & ~0b11
+        assert int(mirror.mask_words[0, 1, 0]) == 0b11
+
+    def test_clear_bucket_keeps_reach_and_bumps_version(self):
+        array = make_array()
+        array.write_row(3, pack([record(0x5, mask=0b1, data=9)], reach=2))
+        mirror = DecodedMirror([array], LAYOUT)
+        mirror.sync()
+        version = mirror.version
+        mirror.clear_bucket(3, reach=2)
+        assert not mirror.valid[3].any()
+        assert mirror.records[3, 0] is None
+        assert not mirror.key_words[3].any() and not mirror.mask_words[3].any()
+        assert not mirror.data_words[3].any()
+        assert int(mirror.reach[3]) == 2
+        assert mirror.version == version + 1
+        assert not mirror.match_predicate(0, 0xFFFF)[3].any()
+
+
+#: Key widths of the oracle property: one word, word-aligned, and ragged
+#: top words.
+ORACLE_KEY_BITS = [8, 32, 64, 65, 100, 128, 130]
+ORACLE_ROWS = 4
+ORACLE_SLOTS = 3
+
+
+def _oracle_mirror(data, key_bits, ternary):
+    """A one-array mirror with random holes and an all-invalid last
+    bucket, plus its layout and the per-slot ``TernaryKey`` grid (None
+    where a slot is empty)."""
+    full = (1 << key_bits) - 1
+    fmt = RecordFormat(key_bits=key_bits, data_bits=4, ternary=ternary)
+    layout = BucketLayout(
+        row_bits=8 + ORACLE_SLOTS * fmt.slot_bits, record_format=fmt
+    )
+    values = st.integers(0, full)
+    masks = values if ternary else st.just(0)
+    slot = st.one_of(st.none(), st.builds(
+        lambda v, m: TernaryKey(value=v, mask=m, width=key_bits), values, masks
+    ))
+    grid = data.draw(st.lists(
+        st.lists(slot, min_size=ORACLE_SLOTS, max_size=ORACLE_SLOTS),
+        min_size=ORACLE_ROWS - 1,
+        max_size=ORACLE_ROWS - 1,
+    ))
+    grid.append([None] * ORACLE_SLOTS)  # always one all-invalid bucket
+    array = MemoryArray(ORACLE_ROWS, layout.row_bits)
+    for row, keys in enumerate(grid):
+        array.write_row(row, layout.pack([
+            None if key is None else Record.make(key, 1, fmt) for key in keys
+        ]))
+    mirror = DecodedMirror([array], layout)
+    mirror.sync()
+    return mirror, layout, grid
+
+
+def _draw_query(data, grid, key_bits, masked):
+    """A (value, mask) query, often one bit away from a stored key."""
+    full = (1 << key_bits) - 1
+    stored = [key for keys in grid for key in keys if key is not None]
+    flip = data.draw(st.integers(-1, key_bits - 1))
+    if stored and data.draw(st.booleans()):
+        value = data.draw(st.sampled_from(stored)).value
+        if flip >= 0:
+            value ^= 1 << flip
+    else:
+        value = data.draw(st.integers(0, full))
+    mask = 0
+    if masked:
+        mask = data.draw(st.one_of(
+            st.integers(0, full), st.just(full), st.just(1 << max(flip, 0))
+        ))
+    return value, mask
+
+
+def _oracle_row(keys, key_bits, value, mask):
+    return [
+        key is not None and key.matches(value, key_bits, mask) for key in keys
+    ]
+
+
+class TestKernelOracle:
+    """``match_rows`` / ``match_all`` against per-slot ``TernaryKey.matches``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        key_bits=st.sampled_from(ORACLE_KEY_BITS),
+        ternary=st.booleans(),
+        masked=st.booleans(),
+    )
+    def test_match_rows_and_match_all(self, data, key_bits, ternary, masked):
+        mirror, layout, grid = _oracle_mirror(data, key_bits, ternary)
+        count = data.draw(st.integers(0, 6))
+        ids = np.array(
+            data.draw(st.lists(
+                st.integers(0, ORACLE_ROWS - 1), min_size=count, max_size=count
+            )),
+            dtype=np.int64,
+        )
+        queries = [
+            _draw_query(data, grid, key_bits, masked) for _ in range(count)
+        ]
+        words = keys_to_words([v for v, _ in queries], key_bits)
+        mask_words = (
+            keys_to_words([m for _, m in queries], key_bits) if masked else None
+        )
+        expected = [
+            _oracle_row(grid[bucket], key_bits, value, mask)
+            for bucket, (value, mask) in zip(ids.tolist(), queries)
+        ]
+        got = mirror.match_rows(ids, words, mask_words)
+        assert got.shape == (count, ORACLE_SLOTS)
+        assert got.tolist() == expected
+
+        # The bulk-load install path must match identically.
+        installed = DecodedMirror(
+            [MemoryArray(ORACLE_ROWS, layout.row_bits)], layout
+        )
+        installed.install(
+            mirror.valid, mirror.key_words, mirror.mask_words, mirror.reach,
+            mirror.records,
+        )
+        assert installed.match_rows(ids, words, mask_words).tolist() == expected
+
+        value, mask = _draw_query(data, grid, key_bits, True)
+        predicate = keys_to_words([value, mask], key_bits)
+        got_all = mirror.match_all(predicate[0], predicate[1])
+        assert got_all.tolist() == [
+            _oracle_row(keys, key_bits, value, mask) for keys in grid
+        ]
 
 
 def reference_decode(mirror, arrays, layout, horizontal):
