@@ -53,6 +53,12 @@ def clustered_keys(count, seed):
     return keys
 
 
+def uniform_keys(count, seed):
+    """Keys whose home buckets are uniform (the control workload)."""
+    rng = make_rng(seed)
+    return [int(key) for key in rng.choice(1 << 20, size=count, replace=False)]
+
+
 POLICIES = [
     ("linear", lambda: LinearProbing()),
     ("double-hashing", lambda: DoubleHashing(MultiplicativeHash(ROWS))),
@@ -60,9 +66,9 @@ POLICIES = [
 ]
 
 
-def run_policy(policy):
+def run_policy(policy, make_keys=clustered_keys):
     sl = build_slice(policy)
-    keys = clustered_keys(int(ROWS * SLOTS * LOAD_FACTOR), seed=13)
+    keys = make_keys(int(ROWS * SLOTS * LOAD_FACTOR), seed=13)
     for key in keys:
         sl.insert(key, data=key % 251)
     sl.stats.reset()
@@ -84,18 +90,37 @@ def test_probing_policy(benchmark, name, factory):
 
 
 def test_policies_all_correct_and_comparable():
+    """Every policy finds every key.  On uniform homes the three are
+    comparable; on clustered homes (half the keys homed on one
+    contiguous quarter of the rows, twice that quarter's capacity) they
+    rank as clustering theory predicts.  Linear probing suffers primary
+    clustering: the overflow of the hot quarter forms one contiguous run
+    every probe walks.  Quadratic probing escapes the run but keeps
+    secondary clustering: keys sharing a home follow one probe sequence.
+    Double hashing gives each key its own step, so it alone stays near
+    the uniform case."""
     rows = []
     for name, factory in POLICIES:
-        stats = run_policy(factory())
         rows.append(
             {
                 "policy": name,
-                "AMAL": round(stats["amal"], 4),
+                "AMAL uniform": round(
+                    run_policy(factory(), uniform_keys)["amal"], 4
+                ),
+                "AMAL clustered": round(run_policy(factory())["amal"], 4),
             }
         )
     print("\n" + format_table(rows))
-    amals = [row["AMAL"] for row in rows]
-    # All policies stay in a sane band at alpha 0.85 on a clustered
-    # workload; none should be catastrophically worse.
-    assert max(amals) < 3.0
-    assert min(amals) >= 1.0
+    uniform = {row["policy"]: row["AMAL uniform"] for row in rows}
+    clustered = {row["policy"]: row["AMAL clustered"] for row in rows}
+    assert min(uniform.values()) >= 1.0 and min(clustered.values()) >= 1.0
+    # Uniform homes: no policy is catastrophically worse than another.
+    assert max(uniform.values()) < 1.1 * min(uniform.values())
+    # Clustered homes: the policy with neither kind of clustering stays
+    # in the sane band; the others degrade in clustering order.
+    assert clustered["double-hashing"] < 3.0
+    assert (
+        clustered["double-hashing"]
+        < clustered["quadratic"]
+        < clustered["linear"]
+    )

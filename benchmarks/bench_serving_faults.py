@@ -1,14 +1,15 @@
 """Fault-tolerance benchmark: replicated serving under injected failure.
 
-ISSUE 10's claim is that replication turns shard failure from an outage
-into a latency blip: with R bit-identical replicas per shard behind the
-failover resolve loop (deadlines, retry-with-backoff onto an untried
+The claim is that replication turns shard failure from an outage into a
+latency blip: with R bit-identical replicas per shard behind each
+shard's failover loop (deadlines, retry-with-backoff onto an untried
 replica, hedging, circuit-breaker membership), killing a replica
 mid-stream must cost throughput, never correctness.  Three legs:
 
 * **baseline** — R=2 fault-free closed loop through
-  :class:`~repro.serving.replication.FaultTolerantService`: the
-  throughput reference the degraded legs are gated against;
+  :class:`~repro.serving.service.ShardedService` over
+  ``CaramCluster.build(..., replication=2)``: the throughput reference
+  the degraded legs are gated against;
 * **replica_kill** — the same loop, but once half the requests have
   completed, replica 1 of *every* shard is crashed.  Gates: zero wrong
   answers, every admitted request resolved (accounting closes), at
@@ -16,7 +17,7 @@ mid-stream must cost throughput, never correctness.  Three legs:
   fault-free baseline;
 * **chaos_soak** — all four chaos modes at once on different replicas
   (crash, hang, transient errors, and ECC-guarded bit corruption via
-  the PR-4 reliability stack).  Gate: zero wrong answers — every
+  the reliability stack).  Gate: zero wrong answers — every
   admitted request returns the bit-identical correct answer or a typed
   error, never silent corruption.
 
@@ -39,10 +40,10 @@ import json
 
 from harness import finalize, result_path
 from repro.serving import (
+    CaramCluster,
     ChaosSpec,
     FailoverPolicy,
-    FaultTolerantService,
-    ReplicatedCluster,
+    ShardedService,
     make_request_stream,
     run_closed_loop,
 )
@@ -111,10 +112,10 @@ def make_records(scale: dict):
     return [(int(key), int(key) & 0xFFFF) for key in keys]
 
 
-def build_cluster(scale: dict) -> ReplicatedCluster:
+def build_cluster(scale: dict) -> CaramCluster:
     """A freshly built and loaded replicated cluster (one per leg —
     each service owns and closes its cluster)."""
-    cluster = ReplicatedCluster.build(
+    cluster = CaramCluster.build(
         shard_count=scale["shards"],
         replication=REPLICATION,
         policy=POLICY,
@@ -125,25 +126,25 @@ def build_cluster(scale: dict) -> ReplicatedCluster:
     return cluster
 
 
-def failover_counters(cluster: ReplicatedCluster) -> dict:
+def failover_counters(cluster: CaramCluster) -> dict:
     counters = {}
     for stat in (
         "retries", "timeouts", "hedges", "hedge_wins",
         "evictions", "probations", "readmissions", "exhausted",
     ):
         counters[stat] = sum(
-            getattr(rset.stats, stat) for rset in cluster.replica_sets
+            getattr(shard.failover, stat) for shard in cluster.shards
         )
     return counters
 
 
-def corruption_counters(cluster: ReplicatedCluster) -> dict:
+def corruption_counters(cluster: CaramCluster) -> dict:
     """Summed reliability-guard counters across every replica that has
     the ECC stack enabled (the ``corrupt`` chaos targets)."""
     injected = corrections = detections = 0
-    for rset in cluster.replica_sets:
-        for replica in rset.replicas:
-            manager = replica.shard.group._reliability
+    for shard in cluster.shards:
+        for replica in shard.replicas:
+            manager = replica.group._reliability
             if manager is None:
                 continue
             for guard in manager.guards:
@@ -158,7 +159,7 @@ def corruption_counters(cluster: ReplicatedCluster) -> dict:
 
 
 async def run_leg(scale: dict, stream, chaos=None, registry=None) -> dict:
-    """One closed loop through a fresh fault-tolerant service.
+    """One closed loop through a fresh service.
 
     ``chaos`` is ``None`` (fault-free), a list of ``(shard, replica,
     spec)`` triples injected before traffic starts, or the string
@@ -166,7 +167,7 @@ async def run_leg(scale: dict, stream, chaos=None, registry=None) -> dict:
     requests have completed.
     """
     cluster = build_cluster(scale)
-    service = FaultTolerantService(
+    service = ShardedService(
         cluster,
         max_batch_size=MAX_BATCH_SIZE,
         max_delay=MAX_DELAY,
@@ -236,11 +237,18 @@ async def _run_legs(scale: dict, registry: MetricsRegistry) -> dict:
     # up in a 5k-request run.  The zero-wrong gate holds at the tested
     # rate by correction, not by luck — the injected/corrected counters
     # are gated non-zero below.
+    #
+    # Shard 1's hang window must close before its peer crashes at call
+    # 40, or both replicas are down at once.  A replica still running an
+    # abandoned call gets no new call, so each hung call ends and the
+    # breaker re-admits the replica before the next one starts: ~0.13 s
+    # per hung call here, so two calls span about what three spanned
+    # when calls queued behind the hung one (0.19-0.24 s).
     soak_specs = [
         (0, 0, ChaosSpec(mode="error", at_call=2, duration_calls=6,
                          error_rate=1.0, seed=SEED)),
         (0, 1, ChaosSpec(mode="corrupt", bit_flip_rate=2e-5, seed=SEED)),
-        (1, 0, ChaosSpec(mode="hang", at_call=3, duration_calls=3,
+        (1, 0, ChaosSpec(mode="hang", at_call=3, duration_calls=2,
                          hang_seconds=0.08)),
         (1, 1, ChaosSpec(mode="crash", at_call=40)),
     ]

@@ -260,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_bench.add_argument(
         "--replicas", type=int, default=1,
-        help="replicas per shard; >1 serves through the fault-tolerant "
-        "replicated path (deadlines, retries, failover)",
+        help="replicas per shard (the same failover loop serves every "
+        "count; >1 adds replicas to fail over to)",
     )
     serve_bench.add_argument(
         "--chaos", action="store_true",
@@ -571,8 +571,7 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     from repro.errors import ConfigurationError, ServiceOverloadError
     from repro.serving import (
         CaramCluster,
-        FaultTolerantService,
-        ReplicatedCluster,
+        ChaosSpec,
         ShardedService,
         make_request_stream,
         run_closed_loop,
@@ -580,25 +579,15 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     )
     from repro.telemetry.workload import KEY_BITS
 
-    if args.replicas < 1:
-        raise ConfigurationError("--replicas must be >= 1")
     if args.chaos and args.replicas < 2:
         raise ConfigurationError("--chaos requires --replicas >= 2")
 
-    replicated = args.replicas > 1
-    if replicated:
-        cluster = ReplicatedCluster.build(
-            shard_count=args.shards,
-            replication=args.replicas,
-            index_bits=args.index_bits,
-            slots=args.slots,
-        )
-    else:
-        cluster = CaramCluster.build(
-            shard_count=args.shards,
-            index_bits=args.index_bits,
-            slots=args.slots,
-        )
+    cluster = CaramCluster.build(
+        shard_count=args.shards,
+        index_bits=args.index_bits,
+        slots=args.slots,
+        replication=args.replicas,
+    )
     stored = _distinct_keys(args.records, args.seed)
     records = [(key, key & 0xFFFF) for key in stored]
     cluster.load(records)
@@ -616,14 +605,12 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         )
 
     def make_service():
-        kwargs = dict(
+        return ShardedService(
+            cluster,
             max_batch_size=args.max_batch,
             max_delay=args.max_delay_ms / 1000.0,
             max_pending=args.max_pending,
         )
-        if replicated:
-            return FaultTolerantService(cluster, **kwargs)
-        return ShardedService(cluster, **kwargs)
 
     async def kill_one_replica_midstream(service):
         # Wait until roughly half the closed-loop traffic has completed,
@@ -631,8 +618,6 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         target = max(1, args.requests // 2)
         while service.stats.completed < target and service._accepting:
             await asyncio.sleep(0.005)
-        from repro.serving.replication import ChaosSpec
-
         for shard_id in range(args.shards):
             cluster.inject_chaos(shard_id, 1, ChaosSpec(mode="crash"))
         return True
@@ -683,37 +668,36 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
                 f"{latency['p50'] * 1e3:.3f} ms / "
                 f"{latency['p99'] * 1e3:.3f} ms"
             )
-    if replicated:
-        membership = cluster.membership()
-        failover = {
-            "replication": args.replicas,
-            "chaos": bool(args.chaos),
-            "membership": membership,
-        }
-        for stat in (
-            "retries", "timeouts", "hedges", "hedge_wins",
-            "evictions", "probations", "readmissions", "exhausted",
-        ):
-            failover[stat] = sum(
-                getattr(rset.stats, stat) for rset in cluster.shards
-            )
-        reports["failover"] = failover
-        print("failover:")
-        for stat in (
-            "retries", "timeouts", "evictions", "readmissions",
-            "exhausted",
-        ):
-            print(f"  {stat}: {failover[stat]}")
-        alive = sum(
-            1
-            for entry in membership.values()
-            for counters in entry["replicas"].values()
-            if counters["state"] == "active"
+    membership = cluster.membership()
+    failover = {
+        "replication": args.replicas,
+        "chaos": bool(args.chaos),
+        "membership": membership,
+    }
+    for stat in (
+        "retries", "timeouts", "hedges", "hedge_wins",
+        "evictions", "probations", "readmissions", "exhausted",
+    ):
+        failover[stat] = sum(
+            getattr(shard.failover, stat) for shard in cluster.shards
         )
-        total = sum(
-            len(entry["replicas"]) for entry in membership.values()
-        )
-        print(f"  replicas active: {alive}/{total}")
+    reports["failover"] = failover
+    print("failover:")
+    for stat in (
+        "retries", "timeouts", "evictions", "readmissions",
+        "exhausted",
+    ):
+        print(f"  {stat}: {failover[stat]}")
+    alive = sum(
+        1
+        for entry in membership.values()
+        for counters in entry["replicas"].values()
+        if counters["state"] == "active"
+    )
+    total = sum(
+        len(entry["replicas"]) for entry in membership.values()
+    )
+    print(f"  replicas active: {alive}/{total}")
     if args.json:
         with open(args.json, "w") as handle:
             json.dump(reports, handle, indent=2)

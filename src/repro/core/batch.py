@@ -77,6 +77,39 @@ _CHUNK_ELEMENT_BUDGET = 1 << 19
 _COLUMNAR_FIELD_WORDS = 4
 
 
+def check_query(key: KeyInput, search_mask: int, key_bits: int) -> None:
+    """One query against the width rules every batch lookup applies.
+
+    :meth:`BatchSearchEngine.search_columnar` rejects a whole batch when
+    its search mask, a ternary key's width, or an integer key (through
+    :func:`~repro.memory.mirror.keys_to_words`) does not fit ``key_bits``
+    bits.  This is the same check for one key, so a caller that batches
+    keys from many sources can refuse a bad one before it joins a batch.
+
+    Raises:
+        KeyFormatError: naming the first rule the query breaks.
+    """
+    full = (1 << key_bits) - 1
+    if not 0 <= search_mask <= full:
+        raise KeyFormatError(
+            f"search mask {search_mask:#x} does not fit in {key_bits} bits"
+        )
+    if isinstance(key, TernaryKey):
+        if key.width != key_bits:
+            raise KeyFormatError(
+                f"search width {key.width} != stored width {key_bits}"
+            )
+        return
+    try:
+        value = int(key)
+    except (TypeError, ValueError):
+        raise KeyFormatError(f"search key {key!r} is not an integer") from None
+    if not 0 <= value <= full:
+        raise KeyFormatError(
+            f"search key {value:#x} does not fit in {key_bits} bits"
+        )
+
+
 def default_chunk_size(
     slots_per_bucket: int,
     word_count: int,
@@ -507,5 +540,6 @@ __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "MIN_CHUNK_SIZE",
     "PreparedBatch",
+    "check_query",
     "default_chunk_size",
 ]

@@ -139,12 +139,14 @@ class ServiceOverloadError(CaRamError):
 class ShardUnavailableError(CaRamError):
     """No replica of a shard could answer within the failover policy.
 
-    Raised by the fault-tolerant serving path
-    (:class:`~repro.serving.replication.FaultTolerantService`) when every
-    replica of the owning shard is evicted, crashed, timed out, or
-    errored through the retry/hedge budget — the whole replica set is
-    down, not just one copy.  Single-replica failures never surface this
-    error; they fail over.
+    Raised by a shard's failover loop
+    (:meth:`~repro.serving.cluster.CaramShard.resolve`, behind
+    :class:`~repro.serving.service.ShardedService` and
+    ``CaramCluster.search_batch``) when every replica of the owning shard
+    is evicted, crashed, timed out, or errored through the retry/hedge
+    budget — the whole shard is down, not just one copy; the last replica
+    error is its ``__cause__``.  A failure that another replica absorbs
+    never surfaces this error; it fails over.
 
     Attributes:
         shard_id: the logical shard whose replica set was exhausted

@@ -1,37 +1,50 @@
-"""Shard assembly: N ``CARAMSubsystem`` shards behind one router.
+"""Shard assembly: N logical shards of R replicas behind one router.
 
-:class:`CaramShard` wraps one :class:`~repro.core.subsystem.CARAMSubsystem`
-holding one database group — a full subsystem per shard, so each shard can
-carry its own overflow store, ports, batch settings, and telemetry, exactly
-like an independent CA-RAM chip in a multi-bank deployment.
+:class:`CaramShard` is one logical shard: R bit-identical replicas
+(:class:`~repro.serving.replication.Replica`, R=1 by default), each a
+full :class:`~repro.core.subsystem.CARAMSubsystem` holding one database
+group — so every copy carries its own overflow store, ports, batch
+settings, and telemetry, exactly like an independent CA-RAM chip in a
+multi-bank deployment.  The shard owns the circuit breaker over its
+replicas and the failover loop every lookup runs through, at every R.
 :class:`CaramCluster` composes the shards with a
 :class:`~repro.serving.router.ShardRouter` and provides:
 
 * **loading** — records partition by :meth:`ShardRouter.shards_for_stored`
   (an LPM prefix spanning several ranges is duplicated into each) and
-  bulk-load per shard through the vectorized pipeline;
+  bulk-load into every replica of each shard through the vectorized
+  pipeline, so the replicas are bit-identical by construction;
 * a **direct synchronous batch path** (:meth:`search_batch`,
-  :meth:`lookup`) — scatter by router, per-shard columnar lookup, gather
-  back into request order.  This is simultaneously the serving tier's
-  correctness reference (the async coalescer must be bit-identical to it)
-  and the cluster half of the load generator's baseline;
-* **telemetry** — every shard mounts under ``{prefix}.shard{i}.*`` and the
-  cluster aggregate mounts under ``{prefix}.cluster.*``, computed through
+  :meth:`lookup`) — scatter by router, the failover loop inline per
+  shard, gather back into request order.  This is simultaneously the
+  serving tier's correctness reference (the async coalescer must be
+  bit-identical to it) and the cluster half of the load generator's
+  baseline;
+* **chaos and membership** — per-replica fault injection
+  (:meth:`inject_chaos`), health verdicts folded into the breaker
+  (:meth:`apply_health_report`), breaker trace events
+  (:meth:`set_tracer`), and a membership snapshot;
+* **telemetry** — every replica mounts under
+  ``{prefix}.shard{s}.replica{r}.*`` and the cluster aggregate mounts
+  under ``{prefix}.cluster.*``, computed through
   :func:`repro.telemetry.rollup.merge_blocks` so counters sum exactly,
   latency sketches merge bucket-exactly, and derived ratios (AMAL, hit
   rate, spill rate) are recomputed from the merged bases — the existing
   ``repro telemetry serve``/``health`` CLI reads the whole cluster off
   these mounts;
-* **lifecycle** — :meth:`close` drops every shard's batch engine; the
+* **lifecycle** — :meth:`close` drops every replica's batch engine; the
   cluster is a context manager.
 """
 
 from __future__ import annotations
 
+import asyncio
+import time
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
+    Dict,
     Iterable,
     List,
     Optional,
@@ -39,7 +52,13 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import ConfigurationError
+from repro.errors import (
+    CaRamError,
+    ConfigurationError,
+    KeyFormatError,
+    ServiceOverloadError,
+    ShardUnavailableError,
+)
 from repro.core.config import Arrangement, SliceConfig
 from repro.core.index import KeyInput
 from repro.core.record import RecordFormat
@@ -47,16 +66,36 @@ from repro.core.results import SearchResult
 from repro.core.stats import SearchStats
 from repro.core.subsystem import CARAMSubsystem, SliceGroup
 from repro.hashing.bit_select import BitSelectHash
+from repro.serving.replication import (
+    ACTIVE,
+    CORRUPT,
+    CRASH,
+    EVICTED,
+    PROBATION,
+    ChaosSpec,
+    FailoverPolicy,
+    FailoverStats,
+    Replica,
+    ShardChaos,
+)
 from repro.serving.router import ConsistentHashRouter, ShardRouter
+from repro.utils.rng import make_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.results import BatchResultSet
+    from repro.telemetry.health import HealthReport
     from repro.telemetry.metrics import MetricsRegistry
+    from repro.telemetry.trace import Tracer
 
 __all__ = ["ShardSpec", "CaramShard", "CaramCluster", "DEFAULT_GROUP"]
 
-#: Group name every shard's subsystem registers its database under.
+#: Group name every replica's subsystem registers its database under.
 DEFAULT_GROUP = "db"
+
+#: Errors that belong to the request, not to the replica that raised
+#: them: the failover loop re-raises them at once, without a retry and
+#: without a mark against the replica.
+_CALLER_ERRORS = (KeyFormatError, ServiceOverloadError)
 
 
 @dataclass(frozen=True)
@@ -74,47 +113,461 @@ class ShardSpec:
 
 
 class CaramShard:
-    """One serving shard: a subsystem, its database group, its config."""
+    """One logical shard: R replicas, a circuit breaker, a failover loop.
+
+    Read balancing is round-robin or least-inflight.  Consecutive
+    failures **evict** a replica, evicted replicas re-enter on
+    **probation** after a cooldown, probation replicas serve trickle
+    probes and are **re-admitted** after enough successes (one probation
+    failure re-evicts).  Health verdicts from
+    :mod:`repro.telemetry.health` feed the same breaker via
+    :meth:`apply_health_report`.  The breaker and the loop run at R=1
+    too: a failing call is retried, then raised as
+    :class:`~repro.errors.ShardUnavailableError`.
+    """
 
     def __init__(
         self,
         shard_id: int,
-        subsystem: CARAMSubsystem,
+        subsystems: Sequence[CARAMSubsystem],
+        policy: Optional[FailoverPolicy] = None,
+        clock: Callable[[], float] = time.monotonic,
         group_name: str = DEFAULT_GROUP,
     ) -> None:
+        if not subsystems:
+            raise ConfigurationError("a shard needs at least one replica")
         self.shard_id = shard_id
-        self.subsystem = subsystem
         self.group_name = group_name
+        self.policy = policy if policy is not None else FailoverPolicy()
+        self.clock = clock
+        self.tracer: Optional["Tracer"] = None
+        self.failover = FailoverStats()
+        self.replicas = [
+            Replica(self, replica_id, subsystem)
+            for replica_id, subsystem in enumerate(subsystems)
+        ]
+        self._rr = 0
+        self._picks = 0
+        self._rng = make_rng(self.policy.seed * 1_000_003 + shard_id)
 
     @property
     def group(self) -> SliceGroup:
-        return self.subsystem.group(self.group_name)
+        """The primary (replica 0) database group."""
+        return self.replicas[0].group
 
     @property
     def stats(self) -> SearchStats:
-        return self.group.stats
+        """Search stats summed over every replica (exact merge)."""
+        total = SearchStats()
+        for replica in self.replicas:
+            total.merge(replica.group.stats)
+        return total
 
     def search_batch_columnar(
-        self, keys: Sequence[KeyInput], search_mask: int = 0
+        self,
+        keys: Sequence[KeyInput],
+        search_mask: int = 0,
+        replica: Optional[Replica] = None,
     ) -> "BatchResultSet":
-        """This shard's vectorized lookup (overflow store included)."""
-        return self.subsystem.search_batch_columnar(
+        """One replica's vectorized lookup (overflow store included) —
+        the primary's unless ``replica`` names another.  No failover: the
+        loop picks the replica and reaches this seam through
+        :meth:`Replica.call`."""
+        if replica is None:
+            replica = self.replicas[0]
+        return replica.subsystem.search_batch_columnar(
             self.group_name, keys, search_mask
         )
 
-    def search(self, key: KeyInput, search_mask: int = 0) -> SearchResult:
-        return self.subsystem.search(self.group_name, key, search_mask)
-
-    def bulk_load(self, records) -> int:
-        return self.subsystem.bulk_load(self.group_name, records)
+    def bulk_load(self, records: Sequence[Tuple[KeyInput, int]]) -> int:
+        """Load the same records into every replica (bit-identical
+        copies); returns one replica's stored copies."""
+        stored = [
+            replica.subsystem.bulk_load(self.group_name, records)
+            for replica in self.replicas
+        ]
+        return stored[0]
 
     def close(self) -> None:
-        """Drop this shard's batch engine."""
-        self.subsystem.close()
+        """Drop every replica's batch engine."""
+        for replica in self.replicas:
+            replica.subsystem.close()
+
+    def membership(self) -> Dict[str, object]:
+        return {
+            "shard_id": self.shard_id,
+            "replicas": {
+                f"replica{r.replica_id}": r.counters()
+                for r in self.replicas
+            },
+            "failover": self.failover.as_dict(),
+        }
+
+    # ------------------------------------------------------------------
+    # Circuit breaker
+    # ------------------------------------------------------------------
+
+    def _emit(self, kind: str, **payload) -> None:
+        if self.tracer is not None:
+            self.tracer.emit(kind, shard_id=self.shard_id, **payload)
+
+    def _evict(self, replica: Replica, reason: str) -> None:
+        replica.state = EVICTED
+        replica.evicted_at = self.clock()
+        replica.consecutive_failures = 0
+        replica.probation_successes = 0
+        replica.evictions += 1
+        self.failover.evictions += 1
+        self._emit(
+            "replica.evicted",
+            replica_id=replica.replica_id,
+            reason=reason,
+        )
+
+    def _promote_cooled(self) -> None:
+        now = self.clock()
+        for replica in self.replicas:
+            if (
+                replica.state == EVICTED
+                and now - replica.evicted_at >= self.policy.probation_after
+            ):
+                replica.state = PROBATION
+                replica.probation_successes = 0
+                self.failover.probations += 1
+                self._emit(
+                    "replica.probation", replica_id=replica.replica_id
+                )
+
+    def pick(
+        self, exclude: Sequence[Replica] = (), retry_tried: bool = True
+    ) -> Optional[Replica]:
+        """Choose a replica for the next call, or None if none remain.
+
+        Active replicas are balanced per policy; probation replicas get
+        every ``probe_interval``-th pick (so they can earn re-admission)
+        and the whole pool when no active replica remains.
+
+        ``exclude`` holds the replicas this request already consumed —
+        retries prefer an untried replica.  When every live replica has
+        been tried and ``retry_tried`` is set, the pick falls back to an
+        idle one anyway: a second attempt on a replica that merely timed
+        out beats declaring the shard exhausted while members are still
+        serving.  Hedges pass ``retry_tried=False`` — hedging the call
+        already in flight is pure waste.
+        """
+        self._promote_cooled()
+        self._picks += 1
+        active = [
+            r
+            for r in self.replicas
+            if r.state == ACTIVE and r not in exclude
+        ]
+        probation = [
+            r
+            for r in self.replicas
+            if r.state == PROBATION and r not in exclude
+        ]
+        pool = active
+        if probation and (
+            not active or self._picks % self.policy.probe_interval == 0
+        ):
+            pool = probation
+        if not pool and retry_tried:
+            idle = [r for r in self.replicas if not r.inflight]
+            pool = [r for r in idle if r.state == ACTIVE] or [
+                r for r in idle if r.state == PROBATION
+            ]
+        if not pool:
+            return None
+        if self.policy.balancer == "least-inflight":
+            return min(pool, key=lambda r: (r.inflight, r.replica_id))
+        self._rr = (self._rr + 1) % len(self.replicas)
+        return pool[self._rr % len(pool)]
+
+    def record_success(self, replica: Replica) -> None:
+        replica.successes += 1
+        replica.consecutive_failures = 0
+        if replica.state == PROBATION:
+            replica.probation_successes += 1
+            if replica.probation_successes >= self.policy.readmit_after:
+                replica.state = ACTIVE
+                replica.readmissions += 1
+                self.failover.readmissions += 1
+                self._emit(
+                    "replica.readmitted",
+                    replica_id=replica.replica_id,
+                )
+
+    def record_failure(self, replica: Replica, kind: str) -> None:
+        if kind == "timeout":
+            replica.timeouts += 1
+            self.failover.timeouts += 1
+        else:
+            replica.errors += 1
+        replica.consecutive_failures += 1
+        if replica.state == PROBATION:
+            self._evict(replica, f"probation-{kind}")
+        elif (
+            replica.state == ACTIVE
+            and replica.consecutive_failures >= self.policy.evict_after
+        ):
+            self._evict(replica, kind)
+
+    def apply_health_report(
+        self, replica_id: int, report: "HealthReport"
+    ) -> None:
+        """Fold a health-monitor verdict into membership: CRITICAL
+        evicts the replica, WARN is counted (visible in telemetry) but
+        does not change membership on its own."""
+        from repro.telemetry.health import CRITICAL, OK
+
+        replica = self.replicas[replica_id]
+        level = report.level
+        if level == OK:
+            return
+        replica.health_warnings += 1
+        if level == CRITICAL and replica.state != EVICTED:
+            self._evict(replica, "health-critical")
+
+    # ------------------------------------------------------------------
+    # Failover loop
+    # ------------------------------------------------------------------
+
+    def call(
+        self, keys: Sequence[KeyInput], search_mask: int = 0
+    ) -> List[SearchResult]:
+        """:meth:`resolve` inline, in the caller's thread: the coroutine
+        never suspends without an event loop, so one ``send`` runs it to
+        completion."""
+        coroutine = self.resolve(keys, search_mask)
+        try:
+            coroutine.send(None)
+        except StopIteration as finished:
+            return finished.value
+        coroutine.close()  # pragma: no cover - defensive
+        raise RuntimeError("the inline failover loop suspended")
+
+    async def resolve(
+        self,
+        keys: Sequence[KeyInput],
+        search_mask: int = 0,
+        loop: Optional[asyncio.AbstractEventLoop] = None,
+    ) -> List[SearchResult]:
+        """Answer one sub-batch: pick a replica, call it, fail over.
+
+        With ``loop``, every replica call runs on that loop's default
+        executor under the policy's deadline and attempt timeout, a
+        retry first sleeps its jittered backoff, and a slow call may be
+        hedged.  Without it the calls run back to back in the caller's
+        thread, with none of those.
+
+        A replica still running an abandoned call gets no new work (see
+        :meth:`_pick_idle`), so a hung replica holds at most one
+        executor thread.
+
+        Raises:
+            ShardUnavailableError: no replica answered within the
+                policy; the last replica error, if any, is its cause.
+            KeyFormatError / ServiceOverloadError: a replica rejected
+                the request itself — raised at once, never retried.
+        """
+        policy = self.policy
+        deadline_at = None
+        if loop is not None and policy.deadline is not None:
+            deadline_at = loop.time() + policy.deadline
+        tried: List[Replica] = []
+        last_error: Optional[CaRamError] = None
+        timed_out = False
+        for attempt in range(policy.max_attempts):
+            if attempt:
+                self.failover.retries += 1
+                self._emit(
+                    "replica.retry", attempt=attempt, keys=len(keys)
+                )
+                if loop is not None:
+                    delay = policy.backoff_delay(attempt, self._rng)
+                    if deadline_at is not None:
+                        delay = min(
+                            delay, max(0.0, deadline_at - loop.time())
+                        )
+                    if delay > 0:
+                        await asyncio.sleep(delay)
+            replica = self._pick_idle(tried, offloaded=loop is not None)
+            if replica is None:
+                break  # nothing left to pick from
+            try:
+                if loop is None:
+                    return self._settle(
+                        replica, lambda: replica.call(keys, search_mask)
+                    )
+                return await self._race(
+                    replica, keys, search_mask, tried, deadline_at, loop
+                )
+            except asyncio.TimeoutError:
+                timed_out = True
+                last_error = None
+                if deadline_at is not None and loop.time() >= deadline_at:
+                    break  # total budget gone; retrying cannot help
+            except _CALLER_ERRORS:
+                raise
+            except CaRamError as error:
+                last_error = error
+        self.failover.exhausted += 1
+        if timed_out:
+            reason = "timed out"
+        elif last_error is not None:
+            reason = "all failed"
+        else:
+            reason = "no replica available"
+        raise ShardUnavailableError(
+            f"shard {self.shard_id}: no replica answered within policy "
+            f"({len(tried)} tried, {reason})",
+            shard_id=self.shard_id,
+            attempts=len(tried),
+        ) from last_error
+
+    def _pick_idle(
+        self, tried: List[Replica], offloaded: bool, hedge: bool = False
+    ) -> Optional[Replica]:
+        """Pick the next replica for this sub-batch, adding it to
+        ``tried``.
+
+        Offloaded, a replica whose abandoned call is still running
+        (``inflight``) gets no new work: a primary pick that lands on it
+        records a timeout against it, a hedge pick just skips it, and
+        both move on to the next replica.  Inline calls are never
+        abandoned, so there a busy replica is only busy with another
+        caller's call, and the new call queues behind it.
+        """
+        while True:
+            replica = self.pick(exclude=tried, retry_tried=not hedge)
+            if replica is None:
+                return None
+            tried.append(replica)
+            if not (offloaded and replica.inflight):
+                return replica
+            if not hedge:
+                self.record_failure(replica, "timeout")
+
+    def _settle(
+        self, replica: Replica, outcome: Callable[[], List[SearchResult]]
+    ) -> List[SearchResult]:
+        """Run ``outcome`` (a replica call, or a finished call's
+        ``result``) and fold it into the replica's breaker state."""
+        try:
+            results = outcome()
+        except _CALLER_ERRORS:
+            raise
+        except CaRamError:
+            self.record_failure(replica, "error")
+            raise
+        self.record_success(replica)
+        return results
+
+    async def _race(
+        self,
+        primary: Replica,
+        keys: Sequence[KeyInput],
+        mask: int,
+        tried: List[Replica],
+        deadline_at: Optional[float],
+        loop: asyncio.AbstractEventLoop,
+    ) -> List[SearchResult]:
+        """One executor call to ``primary``, optionally hedged; the
+        first success wins.  Raises ``asyncio.TimeoutError`` when the
+        deadline or the attempt timeout runs out first."""
+        policy = self.policy
+        attempt_deadline = (
+            None
+            if policy.attempt_timeout is None
+            else loop.time() + policy.attempt_timeout
+        )
+        calls: Dict[asyncio.Future, Replica] = {
+            loop.run_in_executor(None, primary.call, keys, mask): primary
+        }
+        hedge_armed = policy.hedge_delay is not None
+        last_error: Optional[CaRamError] = None
+        while calls:
+            remaining = None
+            for cutoff in (deadline_at, attempt_deadline):
+                if cutoff is None:
+                    continue
+                budget = cutoff - loop.time()
+                if budget <= 0:
+                    self._abandon(calls, timed_out=True)
+                    raise asyncio.TimeoutError
+                remaining = (
+                    budget if remaining is None else min(remaining, budget)
+                )
+            wait_timeout = remaining
+            if hedge_armed:
+                wait_timeout = (
+                    policy.hedge_delay
+                    if remaining is None
+                    else min(policy.hedge_delay, remaining)
+                )
+            done, _ = await asyncio.wait(
+                set(calls),
+                timeout=wait_timeout,
+                return_when=asyncio.FIRST_COMPLETED,
+            )
+            if not done:
+                if hedge_armed:
+                    hedge_armed = False
+                    hedge = self._pick_idle(tried, offloaded=True, hedge=True)
+                    if hedge is not None:
+                        self.failover.hedges += 1
+                        self._emit(
+                            "replica.hedge",
+                            replica_id=hedge.replica_id,
+                            keys=len(keys),
+                        )
+                        future = loop.run_in_executor(
+                            None, hedge.call, keys, mask
+                        )
+                        calls[future] = hedge
+                continue
+            for future in done:
+                replica = calls.pop(future)
+                try:
+                    results = self._settle(replica, future.result)
+                except _CALLER_ERRORS:
+                    self._abandon(calls, timed_out=False)
+                    raise
+                except CaRamError as error:
+                    last_error = error
+                    continue
+                if replica is not primary:
+                    self.failover.hedge_wins += 1
+                    self._emit(
+                        "replica.hedge_won",
+                        replica_id=replica.replica_id,
+                    )
+                self._abandon(calls, timed_out=False)
+                return results
+        if last_error is not None:
+            raise last_error
+        raise asyncio.TimeoutError  # pragma: no cover - defensive
+
+    def _abandon(
+        self, calls: Dict[asyncio.Future, Replica], timed_out: bool
+    ) -> None:
+        """Walk away from still-inflight calls.
+
+        The executor threads may keep running (a hang cannot be
+        preempted), but their results are dropped: cancelling the
+        asyncio wrapper makes a late set_result/exception a no-op, so
+        nothing leaks and nothing warns.
+        """
+        for future, replica in calls.items():
+            if timed_out:
+                self.record_failure(replica, "timeout")
+            future.cancel()
+        calls.clear()
 
 
 class CaramCluster:
-    """N shards + a router = one logical database.
+    """N shards of R replicas + a router = one logical database.
 
     Build shards yourself and pass them in, or use :meth:`build` for a
     uniform lookup-table cluster shaped like the telemetry workload's
@@ -155,11 +608,14 @@ class CaramCluster:
         key_bits: Optional[int] = None,
         data_bits: Optional[int] = None,
         ternary: bool = False,
+        replication: int = 1,
+        policy: Optional[FailoverPolicy] = None,
+        clock: Callable[[], float] = time.monotonic,
     ) -> "CaramCluster":
         """A uniform cluster of single-slice lookup-table shards.
 
         Args:
-            shard_count: number of shards.
+            shard_count: number of logical shards.
             index_bits: per-shard slice index bits (rows = ``2**b``).
             slots: record slots per bucket.
             specs: one :class:`ShardSpec` per shard (or None for
@@ -168,7 +624,18 @@ class CaramCluster:
             router: placement policy (default: consistent hashing).
             key_bits / data_bits / ternary / slot_priority: record-format
                 overrides for non-default workloads (e.g. LPM shards).
+            replication: replicas per shard.  Every replica of shard *s*
+                has the same geometry, hash, and spec, and (after
+                :meth:`load`) the same records in the same slots —
+                bit-identical by construction, which is what makes
+                failover answer-preserving.
+            policy: the failover policy of every shard.
+            clock: the breaker clock (injectable for tests).
         """
+        if replication < 1:
+            raise ConfigurationError(
+                f"replication must be >= 1: {replication}"
+            )
         key_bits = cls.KEY_BITS if key_bits is None else key_bits
         data_bits = cls.DATA_BITS if data_bits is None else data_bits
         if router is None:
@@ -186,9 +653,8 @@ class CaramCluster:
             aux_bits=aux_bits,
         )
         hash_lsb = min(cls.HASH_LSB, key_bits - index_bits)
-        shards: List[CaramShard] = []
-        for shard_id in range(shard_count):
-            spec = specs[shard_id % len(specs)]
+
+        def replica(spec: ShardSpec) -> CARAMSubsystem:
             group = SliceGroup(
                 config=config,
                 slice_count=1,
@@ -206,7 +672,20 @@ class CaramCluster:
                 group.enable_latency_tracking(spec.latency_error)
             subsystem = CARAMSubsystem()
             subsystem.add_group(group)
-            shards.append(CaramShard(shard_id, subsystem))
+            return subsystem
+
+        shards = [
+            CaramShard(
+                shard_id,
+                [
+                    replica(specs[shard_id % len(specs)])
+                    for _ in range(replication)
+                ],
+                policy=policy,
+                clock=clock,
+            )
+            for shard_id in range(shard_count)
+        ]
         return cls(shards, router)
 
     # ------------------------------------------------------------------
@@ -214,7 +693,8 @@ class CaramCluster:
     # ------------------------------------------------------------------
 
     def load(self, records: Iterable[Tuple[KeyInput, int]]) -> int:
-        """Partition and bulk-load a record set; returns stored copies.
+        """Partition and bulk-load a record set; returns stored copies
+        (one replica's worth — every replica holds the same set).
 
         Each record lands on every shard the router names for it (one for
         point keys; every covered range for an LPM prefix), preserving the
@@ -242,10 +722,9 @@ class CaramCluster:
     # ------------------------------------------------------------------
 
     def search(self, key: KeyInput, search_mask: int = 0) -> SearchResult:
-        """Scalar lookup routed to the owning shard."""
-        return self.shards[self.router.shard_for_query(key)].search(
-            key, search_mask
-        )
+        """One key through its owning shard's inline failover loop."""
+        shard = self.shards[self.router.shard_for_query(key)]
+        return shard.call([key], search_mask)[0]
 
     def lookup(self, key: KeyInput, search_mask: int = 0) -> Optional[int]:
         return self.search(key, search_mask).data
@@ -253,8 +732,8 @@ class CaramCluster:
     def search_batch(
         self, keys: Sequence[KeyInput], search_mask: int = 0
     ) -> List[SearchResult]:
-        """Batch lookup: scatter by router, per-shard columnar lookup,
-        gather back into request order.
+        """Batch lookup: scatter by router, each shard's failover loop
+        inline, gather back into request order.
 
         The coalescing front end must return exactly these results for
         the same keys — the bit-identity contract the property tests pin.
@@ -266,19 +745,69 @@ class CaramCluster:
             if not len(positions):
                 continue
             shard_keys = [keys[int(i)] for i in positions]
-            results = shard.search_batch_columnar(
-                shard_keys, search_mask
-            ).results()
+            results = shard.call(shard_keys, search_mask)
             for position, result in zip(positions.tolist(), results):
                 out[position] = result
         return out  # type: ignore[return-value]
 
     def total_stats(self) -> SearchStats:
-        """Sum of every shard's search stats (exact counter merge)."""
+        """Sum of every replica's search stats (exact counter merge)."""
         total = SearchStats()
         for shard in self.shards:
             total.merge(shard.stats)
         return total
+
+    # ------------------------------------------------------------------
+    # Chaos and membership
+    # ------------------------------------------------------------------
+
+    def replica(self, shard_id: int, replica_id: int) -> Replica:
+        return self.shards[shard_id].replicas[replica_id]
+
+    def inject_chaos(
+        self, shard_id: int, replica_id: int, spec: ChaosSpec
+    ) -> None:
+        """Attach a fault schedule to one replica.
+
+        ``corrupt`` mode enables the reliability layer (ECC + quarantine
+        + victim store) on the replica's group with a seeded
+        ``FaultInjector`` at the spec's flip rate — corruption chaos
+        exercises the whole detect-or-correct stack rather than
+        bypassing it; the other modes attach a :class:`ShardChaos`.
+        """
+        replica = self.replica(shard_id, replica_id)
+        if spec.mode == CORRUPT:
+            from repro.reliability.faults import FaultConfig
+
+            replica.group.enable_reliability(
+                faults=FaultConfig(
+                    seed=spec.seed, bit_flip_rate=spec.bit_flip_rate
+                )
+            )
+            return
+        replica.chaos = ShardChaos(spec)
+
+    def kill_replica(self, shard_id: int, replica_id: int) -> None:
+        """Crash one replica immediately (every future call raises)."""
+        self.inject_chaos(shard_id, replica_id, ChaosSpec(mode=CRASH))
+
+    def clear_chaos(self, shard_id: int, replica_id: int) -> None:
+        self.replica(shard_id, replica_id).chaos = None
+
+    def apply_health_report(
+        self, shard_id: int, replica_id: int, report: "HealthReport"
+    ) -> None:
+        self.shards[shard_id].apply_health_report(replica_id, report)
+
+    def set_tracer(self, tracer: Optional["Tracer"]) -> None:
+        for shard in self.shards:
+            shard.tracer = tracer
+
+    def membership(self) -> Dict[str, object]:
+        return {
+            f"shard{shard.shard_id}": shard.membership()
+            for shard in self.shards
+        }
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -288,67 +817,82 @@ class CaramCluster:
         self, relative_error: Optional[float] = None
     ) -> None:
         for shard in self.shards:
-            shard.group.enable_latency_tracking(relative_error)
+            for replica in shard.replicas:
+                replica.group.enable_latency_tracking(relative_error)
 
     def register_telemetry(
         self, registry: "MetricsRegistry", prefix: str = "serving"
     ) -> None:
-        """Mount every shard plus the rollup aggregate.
+        """Mount every replica plus the rollup aggregate.
 
-        Shard ``i`` mounts its full group telemetry under
-        ``{prefix}.shard{i}.*``; the cluster-wide view mounts under
-        ``{prefix}.cluster.search`` / ``.occupancy`` / ``.bulk``, merged
-        at snapshot time with the rollup leaf rules (exact counter sums,
-        sketch merges, recomputed ratios) so health rules and dashboards
-        can address the whole cluster as one database.
+        Replica *r* of shard *s* mounts its full group telemetry under
+        ``{prefix}.shard{s}.replica{r}.*``; the cluster-wide view mounts
+        under ``{prefix}.cluster.search`` / ``.occupancy`` / ``.bulk``,
+        merged over every replica at snapshot time with the rollup leaf
+        rules (exact counter sums, sketch merges, recomputed ratios) so
+        health rules and dashboards can address the whole cluster as one
+        database.  Breaker state and failover counters mount at
+        ``{prefix}.replica.membership``, the layout at
+        ``{prefix}.cluster.topology``.
         """
         from repro.telemetry.rollup import merge_blocks
 
+        groups = [
+            replica.group
+            for shard in self.shards
+            for replica in shard.replicas
+        ]
         for shard in self.shards:
-            shard.group.register_telemetry(
-                registry, prefix=f"{prefix}.shard{shard.shard_id}"
-            )
+            for replica in shard.replicas:
+                replica.group.register_telemetry(
+                    registry,
+                    prefix=(
+                        f"{prefix}.shard{shard.shard_id}"
+                        f".replica{replica.replica_id}"
+                    ),
+                )
 
         def _merged(block_of) -> Callable[[], dict]:
             def provider() -> dict:
-                return merge_blocks(
-                    [block_of(shard) for shard in self.shards]
-                )
+                return merge_blocks([block_of(group) for group in groups])
 
             return provider
 
         registry.register_provider(
             f"{prefix}.cluster.search",
-            _merged(lambda shard: shard.stats.as_dict()),
+            _merged(lambda group: group.stats.as_dict()),
         )
         registry.register_provider(
             f"{prefix}.cluster.occupancy",
             _merged(
-                lambda shard: {
-                    "record_count": shard.group.record_count,
-                    "capacity_records": shard.group.capacity_records,
-                    "load_factor": shard.group.load_factor,
-                    "physical_row_fetches": (
-                        shard.group.physical_row_fetches
-                    ),
+                lambda group: {
+                    "record_count": group.record_count,
+                    "capacity_records": group.capacity_records,
+                    "load_factor": group.load_factor,
+                    "physical_row_fetches": group.physical_row_fetches,
                 }
             ),
         )
         registry.register_provider(
             f"{prefix}.cluster.bulk",
             _merged(
-                lambda shard: (
-                    shard.group.last_bulk_plan.as_dict()
-                    if shard.group.last_bulk_plan is not None
+                lambda group: (
+                    group.last_bulk_plan.as_dict()
+                    if group.last_bulk_plan is not None
                     else {}
                 )
             ),
         )
         registry.register_provider(
+            f"{prefix}.replica.membership", self.membership
+        )
+        registry.register_provider(
             f"{prefix}.cluster.topology",
             lambda: {
                 "shard_count": len(self.shards),
+                "replication": len(self.shards[0].replicas),
                 "router": type(self.router).__name__,
+                "balancer": self.shards[0].policy.balancer,
             },
         )
 
@@ -357,7 +901,7 @@ class CaramCluster:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Close every shard (batch engines, pools, shared memory)."""
+        """Close every shard (every replica's batch engine)."""
         for shard in self.shards:
             shard.close()
 

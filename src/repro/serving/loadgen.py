@@ -25,9 +25,9 @@ p50/p99 within the sketch's relative-error bound.  All accounting closes:
 ``requests == completed + shed + failed + wrong`` — nothing is dropped
 without an error.  ``shed`` counts admission-control rejections
 (:class:`~repro.errors.ServiceOverloadError`); ``failed`` counts every
-other typed :class:`~repro.errors.CaRamError` (the fault-tolerant path's
-:class:`~repro.errors.ShardUnavailableError` when a whole replica set is
-down, detected corruption, ...) — under chaos a request may legitimately
+other typed :class:`~repro.errors.CaRamError` (a shard's
+:class:`~repro.errors.ShardUnavailableError` when no replica of it can
+answer, a malformed key, ...) — under chaos a request may legitimately
 fail, but it must fail *loudly and typed*, never silently wrong.
 """
 

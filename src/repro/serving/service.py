@@ -5,10 +5,10 @@ hundreds of keys per call; live traffic arrives one key at a time.
 :class:`ShardedService` closes that gap: concurrent single-key
 ``await service.lookup(key)`` calls are routed to their owning shard
 (:class:`~repro.serving.router.ShardRouter`), queued, and **coalesced**
-into batches that feed
-:meth:`~repro.core.subsystem.CARAMSubsystem.search_batch_columnar` —
-scattering the columnar results back to the waiting futures bit-identically
-with a direct batch call over the same keys.
+into batches that each shard answers through its failover loop
+(:meth:`~repro.serving.cluster.CaramShard.resolve`) — scattering the
+columnar results back to the waiting futures bit-identically with a
+direct batch call over the same keys.
 
 Coalescing policy (per shard, classic batch-window):
 
@@ -21,6 +21,9 @@ Coalescing policy (per shard, classic batch-window):
 
 Admission control and backpressure:
 
+* a key or search mask the shards cannot hold is rejected with
+  :class:`~repro.errors.KeyFormatError` before it is queued, so it can
+  never fail the requests coalesced with it;
 * each shard lane holds at most ``max_pending`` queued requests; a
   request arriving at a full lane is **shed** with a typed
   :class:`~repro.errors.ServiceOverloadError` (stable CLI exit code 12) —
@@ -29,19 +32,24 @@ Admission control and backpressure:
   for the lanes to empty — graceful shutdown answers everything already
   admitted; :meth:`aclose` additionally closes every shard.
 
-Batch execution runs on a thread-pool executor by default (NumPy kernels
-release the GIL for the heavy ops), keeping the event loop free to accept
-and coalesce the next window while a shard computes; per-shard lanes
-serialize their own batches, so a shard's engine is never re-entered.
+Batch execution runs on the loop's default thread-pool executor by
+default (NumPy kernels release the GIL for the heavy ops), keeping the
+event loop free to accept and coalesce the next window while a shard
+computes; there the shard's failover policy bounds every call (deadline,
+attempt timeout, retry with backoff, hedge).  With ``offload=False`` the
+same loop runs inline on the event loop, with no deadlines.  Per-shard
+lanes serialize their own batches, so a replica's engine is only
+re-entered by a retry or hedge after its call was abandoned.
 """
 
 from __future__ import annotations
 
 import asyncio
 import itertools
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError, ServiceOverloadError
+from repro.core.batch import check_query
 from repro.core.index import KeyInput
 from repro.core.results import SearchResult
 from repro.serving.cluster import CaramCluster
@@ -121,10 +129,13 @@ class _Request:
 class _Lane:
     """One shard's bounded queue + wakeup event + worker task."""
 
-    __slots__ = ("shard", "pending", "event", "task", "busy", "oldest_at")
+    __slots__ = (
+        "shard", "key_bits", "pending", "event", "task", "busy", "oldest_at"
+    )
 
     def __init__(self, shard) -> None:
         self.shard = shard
+        self.key_bits = shard.group.config.record_format.key_bits
         self.pending: List[_Request] = []
         self.event: Optional[asyncio.Event] = None
         self.task: Optional[asyncio.Task] = None
@@ -142,8 +153,10 @@ class ShardedService:
             time baseline the serving benchmark compares against).
         max_delay: seconds a request may wait for co-batched company.
         max_pending: per-shard admission bound; beyond it requests shed.
-        offload: run batch kernels on the loop's thread-pool executor
-            (default) instead of inline on the event loop.
+        offload: run every replica call on the loop's default executor
+            under the shards' failover deadlines (default); ``False``
+            runs the failover loop inline on the event loop, without
+            deadlines, attempt timeouts, hedges or backoff sleeps.
 
     Use as an async context manager, or call :meth:`aclose` explicitly —
     a garbage-collected service cancels its lane tasks but cannot await
@@ -196,10 +209,12 @@ class ShardedService:
         hood with every other concurrent caller of the same shard.
 
         Raises:
+            KeyFormatError: the key or mask does not fit the shards'
+                key width (rejected before admission, not counted).
             ServiceOverloadError: the owning shard's queue is full, or
                 the service is draining/closed.
-            Exception: whatever the shard's batch raised (counted in
-                ``stats.failed``).
+            ShardUnavailableError: no replica of the shard answered
+                within its failover policy (counted in ``stats.failed``).
         """
         if not self._accepting:
             raise ServiceOverloadError(
@@ -207,6 +222,7 @@ class ShardedService:
             )
         shard_id = self.cluster.router.shard_for_query(key)
         lane = self._lanes[shard_id]
+        check_query(key, search_mask, lane.key_bits)
         loop = self._ensure_started()
         if lane.task is not None and lane.task.done():
             raise ServiceOverloadError(
@@ -328,7 +344,8 @@ class ShardedService:
                 request.future.set_exception(error)
 
     async def _execute(self, lane: _Lane, batch: List[_Request]) -> None:
-        """Resolve one flushed batch against the lane's shard.
+        """Resolve one flushed batch through the lane shard's failover
+        loop.
 
         Requests sharing a search mask resolve in one columnar call; the
         (rare) mixed-mask batch splits by mask, preserving order within
@@ -339,11 +356,12 @@ class ShardedService:
         self.stats.max_batch_observed = max(
             self.stats.max_batch_observed, len(batch)
         )
+        loop = self._loop if self.offload else None
         for mask, group in itertools.groupby(batch, key=lambda r: r.mask):
             requests = list(group)
             keys = [request.key for request in requests]
             try:
-                results = await self._resolve(lane, keys, mask)
+                results = await lane.shard.resolve(keys, mask, loop)
             except Exception as error:  # noqa: BLE001 - fan the failure out
                 for request in requests:
                     if not request.future.done():
@@ -352,24 +370,6 @@ class ShardedService:
             for request, result in zip(requests, results):
                 if not request.future.done():
                     request.future.set_result(result)
-
-    async def _resolve(
-        self, lane: _Lane, keys: List[KeyInput], mask: int
-    ) -> List[SearchResult]:
-        """Answer one same-mask sub-batch against the lane's shard.
-
-        The single overridable seam of the request path: subclasses (the
-        fault-tolerant replicated service) swap in deadlines, retries,
-        and hedging here while inheriting coalescing, admission control,
-        and drain unchanged.
-        """
-
-        def run() -> List[SearchResult]:
-            return lane.shard.search_batch_columnar(keys, mask).results()
-
-        if self.offload:
-            return await self._loop.run_in_executor(None, run)
-        return run()
 
     # ------------------------------------------------------------------
     # Shutdown

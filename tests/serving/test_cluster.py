@@ -111,7 +111,7 @@ class TestTelemetry:
             registry = MetricsRegistry()
             cluster.register_telemetry(registry)
             stats = registry.snapshot()["stats"]
-            assert stats["serving.shard0.search"]["lookups"] > 0
+            assert stats["serving.shard0.replica0.search"]["lookups"] > 0
             merged = stats["serving.cluster.search"]
             assert merged["lookups"] == sum(
                 shard.stats.lookups for shard in cluster.shards

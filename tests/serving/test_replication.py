@@ -8,6 +8,9 @@ either returns the **bit-identical correct answer** or a **typed**
 
 import asyncio
 import itertools
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -27,11 +30,8 @@ from repro.serving.replication import (
     PROBATION,
     ChaosSpec,
     FailoverPolicy,
-    FaultTolerantService,
-    Replica,
-    ReplicaSet,
-    ReplicatedCluster,
 )
+from repro.serving.service import ShardedService
 from repro.telemetry.health import HealthFinding, HealthReport
 from repro.telemetry.metrics import MetricsRegistry
 from repro.utils.rng import make_rng
@@ -53,7 +53,9 @@ def build_replicated(
     )
     if clock is not None:
         kwargs["clock"] = clock
-    cluster = ReplicatedCluster.build(shard_count, replication, **kwargs)
+    cluster = CaramCluster.build(
+        shard_count, replication=replication, **kwargs
+    )
     cluster.load(make_records() if records is None else records)
     return cluster
 
@@ -102,22 +104,16 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             FailoverPolicy(balancer="random")
         with pytest.raises(ConfigurationError):
-            ReplicatedCluster.build(2, replication=0)
-
-    def test_ft_service_requires_replicated_cluster(self):
-        reference = build_reference()
-        with pytest.raises(ConfigurationError):
-            FaultTolerantService(reference)
-        reference.close()
+            CaramCluster.build(2, replication=0)
 
 
 class TestReplicatedCluster:
     def test_replicas_are_bit_identical(self):
         records = make_records()
         cluster = build_replicated(records=records)
-        for rset in cluster.replica_sets:
+        for rset in cluster.shards:
             counts = {
-                replica.shard.group.record_count
+                replica.group.record_count
                 for replica in rset.replicas
             }
             assert len(counts) == 1
@@ -137,11 +133,39 @@ class TestReplicatedCluster:
 
     def test_round_robin_spreads_reads(self):
         cluster = build_replicated(shard_count=1, replication=3)
-        rset = cluster.replica_sets[0]
+        rset = cluster.shards[0]
         for _ in range(12):
             rset.call([make_records()[0][0]])
         calls = [replica.calls for replica in rset.replicas]
         assert all(count >= 3 for count in calls)
+        cluster.close()
+
+    def test_concurrent_calls_leave_no_replica_busy(self):
+        """``inflight`` decides whether the failover loop may call a
+        replica, so concurrent calls must not lose an update to it, and
+        an inline call busy with another caller's call is not taken for
+        an abandoned one: every call answers."""
+        cluster = build_replicated(shard_count=1, replication=2)
+        shard = cluster.shards[0]
+        key = make_records()[0][0]
+
+        def worker():
+            for _ in range(40):
+                shard.call([key])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [r.inflight for r in shard.replicas] == [0, 0]
+        assert sum(r.calls for r in shard.replicas) == 8 * 40
         cluster.close()
 
     def test_least_inflight_picks_idle_replica(self):
@@ -150,7 +174,7 @@ class TestReplicatedCluster:
             replication=3,
             policy=FailoverPolicy(balancer="least-inflight"),
         )
-        rset = cluster.replica_sets[0]
+        rset = cluster.shards[0]
         rset.replicas[0].inflight = 5
         rset.replicas[1].inflight = 2
         assert rset.pick().replica_id == 2
@@ -186,14 +210,14 @@ class TestChaosModes:
         cluster.kill_replica(0, 0)
         keys = [key for key, _ in records]
         assert cluster.search_batch(keys) == reference.search_batch(keys)
-        rset = cluster.replica_sets[0]
+        rset = cluster.shards[0]
         # One batch = one call per shard; round-robin lands on the dead
         # replica every other call, so a few batches reach evict_after.
         for _ in range(4):
             cluster.search_batch(keys[:4])
         assert rset.replicas[0].state == EVICTED
-        assert rset.stats.evictions == 1
-        assert rset.stats.retries >= 2
+        assert rset.failover.evictions == 1
+        assert rset.failover.retries >= 2
         cluster.close()
         reference.close()
 
@@ -226,7 +250,7 @@ class TestChaosModes:
         expected = reference.search_batch(keys)
         for _ in range(6):
             assert cluster.search_batch(keys) == expected
-        group = cluster.replica(0, 0).shard.group
+        group = cluster.replica(0, 0).group
         manager = group._reliability
         assert sum(
             guard.stats.faults_injected for guard in manager.guards
@@ -261,7 +285,7 @@ class TestCircuitBreaker:
         cluster = build_replicated(
             shard_count=1, policy=policy, clock=clock
         )
-        rset = cluster.replica_sets[0]
+        rset = cluster.shards[0]
         victim = rset.replicas[0]
         rset.record_failure(victim, "error")
         assert victim.state == ACTIVE
@@ -280,7 +304,7 @@ class TestCircuitBreaker:
         rset.record_success(victim)
         rset.record_success(victim)
         assert victim.state == ACTIVE
-        assert rset.stats.readmissions == 1
+        assert rset.failover.readmissions == 1
 
         # A probation failure re-evicts immediately.
         rset.record_failure(victim, "error")
@@ -294,7 +318,7 @@ class TestCircuitBreaker:
 
     def test_health_verdicts_drive_membership(self):
         cluster = build_replicated(shard_count=1)
-        rset = cluster.replica_sets[0]
+        rset = cluster.shards[0]
         cluster.apply_health_report(0, 0, make_report("warn"))
         assert rset.replicas[0].state == ACTIVE
         assert rset.replicas[0].health_warnings == 1
@@ -313,7 +337,7 @@ class TestCircuitBreaker:
         )
         tracer = Tracer()
         cluster.set_tracer(tracer)
-        rset = cluster.replica_sets[0]
+        rset = cluster.shards[0]
         rset.record_failure(rset.replicas[0], "error")
         rset.pick()
         rset.record_success(rset.replicas[0])
@@ -329,7 +353,7 @@ class TestFaultTolerantService:
     RECORDS = make_records(count=150, seed=23)
 
     def run_service(self, cluster, keys, **service_kwargs):
-        service = FaultTolerantService(cluster, **service_kwargs)
+        service = ShardedService(cluster, **service_kwargs)
 
         async def run():
             async with service:
@@ -357,7 +381,7 @@ class TestFaultTolerantService:
         assert outcomes == reference.search_batch(keys)
         assert service.stats.completed == len(keys)
         evictions = sum(
-            rset.stats.evictions for rset in cluster.replica_sets
+            rset.failover.evictions for rset in cluster.shards
         )
         assert evictions >= 1
         reference.close()
@@ -379,10 +403,59 @@ class TestFaultTolerantService:
             cluster, keys, max_batch_size=16, max_delay=0.0
         )
         assert outcomes == reference.search_batch(keys)
-        rset = cluster.replica_sets[0]
-        assert rset.stats.timeouts >= 1
+        rset = cluster.shards[0]
+        assert rset.failover.timeouts >= 1
         assert rset.replicas[0].state == EVICTED
         reference.close()
+
+    def test_hung_replicas_cannot_starve_a_healthy_shard(self):
+        """A hung replica holds at most one executor thread: with replica
+        0 of shards 0-2 hung, shard 3 answers every lookup without a
+        timeout or an eviction, though the loop's default executor has
+        only 6 threads."""
+        records = make_records(count=400, seed=5)
+        cluster = CaramCluster.build(
+            4,
+            index_bits=5,
+            slots=8,
+            key_bits=KEY_BITS,
+            replication=2,
+            policy=FailoverPolicy(attempt_timeout=0.05, evict_after=3),
+        )
+        cluster.load(records)
+        for shard_id in range(3):
+            cluster.inject_chaos(
+                shard_id, 0, ChaosSpec(mode="hang", hang_seconds=1.0)
+            )
+        service = ShardedService(cluster)
+        stored = [key for key, _ in records]
+        failed = []
+
+        async def user(loop, seed):
+            rng = make_rng(seed)
+            stop = loop.time() + 1.5
+            while loop.time() < stop:
+                key = stored[int(rng.integers(len(stored)))]
+                try:
+                    await service.lookup(key)
+                except ShardUnavailableError:
+                    failed.append(cluster.router.shard_for_query(key))
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            loop.set_default_executor(ThreadPoolExecutor(max_workers=6))
+            async with service:
+                await asyncio.gather(*(user(loop, s) for s in range(32)))
+
+        asyncio.run(run())
+        healthy = cluster.shards[3]
+        assert 3 not in failed
+        assert healthy.failover.timeouts == 0
+        assert healthy.failover.evictions == 0
+        assert sum(r.successes for r in healthy.replicas) > 0
+        for shard in cluster.shards[:3]:
+            assert shard.replicas[0].timeouts >= 1
+            assert shard.replicas[0].calls <= 4  # one 1 s hang at a time
 
     def test_hedged_read_wins_over_slow_replica(self):
         cluster = build_replicated(
@@ -405,9 +478,9 @@ class TestFaultTolerantService:
             cluster, keys, max_batch_size=30, max_delay=0.05
         )
         assert outcomes == reference.search_batch(keys)
-        rset = cluster.replica_sets[0]
-        assert rset.stats.hedges >= 1
-        assert rset.stats.hedge_wins >= 1
+        rset = cluster.shards[0]
+        assert rset.failover.hedges >= 1
+        assert rset.failover.hedge_wins >= 1
         reference.close()
 
     def test_whole_set_down_fails_typed_and_sheds_nothing_silently(self):
@@ -431,7 +504,7 @@ class TestFaultTolerantService:
             isinstance(outcome, ShardUnavailableError)
             for outcome in outcomes
         )
-        assert cluster.replica_sets[0].stats.exhausted >= 1
+        assert cluster.shards[0].failover.exhausted >= 1
         # Every admitted request resolved: nothing hangs, nothing lost.
         assert service.stats.requests == len(keys)
 
@@ -534,7 +607,7 @@ class TestFaultScheduleProperty:
         ):
             if spec is not None:
                 cluster.inject_chaos(shard_id, replica_id, spec)
-        service = FaultTolerantService(
+        service = ShardedService(
             cluster, max_batch_size=8, max_delay=0.0
         )
 

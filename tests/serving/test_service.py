@@ -13,8 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, ServiceOverloadError
+from repro.errors import (
+    ConfigurationError,
+    KeyFormatError,
+    ServiceOverloadError,
+)
 from repro.serving.cluster import CaramCluster
+from repro.serving.replication import FailoverPolicy
 from repro.serving.service import ShardedService
 from repro.utils.rng import make_rng
 
@@ -27,17 +32,26 @@ def make_records(count=120, seed=11):
     return [(int(key), int(key) & 0xFF) for key in keys]
 
 
-def build_cluster(shard_count=2, records=None):
+def build_cluster(shard_count=2, records=None, replication=1, policy=None):
     cluster = CaramCluster.build(
-        shard_count=shard_count, index_bits=5, slots=8, key_bits=KEY_BITS
+        shard_count=shard_count,
+        index_bits=5,
+        slots=8,
+        key_bits=KEY_BITS,
+        replication=replication,
+        policy=policy,
     )
     cluster.load(make_records() if records is None else records)
     return cluster
 
 
-def make_service(shard_count=2, records=None, **kwargs):
+def make_service(
+    shard_count=2, records=None, replication=1, policy=None, **kwargs
+):
     kwargs.setdefault("offload", False)
-    return ShardedService(build_cluster(shard_count, records), **kwargs)
+    return ShardedService(
+        build_cluster(shard_count, records, replication, policy), **kwargs
+    )
 
 
 class TestValidation:
@@ -169,6 +183,39 @@ class TestAdmissionControl:
         assert service.stats.completed == 2
         assert service.stats.requests == 5
 
+    @pytest.mark.parametrize("replication", [1, 2])
+    def test_malformed_key_rejected_at_admission(self, replication):
+        """A key or mask the shards cannot hold fails alone, before it is
+        queued: the lookups coalesced around it still answer, and no
+        replica is charged for it."""
+        cluster = CaramCluster.build(1, replication=replication)
+        cluster.load([(key, key & 0xFFFF) for key in range(1, 3000, 7)])
+        service = ShardedService(cluster)
+
+        async def run():
+            async with service:
+                first = await asyncio.gather(
+                    service.lookup(8),
+                    service.lookup(15),
+                    service.lookup(1 << 40),
+                    service.lookup(22),
+                    service.lookup(29, search_mask=1 << 40),
+                    return_exceptions=True,
+                )
+                for _ in range(4):
+                    with pytest.raises(KeyFormatError):
+                        await service.lookup(1 << 40)
+                return first, await service.lookup(8)
+
+        first, after = asyncio.run(run())
+        assert [r.data for r in (first[0], first[1], first[3])] == [8, 15, 22]
+        assert isinstance(first[2], KeyFormatError)
+        assert isinstance(first[4], KeyFormatError)
+        assert after.data == 8
+        assert service.stats.requests == service.stats.completed == 4
+        for replica in cluster.shards[0].replicas:
+            assert replica.state == "active" and replica.errors == 0
+
     def test_draining_service_rejects(self):
         records = make_records()
         service = make_service(records=records)
@@ -214,14 +261,18 @@ class TestAdmissionControl:
         sleeps until the lane goes idle instead of polling the loop."""
         records = make_records()
         service = make_service(
-            shard_count=1, records=records, max_delay=0.0, offload=True
+            shard_count=1,
+            records=records,
+            policy=FailoverPolicy(deadline=2.0),
+            max_delay=0.0,
+            offload=True,
         )
         shard = service.cluster.shards[0]
         fast = shard.search_batch_columnar
 
-        def slow(keys, search_mask=0):
+        def slow(keys, search_mask=0, replica=None):
             time.sleep(0.3)
-            return fast(keys, search_mask)
+            return fast(keys, search_mask, replica)
 
         shard.search_batch_columnar = slow
         lane = service._lanes[0]
@@ -357,6 +408,8 @@ class TestParityProperty:
     RECORDS = make_records(count=150, seed=23)
     STORED = [key for key, _ in RECORDS]
 
+    @pytest.mark.parametrize("offload", [False, True])
+    @pytest.mark.parametrize("replication", [1, 2])
     @settings(deadline=None, max_examples=20)
     @given(
         picks=st.lists(
@@ -368,7 +421,7 @@ class TestParityProperty:
         max_delay_ms=st.sampled_from([0.0, 0.5]),
     )
     def test_any_interleaving_matches_direct_batch(
-        self, picks, max_batch_size, max_delay_ms
+        self, replication, offload, picks, max_batch_size, max_delay_ms
     ):
         # Mix of stored keys and near-misses (key+1 is usually absent).
         keys = [
@@ -377,10 +430,14 @@ class TestParityProperty:
         ]
         service = make_service(
             records=self.RECORDS,
+            replication=replication,
             max_batch_size=max_batch_size,
             max_delay=max_delay_ms / 1000.0,
+            offload=offload,
         )
-        reference = build_cluster(records=self.RECORDS)
+        reference = build_cluster(
+            records=self.RECORDS, replication=replication
+        )
 
         async def run():
             async with service:
