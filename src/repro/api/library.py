@@ -161,7 +161,7 @@ class DatabaseHandle:
         return self.search(key).hit
 
     def delete(self, key: KeyInput) -> int:
-        """Remove a key from the main group."""
+        """Remove a key from the database, its overflow area included."""
         self._check_open()
         return self._composed.main.delete(key)
 

@@ -7,7 +7,7 @@ prefixes sorted by descending length — "the priority encoder in TCAM can be
 used to perform LPM when prefixes in TCAM are sorted on prefix length".
 
 This model is both the paper's comparison baseline (Figures 6/8) and the
-victim/overflow store of Section 4.3 — it satisfies the
+overflow area of Section 4.3 — it satisfies the
 :class:`~repro.core.subsystem.OverflowStore` protocol.
 """
 
@@ -27,8 +27,8 @@ KeyLike = Union[int, TernaryKey]
 
 @dataclass(frozen=True)
 class TcamSearchResult:
-    """Outcome of one TCAM search (mirrors the CA-RAM SearchResult shape
-    closely enough for the subsystem's overflow protocol)."""
+    """Outcome of one TCAM search (``hit`` and ``record``, like the CA-RAM
+    SearchResult, as the overflow-store protocol asks)."""
 
     hit: bool
     index: Optional[int]
@@ -62,6 +62,7 @@ class TCAM:
         self._capacity = entries
         self._key_bits = key_bits
         self._entries: List[Optional[_TcamEntry]] = [None] * entries
+        self._count = 0
         self.stats = CamStats()
 
     @property
@@ -74,7 +75,10 @@ class TCAM:
 
     @property
     def entry_count(self) -> int:
-        return sum(1 for e in self._entries if e is not None)
+        return self._count
+
+    #: The overflow-store protocol's name for :attr:`entry_count`.
+    record_count = entry_count
 
     def _normalize(self, key: KeyLike) -> TernaryKey:
         if isinstance(key, TernaryKey):
@@ -103,10 +107,12 @@ class TCAM:
             if self._entries[index] is not None:
                 raise CapacityError(f"entry {index} already occupied")
             self._entries[index] = _TcamEntry(pattern, data)
+            self._count += 1
             return index
         for row, entry in enumerate(self._entries):
             if entry is None:
                 self._entries[row] = _TcamEntry(pattern, data)
+                self._count += 1
                 return row
         raise CapacityError("TCAM is full")
 
@@ -120,11 +126,12 @@ class TCAM:
             raise CapacityError(
                 f"{len(records)} records exceed TCAM capacity {self._capacity}"
             )
-        self._entries = [None] * self._capacity
-        for row, record in enumerate(records):
-            self._entries[row] = _TcamEntry(
-                self._normalize(record.key), record.data
-            )
+        entries = [
+            _TcamEntry(self._normalize(record.key), record.data)
+            for record in records
+        ]
+        self._entries = entries + [None] * (self._capacity - len(entries))
+        self._count = len(entries)
 
     def delete(self, key: KeyLike) -> int:
         """Remove every entry with exactly this pattern; returns how many."""
@@ -136,6 +143,7 @@ class TCAM:
                 removed += 1
         if not removed:
             raise LookupError_(f"pattern {pattern} not present")
+        self._count -= removed
         return removed
 
     # ------------------------------------------------------------------

@@ -7,11 +7,12 @@ Public surface:
 * :class:`~repro.core.config.SliceConfig` — geometry of one slice.
 * :class:`~repro.core.subsystem.SliceGroup` — the one bucket store:
   search/insert/delete, bulk load, batch lookup, scan/update over
-  horizontal or vertical slice arrangements.
+  horizontal or vertical slice arrangements, and the Section 4.3 overflow
+  area and victim store, searched through one overlay.
 * :class:`~repro.core.slice.CARAMSlice` — a one-array slice group plus RAM
   mode and cycle latency.
-* :class:`~repro.core.subsystem.CARAMSubsystem` — named slice groups,
-  overflow areas, victim TCAM, request ports.
+* :class:`~repro.core.subsystem.CARAMSubsystem` — named slice groups
+  behind request ports.
 """
 
 from repro.core.batch import BatchSearchEngine

@@ -9,9 +9,9 @@ aside for storing spilled records."
 
 :func:`compose_database` builds exactly that shape inside a
 :class:`~repro.core.subsystem.CARAMSubsystem`: a main group of slices plus
-an optional overflow store — either a dedicated CA-RAM slice (the quote
-above) or a small TCAM (Section 4.3's victim option) — searched in
-parallel with the home bucket so spilled records cost a single access.
+an optional overflow area attached to it — either a dedicated CA-RAM slice
+(the quote above) or a small TCAM (Section 4.3's victim option) — searched
+in parallel with the home bucket so spilled records cost a single access.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable, Optional
 from repro.cam.tcam import TCAM
 from repro.core.config import Arrangement, SliceConfig
 from repro.core.record import Record
-from repro.core.subsystem import CARAMSubsystem, SliceGroup
+from repro.core.subsystem import CARAMSubsystem, OverflowStore, SliceGroup
 from repro.errors import ConfigurationError
 from repro.hashing.base import HashFunction, ModuloHash
 
@@ -49,28 +49,27 @@ class ComposedDatabase:
 
     name: str
     main: SliceGroup
-    overflow: Optional[object]
+    overflow: Optional[OverflowStore]
     total_slices: int
 
     @property
     def overflow_entry_count(self) -> int:
         """Records currently held in the overflow area."""
-        if self.overflow is None:
-            return 0
-        count = getattr(self.overflow, "entry_count", None)
-        if count is not None:
-            return count
-        return self.overflow.record_count
+        return 0 if self.overflow is None else self.overflow.record_count
 
 
 def _overflow_slice_group(
-    config: SliceConfig, hash_function: HashFunction, name: str
+    config: SliceConfig,
+    hash_function: HashFunction,
+    name: str,
+    slot_priority: Optional[Callable[[Record], float]],
 ) -> SliceGroup:
     """A one-slice CA-RAM overflow area sharing the main group's geometry.
 
     The overflow slice uses the *same* hash so spilled records land near
     their home index, but with its own (much emptier) bucket space, plus
-    linear probing of its own for pathological cases.
+    linear probing of its own for pathological cases.  It keeps the main
+    group's slot priority, so its buckets stay in LPM order too.
     """
     rows = config.rows
     overflow_hash = hash_function
@@ -84,6 +83,7 @@ def _overflow_slice_group(
         slice_count=1,
         arrangement=Arrangement.VERTICAL,
         hash_function=overflow_hash,
+        slot_priority=slot_priority,
         name=f"{name}-overflow",
     )
 
@@ -129,16 +129,17 @@ def compose_database(
     subsystem.add_group(main)
     subsystem.map_port(name, name)
 
-    store: Optional[object] = None
+    store: Optional[OverflowStore] = None
     total = slice_count
     if overflow is OverflowKind.TCAM:
         store = TCAM(tcam_entries, config.record_format.key_bits)
-        subsystem.attach_overflow(name, store)
     elif overflow is OverflowKind.CA_RAM_SLICE:
-        overflow_group = _overflow_slice_group(config, hash_function, name)
-        subsystem.attach_overflow(name, overflow_group)
-        store = overflow_group
+        store = _overflow_slice_group(
+            config, hash_function, name, slot_priority
+        )
         total += 1
+    if store is not None:
+        main.attach_overflow(store)
 
     return ComposedDatabase(
         name=name, main=main, overflow=store, total_slices=total

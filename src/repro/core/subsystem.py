@@ -25,9 +25,13 @@ technique".
   descending, slot 0 matching first) decodes and re-packs its bucket.
   Reach fields only grow; ``rebuild()`` recomputes them.
 
-* :class:`CARAMSubsystem` — named groups behind request ports, with an
-  optional overflow store (e.g. a small TCAM) searched in parallel with the
-  home bucket, which pins AMAL at 1 for spilled records (Section 4.3).
+  Section 4.3's side stores belong to the group too: an attached overflow
+  area (a small TCAM or a spare slice group) and the reliability layer's
+  victim store are searched in parallel with the home bucket through one
+  overlay, scalar and columnar, so a record held there costs no extra
+  access.
+
+* :class:`CARAMSubsystem` — named groups behind request ports.
 """
 
 from __future__ import annotations
@@ -69,11 +73,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class OverflowStore(Protocol):
-    """What a victim/overflow area must support (a TCAM qualifies)."""
+    """A Section 4.3 overflow area: a small TCAM or a spare slice group.
+
+    ``search`` returns an object with ``.hit`` and ``.record``.
+    """
+
+    @property
+    def record_count(self) -> int: ...
 
     def insert(self, key: KeyInput, data: int = 0) -> object: ...
 
-    def search(self, key: object) -> object: ...
+    def delete(self, key: KeyInput) -> int: ...
+
+    def search(self, key: KeyInput, search_mask: int = 0) -> object: ...
 
 
 class SliceGroup:
@@ -138,6 +150,7 @@ class SliceGroup:
         self.stats = SearchStats()
         self.physical_row_fetches = 0
         self._reliability: Optional["ReliabilityManager"] = None
+        self._overflow: Optional[OverflowStore] = None
 
     # ------------------------------------------------------------------
     # Reliability (fault injection, ECC, graceful degradation)
@@ -378,10 +391,18 @@ class SliceGroup:
         bucket visited, however many slices are fetched in parallel).
 
         With reliability enabled the lookup retries around detected
-        corruptions (quarantining the failing bucket) and consults the
-        victim store in parallel — correct answer or raised error, never a
-        silently wrong result.
+        corruptions (quarantining the failing bucket) — correct answer or
+        raised error, never a silently wrong result.  The side stores are
+        searched in parallel (:meth:`_overlay`).
         """
+        return self._overlay(
+            self._search_guarded(key, search_mask), key, search_mask
+        )
+
+    def _search_guarded(
+        self, key: KeyInput, search_mask: int = 0
+    ) -> SearchResult:
+        """The main arrays' answer, retried around detected corruption."""
         if self._reliability is None:
             return self._search_once(key, search_mask)
         return self._reliability.guarded_search(
@@ -444,6 +465,119 @@ class SliceGroup:
             hit=False, record=None, row=None, slot=None,
             bucket_accesses=max(accesses, 1),
         )
+
+    # ------------------------------------------------------------------
+    # Side stores (Section 4.3): the overflow area and the victim store
+    # ------------------------------------------------------------------
+
+    def attach_overflow(self, store: OverflowStore) -> None:
+        """Give the group an overflow area searched with the home bucket.
+
+        While a store is attached, :meth:`insert` tries the home bucket
+        only and sends the record to the store when that bucket is full,
+        so lookups never need extended searches: "If this TCAM is accessed
+        simultaneously with the main CA-RAM, AMAL becomes 1" (Section
+        4.3).  :meth:`bulk_load` then inserts sequentially.
+        """
+        self._overflow = store
+
+    @property
+    def overflow_store(self) -> Optional[OverflowStore]:
+        """The attached overflow area, or None."""
+        return self._overflow
+
+    def _side_stores_hold_records(self) -> bool:
+        return bool(
+            (self._reliability is not None and self._reliability.victims)
+            or (self._overflow is not None and self._overflow.record_count)
+        )
+
+    def _side_answer(
+        self, result: SearchResult, key: KeyInput, search_mask: int
+    ) -> Optional[Tuple[SearchResult, bool]]:
+        """The side-store answer that replaces ``result``, and whether it
+        came from the victim store.
+
+        Each store is searched with ``search_mask | key.mask``.  A side
+        record fills a miss; with ``slot_priority`` it also replaces a
+        main hit of strictly lower priority.  The victim store is asked
+        before the overflow area, so without ``slot_priority`` a victim
+        answers a miss first.  The stores are searched in parallel with
+        the home bucket, so the answer keeps the main lookup's accounting.
+        """
+        if isinstance(key, TernaryKey):
+            value, mask = key.value, search_mask | key.mask
+        else:
+            value, mask = int(key), search_mask
+        priority = self._slot_priority
+        best = result.record if result.hit else None
+        winner = None
+        if self._reliability is not None and self._reliability.victims:
+            victim = self._reliability.best_victim(value, mask)
+            if victim is not None and (
+                best is None
+                or (priority is not None and priority(victim) > priority(best))
+            ):
+                best = victim
+                winner = (victim, True)
+        store = self._overflow
+        if (
+            store is not None
+            and store.record_count
+            and (best is None or priority is not None)
+        ):
+            side = store.search(value, mask)
+            if side.hit and (
+                best is None or priority(side.record) > priority(best)
+            ):
+                winner = (side.record, False)
+        if winner is None:
+            return None
+        record, from_victim = winner
+        if from_victim:
+            self.stats.record_victim_hit()
+        answer = SearchResult(
+            hit=True,
+            record=record,
+            row=None,
+            slot=None,
+            bucket_accesses=result.bucket_accesses,
+            multiple_matches=result.multiple_matches,
+        )
+        return answer, from_victim
+
+    def _overlay(
+        self, result: SearchResult, key: KeyInput, search_mask: int
+    ) -> SearchResult:
+        """Merge the side stores into one main-array lookup."""
+        if not self._side_stores_hold_records():
+            return result
+        side = self._side_answer(result, key, search_mask)
+        return result if side is None else side[0]
+
+    def _overlay_columnar(
+        self,
+        result_set: "BatchResultSet",
+        keys: Sequence[KeyInput],
+        search_mask: int,
+    ) -> "BatchResultSet":
+        """Columnar :meth:`_overlay`: side-store answers become per-key
+        overrides, and the ``faults`` column counts victim winners.  No
+        per-key work while neither store holds a record."""
+        if not self._side_stores_hold_records():
+            return result_set
+        import numpy as np
+
+        if self._slot_priority is None:
+            positions = np.flatnonzero(~result_set.hit).tolist()
+        else:
+            positions = range(len(result_set))
+        for i in positions:
+            side = self._side_answer(result_set.result_at(i), keys[i], search_mask)
+            if side is not None:
+                result_set.set_override(i, side[0])
+                result_set.faults[i] += side[1]
+        return result_set
 
     def lookup(self, key: KeyInput, search_mask: int = 0) -> Optional[int]:
         """Convenience: matched record's data, or None."""
@@ -545,7 +679,7 @@ class SliceGroup:
             match_processors=self._config.match_processors,
             key_bits=record_format.key_bits,
             stats=self.stats,
-            scalar_search=self.search,
+            scalar_search=self._search_guarded,
             probing=self._probing,
             access_sink=self._mirror_access_sink,
             chunk_size=self._batch_chunk_size,
@@ -570,12 +704,11 @@ class SliceGroup:
         """
         if self._batch_engine is None:
             self._batch_engine = self._build_batch_engine()
-        result_set = self._batch_engine.search_columnar(keys, search_mask)
-        if self._reliability is not None:
-            result_set = self._reliability.overlay_result_set(
-                result_set, keys, search_mask
-            )
-        return result_set
+        return self._overlay_columnar(
+            self._batch_engine.search_columnar(keys, search_mask),
+            keys,
+            search_mask,
+        )
 
     def search_batch(
         self, keys: Sequence[KeyInput], search_mask: int = 0
@@ -601,17 +734,18 @@ class SliceGroup:
         same final per-slice memory images bit for bit, same record count,
         same ``SearchStats`` — but built as one vectorized pipeline
         (Section 3.2's DMA-style database construction).  The fast path
-        requires an empty group, linear probing, and a reach field of at
-        most 64 bits; otherwise the pairs are inserted sequentially.
-        Unlike the sequential loop, the fast path is all-or-nothing: a
-        :class:`~repro.errors.CapacityError` is raised before any row is
-        written, leaving the group untouched.
+        requires an empty group, linear probing, a reach field of at most
+        64 bits and no overflow area; otherwise the pairs are inserted
+        sequentially.  Unlike the sequential loop, the fast path is
+        all-or-nothing: a :class:`~repro.errors.CapacityError` is raised
+        before any row is written, leaving the group untouched.
         """
         pairs = list(records)
         if not pairs:
             return 0
         fast = (
             self._record_count == 0
+            and self._overflow is None
             and type(self._probing) is LinearProbing
             and self._layout.aux_bits <= 64
         )
@@ -687,26 +821,31 @@ class SliceGroup:
             array.load(list(rows), 0)
         self._record_count = record_count
 
-    def insert(self, key: KeyInput, data: int = 0, allow_spill: bool = True) -> int:
+    def insert(self, key: KeyInput, data: int = 0) -> int:
         """Insert a record; returns the number of stored copies.
 
         Ternary keys with don't-care bits in hash positions are duplicated
         into every matching home bucket; each copy walks its probe sequence
         to the first bucket with a free slot and raises its home's reach.
-        With ``allow_spill=False`` the insert fails (CapacityError) instead
-        of probing past a full home bucket — the hook the subsystem uses to
-        divert overflows into a victim store.
+        With an overflow area attached only the home bucket is tried, and
+        a record whose home is full is stored once in the area instead.
         """
         record = Record.make(key, data, self._config.record_format)
         homes = self._index.indices_for_stored(record.key)
-        for home in homes:
-            self._place_copy(home, record, allow_spill)
+        placed = sum(self._place_copy(home, record) for home in homes)
+        if placed < len(homes):
+            self._overflow.insert(record.key, record.data)
+            placed += 1
         self.stats.record_insert(len(homes))
-        return len(homes)
+        return placed
 
-    def _place_copy(self, home: int, record: Record, allow_spill: bool) -> None:
+    def _place_copy(self, home: int, record: Record) -> bool:
+        """Store one copy on ``home``'s probe walk.  Returns False when an
+        overflow area is attached and the home bucket is full."""
         max_reach = self._layout.max_reach if self._layout.aux_bits else 0
-        limit = min(max_reach, self.bucket_count - 1) if allow_spill else 0
+        limit = 0 if self._overflow is not None else min(
+            max_reach, self.bucket_count - 1
+        )
         for attempt in range(limit + 1):
             bucket = self._probing.probe(
                 home, attempt, self.bucket_count, record.key.value
@@ -719,7 +858,9 @@ class SliceGroup:
                         )
                     self._raise_reach(home, attempt)
                 self._record_count += 1
-                return
+                return True
+        if self._overflow is not None:
+            return False
         raise CapacityError(
             f"no free slot within reach {limit} of bucket {home} "
             f"(load factor {self.load_factor:.2f})"
@@ -774,10 +915,11 @@ class SliceGroup:
         """Remove every stored copy of the exact key (value *and* mask).
 
         Each home's probe walk clears the first slot holding the key — one
-        row write — and leaves a hole; reach fields are not shrunk.
+        row write — and leaves a hole; reach fields are not shrunk.  An
+        attached overflow area drops its copies too.
 
         Returns the number of copies removed.  Raises
-        :class:`~repro.errors.LookupError_` when the key is absent.
+        :class:`~repro.errors.LookupError_` when neither held the key.
         """
         target = self._config.record_format.normalize_key(
             key if isinstance(key, TernaryKey) else int(key)
@@ -786,6 +928,11 @@ class SliceGroup:
             self._clear_first(home, target)
             for home in self._index.indices_for_stored(target)
         )
+        if self._overflow is not None and self._overflow.record_count:
+            try:
+                removed += self._overflow.delete(target)
+            except LookupError_:
+                pass
         if not removed:
             raise LookupError_(f"key {target} not present")
         self.stats.record_delete()
@@ -929,9 +1076,8 @@ class SliceGroup:
         for record in stored:
             # Re-place one copy per stored entry; duplicates were stored
             # explicitly, so bypass re-duplication.
-            self._place_copy(
-                self._index.index(record.key), record, allow_spill=True
-            )
+            if not self._place_copy(self._index.index(record.key), record):
+                self._overflow.insert(record.key, record.data)
 
     def clear(self) -> None:
         """Drop all records and reset counters."""
@@ -960,15 +1106,14 @@ class CARAMSubsystem:
     """A CA-RAM memory subsystem: named slice groups behind request ports.
 
     Supports the Section 3.2/4.3 composition features: several independent
-    databases, virtual ports, and an overflow store searched in parallel
-    with the home bucket (victim-TCAM style), which makes every spilled
-    record cost a single access.
+    databases, virtual ports, and per-group overflow areas
+    (:meth:`SliceGroup.attach_overflow`).  Operations route to the named
+    group.
     """
 
     def __init__(self) -> None:
         self._groups: Dict[str, SliceGroup] = {}
         self._ports: Dict[str, str] = {}
-        self._overflow: Dict[str, OverflowStore] = {}
         self.configuration: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
@@ -1003,26 +1148,23 @@ class CARAMSubsystem:
         return self._groups[self._ports[port]]
 
     def remove_group(self, name: str) -> SliceGroup:
-        """Unregister a database group (frees its name, ports, overflow).
+        """Unregister a database group (frees its name and ports).
 
         The deallocation path of the Section 3.2 class library.
         """
         if name not in self._groups:
             raise ConfigurationError(f"no group named {name!r}")
         group = self._groups.pop(name)
-        self._overflow.pop(name, None)
         for port in [p for p, g in self._ports.items() if g == name]:
             del self._ports[port]
         return group
 
     def attach_overflow(self, group: str, store: OverflowStore) -> None:
-        """Give a group a victim/overflow store searched in parallel."""
-        if group not in self._groups:
-            raise ConfigurationError(f"no group named {group!r}")
-        self._overflow[group] = store
+        """Give a group an overflow area searched in parallel."""
+        self.group(group).attach_overflow(store)
 
     def overflow_store(self, group: str) -> Optional[OverflowStore]:
-        return self._overflow.get(group)
+        return self.group(group).overflow_store
 
     def close(self) -> None:
         """Drop every group's batch engine.
@@ -1044,102 +1186,20 @@ class CARAMSubsystem:
     # ------------------------------------------------------------------
 
     def insert(self, group_name: str, key: KeyInput, data: int = 0) -> int:
-        """Insert into a group; overflows divert to the attached store.
-
-        With an overflow store, the home bucket is the *only* CA-RAM bucket
-        tried (no probing), so lookups never need extended searches.
-        """
-        group = self.group(group_name)
-        store = self._overflow.get(group_name)
-        if store is None:
-            return group.insert(key, data)
-        try:
-            return group.insert(key, data, allow_spill=False)
-        except CapacityError:
-            store.insert(key, data)
-            return 1
+        return self.group(group_name).insert(key, data)
 
     def bulk_load(self, group_name: str, records) -> int:
-        """Bulk counterpart of :meth:`insert` for a whole record set.
+        return self.group(group_name).bulk_load(records)
 
-        Without an overflow store this is the group's vectorized
-        :meth:`SliceGroup.bulk_load`.  With one, overflow diversion is
-        per-record state-dependent, so the pairs are inserted sequentially
-        through :meth:`insert` (same result, scalar speed).
-        """
-        group = self.group(group_name)
-        if self._overflow.get(group_name) is None:
-            return group.bulk_load(records)
-        return sum(
-            self.insert(group_name, key, data) for key, data in records
-        )
-
-    def search(self, group_name: str, key: KeyInput, search_mask: int = 0) -> SearchResult:
-        """Search a group and its overflow store in parallel.
-
-        The overflow store is consulted simultaneously with the home bucket
-        (Section 4.3: "If this TCAM is accessed simultaneously with the main
-        CA-RAM, AMAL becomes 1"), so a hit in either costs the same single
-        logical access.
-        """
-        group = self.group(group_name)
-        store = self._overflow.get(group_name)
-        if store is None:
-            return group.search(key, search_mask)
-        result = group.search(key, search_mask)
-        if result.hit:
-            return result
-        overflow_hit = store.search(
-            key.value if isinstance(key, TernaryKey) else key
-        )
-        hit = getattr(overflow_hit, "hit", overflow_hit is not None)
-        if hit:
-            record = getattr(overflow_hit, "record", None)
-            return SearchResult(
-                hit=True,
-                record=record,
-                row=None,
-                slot=None,
-                # Parallel access: the TCAM probe overlaps the home fetch.
-                bucket_accesses=1,
-            )
-        return result
+    def search(
+        self, group_name: str, key: KeyInput, search_mask: int = 0
+    ) -> SearchResult:
+        return self.group(group_name).search(key, search_mask)
 
     def search_batch_columnar(
         self, group_name: str, keys: Sequence[KeyInput], search_mask: int = 0
     ) -> "BatchResultSet":
-        """Columnar counterpart of :meth:`search`: vectorized group lookup,
-        with the overflow store consulted for every CA-RAM miss (the
-        parallel victim-TCAM probe, one access either way).  Overflow hits
-        are placed as per-key overrides on the returned result set, so
-        ``results()`` and ``data_values()`` both see them."""
-        group = self.group(group_name)
-        store = self._overflow.get(group_name)
-        result_set = group.search_batch_columnar(keys, search_mask)
-        if store is None:
-            return result_set
-        import numpy as np
-
-        for i in np.flatnonzero(~result_set.hit).tolist():
-            key = keys[i]
-            overflow_hit = store.search(
-                key.value if isinstance(key, TernaryKey) else key
-            )
-            hit = getattr(overflow_hit, "hit", overflow_hit is not None)
-            if hit:
-                result_set.set_override(
-                    i,
-                    SearchResult(
-                        hit=True,
-                        record=getattr(overflow_hit, "record", None),
-                        row=None,
-                        slot=None,
-                        # Parallel access: the TCAM probe overlaps the
-                        # home fetch.
-                        bucket_accesses=1,
-                    ),
-                )
-        return result_set
+        return self.group(group_name).search_batch_columnar(keys, search_mask)
 
     def search_batch(
         self, group_name: str, keys: Sequence[KeyInput], search_mask: int = 0

@@ -15,9 +15,9 @@ detect-or-correct primitive:
   bucket that **keeps its reach field**, so extended searches to records
   spilled *past* it still terminate correctly.  The bucket's former records
   are recovered from the decoded mirror's last-good copy and moved to a
-  bounded **victim store**, searched in parallel with every lookup exactly
-  like the paper's overflow TCAM (Section 4.3) — a victim hit costs no
-  extra AMAL access;
+  bounded **victim store**, which the group searches in parallel with
+  every lookup through the same overlay as its overflow area (Section
+  4.3) — a victim hit costs no extra AMAL access;
 * **scrubbing** — a background pass that rewrites correctable rows before
   errors accumulate, quarantines rows whose correctable-error count
   exceeds the policy threshold, and applies the write-read-back test that
@@ -348,7 +348,7 @@ class ReliabilityManager:
     # ------------------------------------------------------------------
 
     def guarded_search(self, key, search_mask: int, search_fn):
-        """Run one scalar lookup with retry-on-detect + victim overlay."""
+        """Run one scalar lookup with retry-on-detect."""
         self._tick(1)
         retries = 0
         while True:
@@ -364,7 +364,7 @@ class ReliabilityManager:
                         f"lookup retry budget ({self.policy.max_retries}) "
                         f"exhausted"
                     ) from exc
-        return self.overlay_result(result, key, search_mask)
+        return result
 
     def synced_mirror(self, provider):
         """Sync the mirror, quarantining any row whose decode detects an
@@ -380,10 +380,12 @@ class ReliabilityManager:
         )
 
     # ------------------------------------------------------------------
-    # Victim overlay (the parallel overflow search of Section 4.3)
+    # Victim store (searched by the owner's Section 4.3 overlay)
     # ------------------------------------------------------------------
 
-    def _best_victim(self, value: int, mask: int):
+    def best_victim(self, value: int, mask: int) -> Optional["Record"]:
+        """The victim matching ``value`` under don't-care ``mask``: the
+        first one, or the highest-priority one with a slot priority."""
         best = None
         best_priority = None
         for record in self.victims:
@@ -395,70 +397,6 @@ class ReliabilityManager:
             if best_priority is None or priority > best_priority:
                 best, best_priority = record, priority
         return best
-
-    def overlay_result(self, result, key, search_mask: int):
-        """Merge the victim store into one lookup result.
-
-        The victim store is probed in parallel with the home bucket, so a
-        victim hit costs no extra AMAL access.  With a slot-priority
-        function (LPM), the higher-priority record wins; otherwise a main
-        hit stands.
-        """
-        if not self.victims:
-            return result
-        from repro.core.key import TernaryKey
-        from repro.core.results import SearchResult
-
-        if isinstance(key, TernaryKey):
-            value = key.value
-            mask = search_mask | key.mask
-        else:
-            value = int(key)
-            mask = search_mask
-        victim = self._best_victim(value, mask)
-        if victim is None:
-            return result
-        if result.hit:
-            if self._slot_priority is None:
-                return result
-            if self._slot_priority(result.record) >= self._slot_priority(victim):
-                return result
-        self.owner.stats.record_victim_hit()
-        return SearchResult(
-            hit=True,
-            record=victim,
-            row=None,
-            slot=None,
-            bucket_accesses=result.bucket_accesses,
-            multiple_matches=result.multiple_matches,
-        )
-
-    def overlay_results(self, results: List, keys: Sequence, search_mask: int):
-        """Batch counterpart of :meth:`overlay_result` (in place)."""
-        if not self.victims:
-            return results
-        for i, result in enumerate(results):
-            results[i] = self.overlay_result(result, keys[i], search_mask)
-        return results
-
-    def overlay_result_set(self, result_set, keys: Sequence, search_mask: int):
-        """Columnar counterpart of :meth:`overlay_results`.
-
-        With an empty victim store — the common case — the result set
-        passes through untouched (no per-key work at all).  Otherwise each
-        key's materialized result is merged against the victim store and,
-        where the victim wins, written back as a per-key override; the
-        ``faults`` column counts the overlaid keys.
-        """
-        if not self.victims:
-            return result_set
-        for i in range(len(result_set)):
-            original = result_set.result_at(i)
-            merged = self.overlay_result(original, keys[i], search_mask)
-            if merged is not original:
-                result_set.set_override(i, merged)
-                result_set.faults[i] += 1
-        return result_set
 
     # ------------------------------------------------------------------
     # Batch-access fault fan-out

@@ -6,7 +6,7 @@ Layers (each its own module, composable separately):
 * :mod:`repro.serving.router` — keyspace partitioning (consistent-hash
   for point keys, prefix-range for LPM).
 * :mod:`repro.serving.replication` — the parts of a shard's failover:
-  :class:`Replica` (one physical ``CARAMSubsystem`` copy plus its
+  :class:`Replica` (one physical ``SliceGroup`` copy plus its
   circuit-breaker state), :class:`FailoverPolicy`, and deterministic
   per-replica chaos (:class:`ChaosSpec`).
 * :mod:`repro.serving.cluster` — :class:`CaramCluster`: N logical
@@ -29,7 +29,7 @@ Layers (each its own module, composable separately):
   Zipf-skewed traffic and per-request answer verification.
 """
 
-from repro.serving.cluster import CaramCluster, CaramShard, ShardSpec
+from repro.serving.cluster import CaramCluster, CaramShard
 from repro.serving.loadgen import (
     LoadReport,
     RequestStream,
@@ -53,7 +53,6 @@ from repro.serving.service import CoalescerStats, ShardedService
 __all__ = [
     "CaramCluster",
     "CaramShard",
-    "ShardSpec",
     "ShardRouter",
     "ConsistentHashRouter",
     "PrefixRangeRouter",

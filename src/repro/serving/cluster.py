@@ -1,10 +1,9 @@
 """Shard assembly: N logical shards of R replicas behind one router.
 
 :class:`CaramShard` is one logical shard: R bit-identical replicas
-(:class:`~repro.serving.replication.Replica`, R=1 by default), each a
-full :class:`~repro.core.subsystem.CARAMSubsystem` holding one database
-group — so every copy carries its own overflow store, ports, batch
-settings, and telemetry, exactly like an independent CA-RAM chip in a
+(:class:`~repro.serving.replication.Replica`, R=1 by default), each
+holding its own :class:`~repro.core.subsystem.SliceGroup` — its own
+arrays, batch engine and telemetry, like an independent CA-RAM chip in a
 multi-bank deployment.  The shard owns the circuit breaker over its
 replicas and the failover loop every lookup runs through, at every R.
 :class:`CaramCluster` composes the shards with a
@@ -40,7 +39,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -64,7 +62,7 @@ from repro.core.index import KeyInput
 from repro.core.record import RecordFormat
 from repro.core.results import SearchResult
 from repro.core.stats import SearchStats
-from repro.core.subsystem import CARAMSubsystem, SliceGroup
+from repro.core.subsystem import SliceGroup
 from repro.hashing.bit_select import BitSelectHash
 from repro.serving.replication import (
     ACTIVE,
@@ -87,29 +85,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.metrics import MetricsRegistry
     from repro.telemetry.trace import Tracer
 
-__all__ = ["ShardSpec", "CaramShard", "CaramCluster", "DEFAULT_GROUP"]
-
-#: Group name every replica's subsystem registers its database under.
-DEFAULT_GROUP = "db"
+__all__ = ["CaramShard", "CaramCluster"]
 
 #: Errors that belong to the request, not to the replica that raised
 #: them: the failover loop re-raises them at once, without a retry and
 #: without a mark against the replica.
 _CALLER_ERRORS = (KeyFormatError, ServiceOverloadError)
-
-
-@dataclass(frozen=True)
-class ShardSpec:
-    """Per-shard batch/telemetry configuration.
-
-    One spec can configure the whole cluster, or a per-shard list can mix
-    configurations (e.g. latency tracking on one hot shard only).
-    """
-
-    batch_chunk_size: Optional[int] = None
-    account_reads: bool = False
-    track_latency: bool = False
-    latency_error: Optional[float] = None
 
 
 class CaramShard:
@@ -129,22 +110,20 @@ class CaramShard:
     def __init__(
         self,
         shard_id: int,
-        subsystems: Sequence[CARAMSubsystem],
+        groups: Sequence[SliceGroup],
         policy: Optional[FailoverPolicy] = None,
         clock: Callable[[], float] = time.monotonic,
-        group_name: str = DEFAULT_GROUP,
     ) -> None:
-        if not subsystems:
+        if not groups:
             raise ConfigurationError("a shard needs at least one replica")
         self.shard_id = shard_id
-        self.group_name = group_name
         self.policy = policy if policy is not None else FailoverPolicy()
         self.clock = clock
         self.tracer: Optional["Tracer"] = None
         self.failover = FailoverStats()
         self.replicas = [
-            Replica(self, replica_id, subsystem)
-            for replica_id, subsystem in enumerate(subsystems)
+            Replica(self, replica_id, group)
+            for replica_id, group in enumerate(groups)
         ]
         self._rr = 0
         self._picks = 0
@@ -169,29 +148,23 @@ class CaramShard:
         search_mask: int = 0,
         replica: Optional[Replica] = None,
     ) -> "BatchResultSet":
-        """One replica's vectorized lookup (overflow store included) —
-        the primary's unless ``replica`` names another.  No failover: the
-        loop picks the replica and reaches this seam through
-        :meth:`Replica.call`."""
+        """One replica's vectorized lookup — the primary's unless
+        ``replica`` names another.  No failover: the loop picks the
+        replica and reaches this seam through :meth:`Replica.call`."""
         if replica is None:
             replica = self.replicas[0]
-        return replica.subsystem.search_batch_columnar(
-            self.group_name, keys, search_mask
-        )
+        return replica.group.search_batch_columnar(keys, search_mask)
 
     def bulk_load(self, records: Sequence[Tuple[KeyInput, int]]) -> int:
         """Load the same records into every replica (bit-identical
         copies); returns one replica's stored copies."""
-        stored = [
-            replica.subsystem.bulk_load(self.group_name, records)
-            for replica in self.replicas
-        ]
+        stored = [replica.group.bulk_load(records) for replica in self.replicas]
         return stored[0]
 
     def close(self) -> None:
         """Drop every replica's batch engine."""
         for replica in self.replicas:
-            replica.subsystem.close()
+            replica.group.close()
 
     def membership(self) -> Dict[str, object]:
         return {
@@ -602,7 +575,6 @@ class CaramCluster:
         shard_count: int,
         index_bits: int = 8,
         slots: int = 16,
-        specs: Optional[Sequence[ShardSpec]] = None,
         router: Optional[ShardRouter] = None,
         slot_priority: Optional[Callable] = None,
         key_bits: Optional[int] = None,
@@ -618,14 +590,11 @@ class CaramCluster:
             shard_count: number of logical shards.
             index_bits: per-shard slice index bits (rows = ``2**b``).
             slots: record slots per bucket.
-            specs: one :class:`ShardSpec` per shard (or None for
-                defaults); a single spec list entry shorter than
-                ``shard_count`` is cycled.
             router: placement policy (default: consistent hashing).
             key_bits / data_bits / ternary / slot_priority: record-format
                 overrides for non-default workloads (e.g. LPM shards).
             replication: replicas per shard.  Every replica of shard *s*
-                has the same geometry, hash, and spec, and (after
+                has the same geometry and hash, and (after
                 :meth:`load`) the same records in the same slots —
                 bit-identical by construction, which is what makes
                 failover answer-preserving.
@@ -640,8 +609,6 @@ class CaramCluster:
         data_bits = cls.DATA_BITS if data_bits is None else data_bits
         if router is None:
             router = ConsistentHashRouter(shard_count)
-        if specs is None:
-            specs = [ShardSpec()]
         record_format = RecordFormat(
             key_bits=key_bits, data_bits=data_bits, ternary=ternary
         )
@@ -654,8 +621,8 @@ class CaramCluster:
         )
         hash_lsb = min(cls.HASH_LSB, key_bits - index_bits)
 
-        def replica(spec: ShardSpec) -> CARAMSubsystem:
-            group = SliceGroup(
+        def replica() -> SliceGroup:
+            return SliceGroup(
                 config=config,
                 slice_count=1,
                 arrangement=Arrangement.VERTICAL,
@@ -664,23 +631,12 @@ class CaramCluster:
                     tuple(range(hash_lsb, hash_lsb + index_bits)),
                 ),
                 slot_priority=slot_priority,
-                name=DEFAULT_GROUP,
-                account_reads=spec.account_reads,
-                batch_chunk_size=spec.batch_chunk_size,
             )
-            if spec.track_latency:
-                group.enable_latency_tracking(spec.latency_error)
-            subsystem = CARAMSubsystem()
-            subsystem.add_group(group)
-            return subsystem
 
         shards = [
             CaramShard(
                 shard_id,
-                [
-                    replica(specs[shard_id % len(specs)])
-                    for _ in range(replication)
-                ],
+                [replica() for _ in range(replication)],
                 policy=policy,
                 clock=clock,
             )

@@ -6,7 +6,7 @@ breaker and one failover loop (both on
 :class:`~repro.serving.cluster.CaramShard`).  This module holds the parts
 that loop is made of:
 
-* :class:`Replica` — one physical copy: its own ``CARAMSubsystem``, the
+* :class:`Replica` — one physical copy: its own ``SliceGroup``, the
   breaker state the loop reads and writes (ACTIVE / EVICTED /
   PROBATION, failure streaks, counters), and the lock that keeps a retry
   or hedge from re-entering an engine an abandoned call still runs in.
@@ -44,7 +44,7 @@ from repro.core.results import SearchResult
 from repro.utils.rng import make_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.subsystem import CARAMSubsystem, SliceGroup
+    from repro.core.subsystem import SliceGroup
     from repro.serving.cluster import CaramShard
 
 __all__ = [
@@ -324,7 +324,7 @@ class Replica:
     __slots__ = (
         "shard",
         "replica_id",
-        "subsystem",
+        "group",
         "chaos",
         "state",
         "inflight",
@@ -346,11 +346,11 @@ class Replica:
         self,
         shard: "CaramShard",
         replica_id: int,
-        subsystem: "CARAMSubsystem",
+        group: "SliceGroup",
     ) -> None:
         self.shard = shard
         self.replica_id = replica_id
-        self.subsystem = subsystem
+        self.group = group
         self.chaos: Optional[ShardChaos] = None
         self.state = ACTIVE
         self.inflight = 0
@@ -375,11 +375,6 @@ class Replica:
     @property
     def shard_id(self) -> int:
         return self.shard.shard_id
-
-    @property
-    def group(self) -> "SliceGroup":
-        """This replica's database group."""
-        return self.subsystem.group(self.shard.group_name)
 
     def call(
         self, keys: Sequence[KeyInput], mask: int = 0

@@ -483,8 +483,13 @@ def _ternary_or_binary(value, mask):
 class TestEngineEquivalenceProperty:
     """Hypothesis: under any interleaving of inserts, deletes, syncs, and
     batch searches over a ternary store, the batch engine stays
-    bit-identical to the scalar path — results and stats."""
+    bit-identical to the scalar path — results and stats — with or
+    without an overflow TCAM (the columnar overlay against the scalar
+    one)."""
 
+    @pytest.mark.parametrize(
+        "overflow_entries", [0, 8], ids=["no-store", "tcam"]
+    )
     @settings(max_examples=20, deadline=None)
     @given(
         ops=st.lists(
@@ -501,8 +506,13 @@ class TestEngineEquivalenceProperty:
             max_size=30,
         )
     )
-    def test_random_interleavings(self, ops):
-        store = make_slice(index_bits=4, slots=4, ternary=True)
+    def test_random_interleavings(self, overflow_entries, ops):
+        if overflow_entries:
+            # Two two-slot buckets, so records do overflow into the TCAM.
+            store = make_slice(index_bits=1, slots=2, ternary=True)
+            store.attach_overflow(TCAM(overflow_entries, KEY_BITS))
+        else:
+            store = make_slice(index_bits=4, slots=4, ternary=True)
         live = []
         for op in ops:
             if op[0] == "insert":

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps.iplookup.caram import prefix_priority
 from repro.cam.tcam import TCAM
 from repro.core.composer import (
     ComposedDatabase,
@@ -9,9 +10,11 @@ from repro.core.composer import (
     compose_database,
 )
 from repro.core.config import Arrangement, SliceConfig
+from repro.core.key import TernaryKey
 from repro.core.record import RecordFormat
 from repro.core.subsystem import CARAMSubsystem, SliceGroup
 from repro.hashing.base import ModuloHash
+from repro.hashing.bit_select import BitSelectHash
 
 
 def make_config(index_bits=4, slots=4):
@@ -102,3 +105,67 @@ class TestOverflowBehavior:
         # All spills share home bucket 0 of the main group; the overflow
         # hash maps them to row 0 of the overflow slice.
         assert rows == {0}
+
+
+def prefix(value, length):
+    return TernaryKey.from_prefix(value, length, 16)
+
+
+class TestOverflowLpm:
+    """A longer prefix in the overflow area beats a shorter one in the
+    home bucket, scalar and batch."""
+
+    def compose_lpm(self, overflow, routes):
+        record_format = RecordFormat(key_bits=16, data_bits=8, ternary=True)
+        config = SliceConfig(
+            index_bits=2,
+            row_bits=8 + 2 * record_format.slot_bits,
+            record_format=record_format,
+            aux_bits=8,
+        )
+        sub = CARAMSubsystem()
+        compose_database(
+            sub,
+            name="db",
+            config=config,
+            slice_count=1,
+            arrangement=Arrangement.VERTICAL,
+            hash_function=BitSelectHash(16, (0, 1)),
+            overflow=overflow,
+            tcam_entries=16,
+            slot_priority=prefix_priority,
+        )
+        for key, hop in routes:
+            sub.insert("db", key, data=hop)
+        return sub
+
+    def assert_answers(self, sub, address, hop):
+        assert sub.search("db", address).data == hop
+        assert sub.search_batch("db", [address])[0].data == hop
+
+    @pytest.mark.parametrize(
+        "overflow", [OverflowKind.TCAM, OverflowKind.CA_RAM_SLICE]
+    )
+    def test_overflowed_longer_prefix_wins(self, overflow):
+        sub = self.compose_lpm(
+            overflow,
+            [(prefix(0x01, 8), 1), (prefix(0x02, 8), 2), (prefix(0x012, 12), 3)],
+        )
+        assert sub.overflow_store("db").record_count == 1
+        self.assert_answers(sub, 0x0123, 3)
+        self.assert_answers(sub, 0x0155, 1)
+
+    def test_overflow_slice_keeps_lpm_order(self):
+        """Two prefixes overflow; the slice sorts them like the home
+        bucket.  (An overflow TCAM keeps arrival order.)"""
+        sub = self.compose_lpm(
+            OverflowKind.CA_RAM_SLICE,
+            [
+                (prefix(0x02, 8), 2),
+                (prefix(0x03, 8), 4),
+                (prefix(0x01, 8), 1),
+                (prefix(0x012, 12), 3),
+            ],
+        )
+        assert sub.overflow_store("db").record_count == 2
+        self.assert_answers(sub, 0x0123, 3)

@@ -8,6 +8,7 @@ from repro.core.subsystem import CARAMSubsystem, SliceGroup
 from repro.errors import CapacityError, ConfigurationError, LookupError_
 from repro.cam.tcam import TCAM
 from repro.hashing.base import ModuloHash
+from repro.hashing.bit_select import BitSelectHash
 
 
 def make_config(index_bits=3, row_bits=128, key_bits=16, data_bits=8):
@@ -122,12 +123,17 @@ class TestOperations:
         assert group.physical_row_fetches == 0
 
     def test_insert_no_spill_raises_when_home_full(self):
+        """With an overflow area the home bucket is the only CA-RAM
+        bucket tried; once the area is full too, the insert fails."""
         group = make_group()
+        group.attach_overflow(TCAM(1, 16))
         slots = group.slots_per_bucket
-        for i in range(slots):
-            group.insert(i * 16, data=0, allow_spill=False)
+        for i in range(slots + 1):
+            group.insert(i * 16, data=0)
+        assert group.record_count == slots
+        assert group.overflow_store.entry_count == 1
         with pytest.raises(CapacityError):
-            group.insert(slots * 16, data=0, allow_spill=False)
+            group.insert((slots + 1) * 16, data=0)
 
 
 class TestSlotPriority:
@@ -218,3 +224,44 @@ class TestVictimOverflow:
         sub = self.make_subsystem()
         result = sub.search("db", 999)
         assert not result.hit
+
+
+class TestOverflowOverlay:
+    """The overflow area answers with the home bucket's rules."""
+
+    def make_subsystem(self):
+        record_format = RecordFormat(key_bits=16, data_bits=8)
+        config = SliceConfig(
+            index_bits=2,
+            row_bits=8 + 2 * record_format.slot_bits,
+            record_format=record_format,
+            aux_bits=8,
+        )
+        sub = CARAMSubsystem()
+        sub.add_group(
+            SliceGroup(
+                config, 1, Arrangement.VERTICAL, BitSelectHash(16, (0, 1)),
+                name="db",
+            )
+        )
+        sub.attach_overflow("db", TCAM(16, 16))
+        # One bucket of two slots: 0x0300 is sent to the TCAM.
+        for key in (0x0100, 0x0200, 0x0300):
+            sub.insert("db", key, data=key >> 8)
+        assert sub.overflow_store("db").entry_count == 1
+        return sub
+
+    def test_masked_lookup_reaches_overflow(self):
+        sub = self.make_subsystem()
+        assert sub.search("db", 0x0301, search_mask=1).data == 3
+        assert sub.search_batch("db", [0x0301], search_mask=1)[0].data == 3
+
+    def test_delete_reaches_overflow(self):
+        sub = self.make_subsystem()
+        group = sub.group("db")
+        assert group.delete(0x0300) == 1
+        assert sub.overflow_store("db").entry_count == 0
+        assert not sub.search("db", 0x0300).hit
+        assert group.delete(0x0100) == 1
+        with pytest.raises(LookupError_):
+            group.delete(0x0300)
