@@ -29,7 +29,7 @@ import enum
 from typing import Callable, Dict, List, Optional, Set
 
 from repro.core.composer import ComposedDatabase, OverflowKind, compose_database
-from repro.core.config import Arrangement, SliceConfig
+from repro.core.config import Arrangement, BucketGeometry, SliceConfig
 from repro.core.index import KeyInput
 from repro.core.record import Record, RecordFormat
 from repro.core.results import SearchResult
@@ -302,9 +302,6 @@ class CaRamLibrary:
         self._free.update(handle.slice_ids)
         if isinstance(handle, DatabaseHandle):
             self._subsystem.remove_group(name)
-            overflow = handle._composed.overflow
-            # A CA-RAM overflow slice group holds no pool slice id beyond
-            # those already tracked on the handle.
 
     def _check_name(self, name: str) -> None:
         if name in self._allocations:
@@ -340,12 +337,9 @@ class CaRamLibrary:
             record_format=record_format,
             timing=self._timing,
         )
-        rows = config.rows
-        buckets = (
-            rows * slice_count
-            if arrangement is Arrangement.VERTICAL
-            else rows
-        )
+        buckets = BucketGeometry(
+            arrangement, config.rows, slice_count, config.slots_per_bucket
+        ).bucket_count
         if hash_function is None:
             if buckets & (buckets - 1) == 0:
                 hash_function = MultiplicativeHash(buckets)

@@ -60,11 +60,7 @@ def _measure_amal(group: SliceGroup, prefixes: Sequence[Prefix]) -> float:
 
 
 def _mean_reach(group: SliceGroup) -> float:
-    total = 0
-    for bucket in range(group.bucket_count):
-        _, reach = group._occupants(bucket)
-        total += reach
-    return total / group.bucket_count
+    return sum(group.reach_fields()) / group.bucket_count
 
 
 def run_update_churn(

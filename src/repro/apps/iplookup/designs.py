@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.core.config import Arrangement
+from repro.core.config import Arrangement, BucketGeometry
 from repro.errors import ConfigurationError
 
 #: Stored key width: 32 ternary symbols at 2 bits each (Section 4.1:
@@ -54,9 +54,9 @@ class IpDesign:
             raise ConfigurationError(
                 f"slice_count must be positive: {self.slice_count}"
             )
-        if self.arrangement is Arrangement.VERTICAL and (
-            self.slice_count & (self.slice_count - 1)
-        ):
+        if self.bucket_count & (self.bucket_count - 1):
+            # Only a vertical stack of a non-power-of-two slice count has
+            # a bucket count bit selection cannot address.
             raise ConfigurationError(
                 "vertical arrangements need a power-of-two slice count for "
                 "bit-selection indexing"
@@ -68,34 +68,30 @@ class IpDesign:
         return self.keys_per_row * STORED_KEY_BITS
 
     @property
+    def geometry(self) -> BucketGeometry:
+        return BucketGeometry(
+            self.arrangement, 1 << self.index_bits, self.slice_count,
+            self.keys_per_row,
+        )
+
+    @property
     def bucket_count(self) -> int:
         """Logical buckets M."""
-        rows = 1 << self.index_bits
-        if self.arrangement is Arrangement.VERTICAL:
-            return rows * self.slice_count
-        return rows
+        return self.geometry.bucket_count
 
     @property
     def effective_index_bits(self) -> int:
         """Hash bits consumed, including vertical slice-select bits."""
-        bits = self.index_bits
-        count = self.slice_count
-        if self.arrangement is Arrangement.VERTICAL:
-            while count > 1:
-                bits += 1
-                count >>= 1
-        return bits
+        return self.bucket_count.bit_length() - 1
 
     @property
     def slots_per_bucket(self) -> int:
         """Logical slots S per bucket."""
-        if self.arrangement is Arrangement.VERTICAL:
-            return self.keys_per_row
-        return self.keys_per_row * self.slice_count
+        return self.geometry.slots_per_bucket
 
     @property
     def capacity_records(self) -> int:
-        return self.bucket_count * self.slots_per_bucket
+        return self.geometry.capacity_records
 
     @property
     def capacity_bits(self) -> int:

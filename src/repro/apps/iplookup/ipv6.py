@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.apps.iplookup.table_gen import FULL_TABLE_PREFIX_COUNT
 from repro.cam.cells import TCAM_6T_DYNAMIC_NODA05
-from repro.core.config import Arrangement
+from repro.core.config import Arrangement, BucketGeometry
 from repro.cost.area import ca_ram_database_area_um2, cam_database_area_um2
 from repro.cost.power import ca_ram_search_power_w, cam_search_power_w
 from repro.errors import ConfigurationError
@@ -263,21 +263,23 @@ class Ipv6Design:
         return self.keys_per_row * STORED_KEY_BITS_V6
 
     @property
+    def geometry(self) -> BucketGeometry:
+        return BucketGeometry(
+            self.arrangement, 1 << self.index_bits, self.slice_count,
+            self.keys_per_row,
+        )
+
+    @property
     def bucket_count(self) -> int:
-        rows = 1 << self.index_bits
-        if self.arrangement is Arrangement.VERTICAL:
-            return rows * self.slice_count
-        return rows
+        return self.geometry.bucket_count
 
     @property
     def slots_per_bucket(self) -> int:
-        if self.arrangement is Arrangement.VERTICAL:
-            return self.keys_per_row
-        return self.keys_per_row * self.slice_count
+        return self.geometry.slots_per_bucket
 
     @property
     def capacity_records(self) -> int:
-        return self.bucket_count * self.slots_per_bucket
+        return self.geometry.capacity_records
 
     @property
     def capacity_bits(self) -> int:
@@ -320,8 +322,9 @@ def compare_ipv6(
     if table is None:
         table = generate_ipv6_table(Ipv6Config(seed=seed))
     mapping = map_ipv6_to_buckets(table, design.index_bits)
+    geometry = design.geometry
     report = occupancy_report(
-        mapping.home, design.bucket_count, design.slots_per_bucket
+        mapping.home, geometry.bucket_count, geometry.slots_per_bucket
     )
     tcam_area = cam_database_area_um2(
         len(table), KEY_SYMBOLS_V6, TCAM_6T_DYNAMIC_NODA05
@@ -333,11 +336,7 @@ def compare_ipv6(
     ca_ram_power = ca_ram_search_power_w(
         design.row_bits,
         search_rate_hz,
-        rows_fetched=(
-            design.slice_count
-            if design.arrangement is Arrangement.HORIZONTAL
-            else 1
-        ),
+        rows_fetched=geometry.rows_fetched,
         amal=report.amal_uniform,
     )
     return Ipv6Comparison(

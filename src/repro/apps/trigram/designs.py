@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict
 
-from repro.core.config import Arrangement
+from repro.core.config import Arrangement, BucketGeometry
 from repro.errors import ConfigurationError
 
 #: Key width: "each entry has up to 16 characters, the length of a key (N)
@@ -64,21 +64,23 @@ class TrigramDesign:
         return KEYS_PER_ROW * TRIGRAM_KEY_BITS
 
     @property
+    def geometry(self) -> BucketGeometry:
+        return BucketGeometry(
+            self.arrangement, 1 << self.index_bits, self.slice_count,
+            KEYS_PER_ROW,
+        )
+
+    @property
     def bucket_count(self) -> int:
-        rows = 1 << self.index_bits
-        if self.arrangement is Arrangement.VERTICAL:
-            return rows * self.slice_count
-        return rows
+        return self.geometry.bucket_count
 
     @property
     def slots_per_bucket(self) -> int:
-        if self.arrangement is Arrangement.VERTICAL:
-            return KEYS_PER_ROW
-        return KEYS_PER_ROW * self.slice_count
+        return self.geometry.slots_per_bucket
 
     @property
     def capacity_records(self) -> int:
-        return self.bucket_count * self.slots_per_bucket
+        return self.geometry.capacity_records
 
     @property
     def capacity_bits(self) -> int:

@@ -133,6 +133,11 @@ class TCAM:
         self._entries = entries + [None] * (self._capacity - len(entries))
         self._count = len(entries)
 
+    def clear(self) -> None:
+        """Drop every entry."""
+        self._entries = [None] * self._capacity
+        self._count = 0
+
     def delete(self, key: KeyLike) -> int:
         """Remove every entry with exactly this pattern; returns how many."""
         pattern = self._normalize(key)

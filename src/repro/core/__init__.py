@@ -4,7 +4,8 @@ Public surface:
 
 * :class:`~repro.core.key.TernaryKey` / :class:`~repro.core.record.Record` /
   :class:`~repro.core.record.RecordFormat` — searchable data items.
-* :class:`~repro.core.config.SliceConfig` — geometry of one slice.
+* :class:`~repro.core.config.SliceConfig` — geometry of one slice;
+  :class:`~repro.core.config.BucketGeometry` — where a group's buckets live.
 * :class:`~repro.core.subsystem.SliceGroup` — the one bucket store:
   search/insert/delete, bulk load, batch lookup, scan/update over
   horizontal or vertical slice arrangements, and the Section 4.3 overflow
@@ -17,7 +18,7 @@ Public surface:
 
 from repro.core.batch import BatchSearchEngine
 from repro.core.composer import ComposedDatabase, OverflowKind, compose_database
-from repro.core.config import Arrangement, SliceConfig
+from repro.core.config import Arrangement, BucketGeometry, SliceConfig
 from repro.core.index import IndexGenerator
 from repro.core.key import TernaryKey
 from repro.core.match import MatchProcessor, MatchResult
@@ -32,6 +33,7 @@ from repro.core.subsystem import CARAMSubsystem, SliceGroup
 __all__ = [
     "Arrangement",
     "BatchSearchEngine",
+    "BucketGeometry",
     "ComposedDatabase",
     "OverflowKind",
     "compose_database",

@@ -71,7 +71,7 @@ MIN_CHUNK_SIZE = 256
 #: default keeps peak memory flat as rows get wider.
 _CHUNK_ELEMENT_BUDGET = 1 << 19
 
-#: Fixed per-key columnar output words (hit/row/slot/accesses/passes
+#: Fixed per-key columnar output words (hit/row/slot/accesses
 #: columns), charged against the chunk element budget alongside the
 #: gathered match intermediates.
 _COLUMNAR_FIELD_WORDS = 4
@@ -415,7 +415,6 @@ class BatchSearchEngine:
                 self._stats.record_match_passes(int(passes.sum()))
                 if self._access_sink is not None:
                     self._access_sink(chunk_homes)
-                rs.match_passes[chunk] = passes
                 # Stage 3 trigger: a home miss with nonzero reach means
                 # records may have spilled along the probe sequence.
                 probe_needed = ~hit & (mirror.reach[chunk_homes] > 0)
@@ -511,9 +510,6 @@ class BatchSearchEngine:
             self._stats.record_match_passes(int(passes.sum()))
             if self._access_sink is not None:
                 self._access_sink(rows)
-            # Each still-alive key is distinct, so plain fancy-index
-            # addition accumulates its walk passes exactly once.
-            rs.match_passes[key_idx[alive]] += passes
             accesses = attempt + 1  # the home fetch plus this walk
             hit_positions = np.flatnonzero(hit)
             if hit_positions.size:

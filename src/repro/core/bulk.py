@@ -45,6 +45,7 @@ import numpy as np
 
 from repro.errors import CapacityError
 from repro.core.bucket import BucketLayout
+from repro.core.config import BucketGeometry
 from repro.core.index import IndexGenerator
 from repro.core.record import KeyLike, Record, RecordFormat
 from repro.hashing.analysis import simulate_linear_probing
@@ -311,30 +312,25 @@ def _encode_array_rows(
 def build_bulk_image(
     pairs: Iterable[Tuple[KeyLike, int]],
     *,
-    record_format: RecordFormat,
     layout: BucketLayout,
+    geometry: BucketGeometry,
     index_generator: IndexGenerator,
-    bucket_count: int,
-    slots_per_bucket: int,
     reach_limit: int,
     slot_priority: Optional[Callable[[Record], float]] = None,
-    slice_count: int = 1,
-    rows_per_slice: Optional[int] = None,
-    horizontal: bool = False,
     tracer: Optional["Tracer"] = None,
 ) -> BulkImage:
     """Plan and encode a whole database build in one vectorized pass.
 
     Args:
-        slice_count / rows_per_slice / horizontal: the physical arrangement
-            of the logical bucket space — a single slice is the vertical
-            case with ``slice_count=1``.  Horizontal groups carry the aux
-            (reach) field in slice 0's rows only, matching the scalar
-            ``_write_occupants`` convention.
+        layout: one slice row's bit layout (and the record format).
+        geometry: where each logical bucket lives; only rows that
+            :meth:`~repro.core.config.BucketGeometry.holds_reach` get the
+            reach field, as in the scalar ``_write_occupants``.
         tracer: optional structured-event tracer (the ``bulk_plan`` event).
     """
-    if rows_per_slice is None:
-        rows_per_slice = bucket_count
+    record_format = layout.record_format
+    bucket_count = geometry.bucket_count
+    slots_per_bucket = geometry.slots_per_bucket
     with profile("bulk.plan"):
         plan = plan_bulk_build(
             pairs,
@@ -349,28 +345,21 @@ def build_bulk_image(
     with profile("bulk.encode"):
         slot_bits = encode_slot_bits(plan, record_format)
 
-        slots_per_slice = layout.slots_per_bucket
-        if horizontal:
-            array_id = plan.copy_slot // slots_per_slice
-            phys_row = plan.copy_bucket
-            phys_slot = plan.copy_slot % slots_per_slice
-        else:
-            array_id = plan.copy_bucket // rows_per_slice
-            phys_row = plan.copy_bucket % rows_per_slice
-            phys_slot = plan.copy_slot
-
+        array_id, phys_row, phys_slot = geometry.place(
+            plan.copy_bucket, plan.copy_slot
+        )
+        all_rows = np.arange(geometry.rows)
         array_rows: List[List[int]] = []
-        for s in range(slice_count):
-            if horizontal:
-                aux_values = plan.reach if s == 0 else None
-            else:
-                aux_values = plan.reach[
-                    s * rows_per_slice : (s + 1) * rows_per_slice
-                ]
+        for s in range(geometry.slices):
+            aux_values = (
+                plan.reach[geometry.bucket_of(s, all_rows)]
+                if geometry.holds_reach(s)
+                else None
+            )
             selected = array_id == s
             array_rows.append(
                 _encode_array_rows(
-                    rows_per_slice,
+                    geometry.rows,
                     layout,
                     aux_values,
                     phys_row[selected],

@@ -7,14 +7,15 @@ auxiliary-field width, backing-store technology, and probing policy.
 
 :class:`SliceConfig` validates the combination and derives the quantities
 the tables report: slots per bucket ``S``, capacity ``M*S``, and the load
-factor for a given record count.
+factor for a given record count.  :class:`BucketGeometry` says where the
+buckets of a group of such slices live (Section 3.2).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.core.bucket import BucketLayout
@@ -36,6 +37,99 @@ class Arrangement(enum.Enum):
 
     HORIZONTAL = "horizontal"
     VERTICAL = "vertical"
+
+
+@dataclass(frozen=True)
+class BucketGeometry:
+    """Where each logical bucket of a slice group lives (Section 3.2).
+
+    The one place that branches on :class:`Arrangement`.  Buckets,
+    slots and rows are numbered from 0; every ``(slice, row)`` list is
+    in slot order, and a bucket's first row holds its reach field.
+
+    * VERTICAL — the row spaces concatenate: bucket ``b`` is row
+      ``b % rows`` of slice ``b // rows``, one slice wide.
+    * HORIZONTAL — bucket ``b`` is row ``b`` of every slice, fetched in
+      parallel, its slots concatenated in slice order.
+
+    Attributes:
+        arrangement: how the slices combine.
+        rows: rows per slice (``2**R``).
+        slices: number of slices ``k``.
+        slots: record slots per row of one slice.
+    """
+
+    arrangement: Arrangement
+    rows: int
+    slices: int
+    slots: int
+
+    def __post_init__(self) -> None:
+        if self.slices <= 0:
+            raise ConfigurationError(
+                f"slice_count must be positive: {self.slices}"
+            )
+
+    @property
+    def _wide(self) -> bool:
+        return self.arrangement is Arrangement.HORIZONTAL
+
+    @property
+    def bucket_count(self) -> int:
+        """Logical buckets ``M``: rows stack vertically, merge horizontally."""
+        return self.rows if self._wide else self.rows * self.slices
+
+    @property
+    def slots_per_bucket(self) -> int:
+        """Logical slots ``S`` per bucket."""
+        return self.slots * self.slices if self._wide else self.slots
+
+    @property
+    def capacity_records(self) -> int:
+        """``M * S``: every slot of every slice, whatever the arrangement."""
+        return self.rows * self.slices * self.slots
+
+    @property
+    def rows_fetched(self) -> int:
+        """Physical rows fetched by one logical bucket access."""
+        return self.slices if self._wide else 1
+
+    def rows_of(self, bucket: int) -> List[Tuple[int, int]]:
+        """The ``(slice, row)`` pairs composing one bucket, in slot order."""
+        if not 0 <= bucket < self.bucket_count:
+            raise ConfigurationError(
+                f"bucket {bucket} out of range [0, {self.bucket_count})"
+            )
+        if self._wide:
+            return [(s, bucket) for s in range(self.slices)]
+        return [(bucket // self.rows, bucket % self.rows)]
+
+    def bucket_of(self, slice_id: int, row):
+        """The bucket a physical row belongs to (``row`` may be an array)."""
+        return row if self._wide else slice_id * self.rows + row
+
+    def slot_offset(self, slice_id: int) -> int:
+        """The bucket slot at which slice ``slice_id``'s row begins."""
+        return slice_id * self.slots if self._wide else 0
+
+    def holds_reach(self, slice_id: int) -> bool:
+        """Whether the rows of slice ``slice_id`` carry a reach field."""
+        return slice_id == 0 or not self._wide
+
+    def place(self, buckets, slots):
+        """Array form of the slot placement: logical ``(bucket, slot)``
+        arrays to physical ``(slice, row, slot)`` arrays."""
+        if self._wide:
+            return slots // self.slots, buckets, slots % self.slots
+        return buckets // self.rows, buckets % self.rows, slots
+
+    def rows_by_slice(self, buckets) -> List:
+        """Array form of :meth:`rows_of` for a batch of bucket fetches:
+        per slice, the rows those fetches read from it, in fetch order."""
+        if self._wide:
+            return [buckets] * self.slices
+        owner = buckets // self.rows
+        return [buckets[owner == s] % self.rows for s in range(self.slices)]
 
 
 @dataclass(frozen=True)
@@ -149,6 +243,7 @@ def prototype_key_supported(key_bits: int) -> bool:
 
 __all__ = [
     "Arrangement",
+    "BucketGeometry",
     "SliceConfig",
     "PROTOTYPE_KEY_BYTES",
     "prototype_key_supported",

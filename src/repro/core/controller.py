@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Deque, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.core.config import Arrangement
 from repro.core.index import KeyInput
 from repro.core.results import SearchResult
 from repro.core.subsystem import CARAMSubsystem, SliceGroup
@@ -150,10 +149,9 @@ class ThroughputSimulator:
 
     * one request dispatches per clock cycle (the request port);
     * a lookup makes ``accesses`` back-to-back bucket accesses, each holding
-      the owning slice for ``n_mem`` cycles;
-    * VERTICAL groups route each access to the slice that owns the bucket,
-      so independent lookups overlap across slices; HORIZONTAL groups hold
-      every slice for the duration of each access (they all fetch the row).
+      the slices that hold the bucket (``geometry.rows_of``) for ``n_mem``
+      cycles — one slice in a VERTICAL group, so independent lookups
+      overlap across slices; every slice in a HORIZONTAL group.
     """
 
     def __init__(self, group: SliceGroup) -> None:
@@ -168,39 +166,30 @@ class ThroughputSimulator:
                 for the common no-overflow case, or the per-record AMAL
                 contribution from the analysis layer).
         """
-        group = self._group
+        geometry = self._group.geometry
         n_mem = self._timing.cycle_between_accesses
-        slice_count = group.slice_count
-        slice_free = [0] * slice_count
-        busy = [0] * slice_count
+        slice_free = [0] * geometry.slices
+        busy = [0] * geometry.slices
         finish = 0
 
         for i, (bucket, accesses) in enumerate(lookups):
             if accesses <= 0:
                 raise ConfigurationError("accesses must be positive")
             arrival = i  # one dispatch per cycle
-            if group.arrangement is Arrangement.VERTICAL:
-                owner = bucket // group.config.rows
-                start = max(arrival, slice_free[owner])
-                hold = accesses * n_mem
-                slice_free[owner] = start + hold
-                busy[owner] += hold
-                finish = max(finish, start + hold)
-            else:
-                start = max(arrival, max(slice_free))
-                hold = accesses * n_mem
-                for s in range(slice_count):
-                    slice_free[s] = start + hold
-                    busy[s] += hold
-                finish = max(finish, start + hold)
+            held = [s for s, _ in geometry.rows_of(bucket)]
+            start = max([arrival] + [slice_free[s] for s in held])
+            hold = accesses * n_mem
+            for s in held:
+                slice_free[s] = start + hold
+                busy[s] += hold
+            finish = max(finish, start + hold)
 
         cycles = max(finish, len(lookups))
         per_cycle = len(lookups) / cycles if cycles else 0.0
-        effective_slices = (
-            slice_count if group.arrangement is Arrangement.VERTICAL else 1
-        )
+        # Buckets the slices can serve at once.
+        independent = geometry.slices // geometry.rows_fetched
         theoretical = min(
-            effective_slices / n_mem * self._timing.clock_hz,
+            independent / n_mem * self._timing.clock_hz,
             self._timing.clock_hz,  # the 1-per-cycle dispatch port
         )
         return ThroughputReport(

@@ -7,8 +7,7 @@ high-hit-rate stream that per-hit Python allocation is the throughput
 bound of the whole batch path.  :class:`BatchResultSet` is the columnar
 alternative the vectorized engine produces natively: parallel NumPy
 columns (hit mask, winning row/slot, per-key bucket accesses, the
-multiple-match flag, per-key match-pass and reliability-fault counters)
-with **zero per-key Python objects** on the hot path.
+multiple-match flag) with **zero per-key Python objects** on the hot path.
 
 Materialization is lazy and exact: :meth:`results` builds the very
 ``SearchResult`` list today's callers receive — same records (the same
@@ -17,13 +16,13 @@ access counts, and flags — so ``search_batch`` is now a thin wrapper over
 ``search_batch_columnar(...).results()``.  Columnar-native consumers
 (:func:`~repro.apps.iplookup.caram.lpm_search_batch`,
 :func:`~repro.apps.trigram.caram.trigram_lookup_batch`) skip the object
-layer entirely via :meth:`data_values` / :meth:`value_words`, which read
-the mirror's packed ``data_words`` grid instead of ``Record`` attributes.
+layer entirely via :meth:`data_values`, which reads the mirror's packed
+``data_words`` grid instead of ``Record`` attributes.
 
 Coherence: a result set snapshots its mirror's ``version`` stamp at
 creation; materializing after the mirror re-decoded (a write slipped in
 between the batch and the gather) raises instead of silently pairing
-stale coordinates with fresh content.  Reliability overlays and
+stale coordinates with fresh content.  Side-store answers and
 scalar-fallback keys are carried as sparse per-key *overrides*
 (:meth:`set_override`) layered over the columns, keeping the array form
 and the materialized form consistent.
@@ -80,10 +79,6 @@ class BatchResultSet:
         bucket_accesses: int64 — row fetches the lookup performed (the
             per-key AMAL contribution).
         multiple_matches: bool — several slots matched in the winning row.
-        match_passes: int64 — pipelined match passes spent on this key.
-        faults: int64 — reliability interventions overlaid on this key
-            (victim-store hits / quarantine overlays); all zero without a
-            reliability manager.
     """
 
     __slots__ = (
@@ -92,8 +87,6 @@ class BatchResultSet:
         "slot",
         "bucket_accesses",
         "multiple_matches",
-        "match_passes",
-        "faults",
         "_mirror",
         "_version",
         "_overrides",
@@ -108,8 +101,6 @@ class BatchResultSet:
         self.slot = np.full(size, -1, dtype=np.int64)
         self.bucket_accesses = np.ones(size, dtype=np.int64)
         self.multiple_matches = np.zeros(size, dtype=bool)
-        self.match_passes = np.zeros(size, dtype=np.int64)
-        self.faults = np.zeros(size, dtype=np.int64)
         self._mirror = mirror
         self._version = getattr(mirror, "version", 0)
         self._overrides: Dict[int, object] = {}
@@ -118,19 +109,8 @@ class BatchResultSet:
     def __len__(self) -> int:
         return self._size
 
-    @property
-    def hits(self) -> int:
-        """Number of keys that matched."""
-        return int(self.hit.sum())
-
-    @property
-    def overrides(self) -> Dict[int, object]:
-        """Sparse per-key ``SearchResult`` overrides (scalar fallbacks and
-        reliability overlays), keyed by key position."""
-        return self._overrides
-
     # ------------------------------------------------------------------
-    # Overrides (scalar fallbacks, reliability overlays)
+    # Overrides (scalar fallbacks, side-store answers)
     # ------------------------------------------------------------------
 
     def set_override(self, index: int, result) -> None:
@@ -256,35 +236,6 @@ class BatchResultSet:
     # ------------------------------------------------------------------
     # Columnar value access (no Record objects)
     # ------------------------------------------------------------------
-
-    def value_words(self) -> np.ndarray:
-        """Matched data payloads as a ``(n, data_word_count)`` uint64 matrix.
-
-        Gathered straight from the mirror's packed ``data_words`` grid —
-        miss rows (and override rows, which carry no mirror coordinates)
-        are all-zero; use :attr:`hit` to distinguish a miss from a stored
-        zero.
-        """
-        mirror = self._mirror
-        width = getattr(mirror, "data_word_count", 0) if mirror else 0
-        out = np.zeros((self._size, width), dtype=np.uint64)
-        hit_positions = np.flatnonzero(self.hit)
-        if width and hit_positions.size:
-            self._check_version()
-            if self._overrides:
-                keep = np.fromiter(
-                    (
-                        int(i) not in self._overrides
-                        for i in hit_positions
-                    ),
-                    dtype=bool,
-                    count=hit_positions.size,
-                )
-                hit_positions = hit_positions[keep]
-            out[hit_positions] = mirror.data_words[
-                self.row[hit_positions], self.slot[hit_positions]
-            ]
-        return out
 
     def data_values(self) -> List[Optional[int]]:
         """Per-key matched data (``result.data`` parity): int on a hit,

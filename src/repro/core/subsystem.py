@@ -36,7 +36,6 @@ technique".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -50,7 +49,7 @@ from typing import (
 )
 
 from repro.errors import CapacityError, ConfigurationError, LookupError_
-from repro.core.config import Arrangement, SliceConfig
+from repro.core.config import Arrangement, BucketGeometry, SliceConfig
 from repro.core.index import IndexGenerator, KeyInput
 from repro.core.key import TernaryKey
 from repro.core.match import MatchProcessor
@@ -87,6 +86,8 @@ class OverflowStore(Protocol):
 
     def search(self, key: KeyInput, search_mask: int = 0) -> object: ...
 
+    def clear(self) -> None: ...
+
 
 class SliceGroup:
     """One database built from ``slice_count`` identical slices.
@@ -121,11 +122,10 @@ class SliceGroup:
         account_reads: bool = False,
         batch_chunk_size: Optional[int] = None,
     ) -> None:
-        if slice_count <= 0:
-            raise ConfigurationError(f"slice_count must be positive: {slice_count}")
         self._config = config
-        self._count = slice_count
-        self._arrangement = arrangement
+        self._geometry = BucketGeometry(
+            arrangement, config.rows, slice_count, config.slots_per_bucket
+        )
         self._layout = config.layout
         self._probing = probing if probing is not None else LinearProbing()
         self._slot_priority = slot_priority
@@ -184,7 +184,7 @@ class SliceGroup:
             self.disable_reliability()
         if policy is None:
             policy = ReliabilityPolicy()
-        self._reliability = ReliabilityManager.for_group(self, policy, faults)
+        self._reliability = ReliabilityManager(self, policy, faults)
         return self._reliability
 
     def disable_reliability(self) -> None:
@@ -285,12 +285,17 @@ class SliceGroup:
         return self._config
 
     @property
+    def geometry(self) -> BucketGeometry:
+        """Where each logical bucket lives across the slices."""
+        return self._geometry
+
+    @property
     def slice_count(self) -> int:
-        return self._count
+        return self._geometry.slices
 
     @property
     def arrangement(self) -> Arrangement:
-        return self._arrangement
+        return self._geometry.arrangement
 
     @property
     def index_generator(self) -> IndexGenerator:
@@ -298,21 +303,17 @@ class SliceGroup:
 
     @property
     def bucket_count(self) -> int:
-        """Logical buckets ``M``: rows stack vertically, merge horizontally."""
-        if self._arrangement is Arrangement.VERTICAL:
-            return self._config.rows * self._count
-        return self._config.rows
+        """Logical buckets ``M``."""
+        return self._geometry.bucket_count
 
     @property
     def slots_per_bucket(self) -> int:
         """Logical slots ``S`` per bucket."""
-        if self._arrangement is Arrangement.VERTICAL:
-            return self._config.slots_per_bucket
-        return self._config.slots_per_bucket * self._count
+        return self._geometry.slots_per_bucket
 
     @property
     def capacity_records(self) -> int:
-        return self.bucket_count * self.slots_per_bucket
+        return self._geometry.capacity_records
 
     @property
     def record_count(self) -> int:
@@ -325,21 +326,11 @@ class SliceGroup:
     @property
     def rows_fetched_per_access(self) -> int:
         """Physical row fetches behind one logical bucket access."""
-        return self._count if self._arrangement is Arrangement.HORIZONTAL else 1
+        return self._geometry.rows_fetched
 
     # ------------------------------------------------------------------
     # Bucket store
     # ------------------------------------------------------------------
-
-    def _bucket_rows(self, bucket: int) -> List[Tuple[int, int]]:
-        """Physical (slice, row) pairs composing one logical bucket."""
-        if not 0 <= bucket < self.bucket_count:
-            raise ConfigurationError(
-                f"bucket {bucket} out of range [0, {self.bucket_count})"
-            )
-        if self._arrangement is Arrangement.VERTICAL:
-            return [(bucket // self._config.rows, bucket % self._config.rows)]
-        return [(s, bucket) for s in range(self._count)]
 
     def _read_bucket(self, bucket: int) -> Tuple[List[Tuple[bool, Record]], int]:
         """Fetch a logical bucket: (candidates slot-ordered, reach).
@@ -348,7 +339,7 @@ class SliceGroup:
         """
         candidates: List[Tuple[bool, Record]] = []
         reach = 0
-        for i, (slice_id, row) in enumerate(self._bucket_rows(bucket)):
+        for i, (slice_id, row) in enumerate(self._geometry.rows_of(bucket)):
             row_value = self._arrays[slice_id].read_row(row)
             self.physical_row_fetches += 1
             if i == 0:
@@ -360,7 +351,7 @@ class SliceGroup:
         """Decode a bucket's valid records (no access accounting)."""
         records: List[Record] = []
         reach = 0
-        for i, (slice_id, row) in enumerate(self._bucket_rows(bucket)):
+        for i, (slice_id, row) in enumerate(self._geometry.rows_of(bucket)):
             row_value = self._arrays[slice_id].verified_peek_row(row)
             if i == 0:
                 reach = self._layout.read_aux(row_value)
@@ -370,15 +361,17 @@ class SliceGroup:
         return records, reach
 
     def _write_occupants(self, bucket: int, records: List[Record], reach: int) -> None:
-        """Re-pack a logical bucket from a record list (slot 0 first)."""
-        if len(records) > self.slots_per_bucket:
+        """Re-pack a logical bucket from a record list (slot 0 first) —
+        the one bucket writer, shared with the reliability layer."""
+        geometry = self._geometry
+        if len(records) > geometry.slots_per_bucket:
             raise CapacityError(
                 f"{len(records)} records exceed bucket capacity "
-                f"{self.slots_per_bucket}"
+                f"{geometry.slots_per_bucket}"
             )
-        per_slice = self._config.slots_per_bucket
-        for i, (slice_id, row) in enumerate(self._bucket_rows(bucket)):
-            chunk = records[i * per_slice : (i + 1) * per_slice]
+        for i, (slice_id, row) in enumerate(geometry.rows_of(bucket)):
+            first = geometry.slot_offset(slice_id)
+            chunk = records[first : first + geometry.slots]
             row_value = self._layout.pack(chunk, reach if i == 0 else 0)
             self._arrays[slice_id].write_row(row, row_value)
 
@@ -494,9 +487,8 @@ class SliceGroup:
 
     def _side_answer(
         self, result: SearchResult, key: KeyInput, search_mask: int
-    ) -> Optional[Tuple[SearchResult, bool]]:
-        """The side-store answer that replaces ``result``, and whether it
-        came from the victim store.
+    ) -> Optional[SearchResult]:
+        """The side-store answer that replaces ``result``, or None.
 
         Each store is searched with ``search_mask | key.mask``.  A side
         record fills a miss; with ``slot_priority`` it also replaces a
@@ -536,7 +528,7 @@ class SliceGroup:
         record, from_victim = winner
         if from_victim:
             self.stats.record_victim_hit()
-        answer = SearchResult(
+        return SearchResult(
             hit=True,
             record=record,
             row=None,
@@ -544,7 +536,6 @@ class SliceGroup:
             bucket_accesses=result.bucket_accesses,
             multiple_matches=result.multiple_matches,
         )
-        return answer, from_victim
 
     def _overlay(
         self, result: SearchResult, key: KeyInput, search_mask: int
@@ -553,7 +544,7 @@ class SliceGroup:
         if not self._side_stores_hold_records():
             return result
         side = self._side_answer(result, key, search_mask)
-        return result if side is None else side[0]
+        return result if side is None else side
 
     def _overlay_columnar(
         self,
@@ -562,8 +553,7 @@ class SliceGroup:
         search_mask: int,
     ) -> "BatchResultSet":
         """Columnar :meth:`_overlay`: side-store answers become per-key
-        overrides, and the ``faults`` column counts victim winners.  No
-        per-key work while neither store holds a record."""
+        overrides.  No per-key work while neither store holds a record."""
         if not self._side_stores_hold_records():
             return result_set
         import numpy as np
@@ -575,8 +565,7 @@ class SliceGroup:
         for i in positions:
             side = self._side_answer(result_set.result_at(i), keys[i], search_mask)
             if side is not None:
-                result_set.set_override(i, side[0])
-                result_set.faults[i] += side[1]
+                result_set.set_override(i, side)
         return result_set
 
     def lookup(self, key: KeyInput, search_mask: int = 0) -> Optional[int]:
@@ -608,17 +597,12 @@ class SliceGroup:
         """Build the decoded mirror over every slice of the group."""
         from repro.memory.mirror import DecodedMirror
 
-        horizontal = self._arrangement is Arrangement.HORIZONTAL
-        return DecodedMirror(self._arrays, self._layout, horizontal=horizontal)
+        return DecodedMirror(self._arrays, self._layout, self._geometry)
 
     def _synced_mirror(self) -> "DecodedMirror":
-        """Decoded mirror over the whole group's logical bucket space.
-
-        Horizontal arrangements mirror each row's slices as concatenated
-        slot columns; vertical arrangements concatenate the row spaces —
-        either way logical bucket ``b`` of the mirror is logical bucket
-        ``b`` of the scalar path.
-        """
+        """Decoded mirror over the whole group's logical bucket space:
+        logical bucket ``b`` of the mirror is logical bucket ``b`` of the
+        scalar path (both read :attr:`geometry`)."""
         if self._mirror is None:
             self._mirror = self._make_mirror()
         self._mirror.sync()
@@ -636,31 +620,20 @@ class SliceGroup:
 
         Always advances :attr:`physical_row_fetches` (one logical access is
         ``rows_fetched_per_access`` physical fetches); with
-        ``account_reads`` it also charges the per-slice read counters —
-        horizontal groups fetch every slice per bucket, vertical groups
-        fetch only the slice owning each bucket.  With reliability enabled,
-        each served fetch also samples access-time soft errors into the
-        physical rows.
+        ``account_reads`` it also charges each slice the rows
+        :meth:`BucketGeometry.rows_by_slice` says it served.  With
+        reliability enabled, each served fetch also samples access-time
+        soft errors into the physical rows.
         """
-        import numpy as np
-
         if self._reliability is not None:
             self._reliability.on_batch_access(buckets)
-        count = len(buckets)
-        self.physical_row_fetches += count * self.rows_fetched_per_access
-        if not self.account_reads:
-            return
-        if self._arrangement is Arrangement.HORIZONTAL:
-            for array in self._arrays:
-                array.charge_reads(count)
-        else:
-            per_slice = np.bincount(
-                np.asarray(buckets, dtype=np.int64) // self._config.rows,
-                minlength=self._count,
-            )
-            for array, reads in zip(self._arrays, per_slice.tolist()):
-                if reads:
-                    array.charge_reads(int(reads))
+        self.physical_row_fetches += len(buckets) * self._geometry.rows_fetched
+        if self.account_reads:
+            for array, rows in zip(
+                self._arrays, self._geometry.rows_by_slice(buckets)
+            ):
+                if len(rows):
+                    array.charge_reads(len(rows))
 
     @property
     def batch_engine(self) -> Optional["BatchSearchEngine"]:
@@ -754,19 +727,13 @@ class SliceGroup:
         from repro.core.bulk import build_bulk_image
 
         max_reach = self._layout.max_reach if self._layout.aux_bits else 0
-        horizontal = self._arrangement is Arrangement.HORIZONTAL
         image = build_bulk_image(
             pairs,
-            record_format=self._config.record_format,
             layout=self._layout,
+            geometry=self._geometry,
             index_generator=self._index,
-            bucket_count=self.bucket_count,
-            slots_per_bucket=self.slots_per_bucket,
             reach_limit=min(max_reach, self.bucket_count - 1),
             slot_priority=self._slot_priority,
-            slice_count=self._count,
-            rows_per_slice=self._config.rows,
-            horizontal=horizontal,
             tracer=self.stats.tracer,
         )
         self._last_bulk_plan = image.plan
@@ -802,9 +769,10 @@ class SliceGroup:
         incoming occupant total; when omitted it is recovered by scanning
         the images' valid bits.
         """
-        if len(slice_rows) != self._count:
+        if len(slice_rows) != self.slice_count:
             raise ConfigurationError(
-                f"expected {self._count} slice images, got {len(slice_rows)}"
+                f"expected {self.slice_count} slice images, "
+                f"got {len(slice_rows)}"
             )
         for rows in slice_rows:
             if len(rows) != self._config.rows:
@@ -829,19 +797,32 @@ class SliceGroup:
         to the first bucket with a free slot and raises its home's reach.
         With an overflow area attached only the home bucket is tried, and
         a record whose home is full is stored once in the area instead.
+
+        All or nothing: when a copy cannot be stored,
+        :class:`~repro.errors.CapacityError` is raised with this call's
+        copies removed again (reach fields it raised stay raised).
         """
         record = Record.make(key, data, self._config.record_format)
         homes = self._index.indices_for_stored(record.key)
-        placed = sum(self._place_copy(home, record) for home in homes)
-        if placed < len(homes):
-            self._overflow.insert(record.key, record.data)
-            placed += 1
+        buckets: List[int] = []  # where this call's copies went
+        try:
+            for home in homes:
+                bucket = self._place_copy(home, record)
+                if bucket is not None:
+                    buckets.append(bucket)
+            spilled = len(buckets) < len(homes)
+            if spilled:
+                self._overflow.insert(record.key, record.data)
+        except CapacityError:
+            for bucket in buckets:
+                self._clear_slot(bucket, lambda stored: stored == record)
+            raise
         self.stats.record_insert(len(homes))
-        return placed
+        return len(buckets) + spilled
 
-    def _place_copy(self, home: int, record: Record) -> bool:
-        """Store one copy on ``home``'s probe walk.  Returns False when an
-        overflow area is attached and the home bucket is full."""
+    def _place_copy(self, home: int, record: Record) -> Optional[int]:
+        """Store one copy on ``home``'s probe walk; returns its bucket, or
+        None when an overflow area is attached and the home is full."""
         max_reach = self._layout.max_reach if self._layout.aux_bits else 0
         limit = 0 if self._overflow is not None else min(
             max_reach, self.bucket_count - 1
@@ -858,9 +839,9 @@ class SliceGroup:
                         )
                     self._raise_reach(home, attempt)
                 self._record_count += 1
-                return True
+                return bucket
         if self._overflow is not None:
-            return False
+            return None
         raise CapacityError(
             f"no free slot within reach {limit} of bucket {home} "
             f"(load factor {self.load_factor:.2f})"
@@ -876,7 +857,7 @@ class SliceGroup:
         returns the highest-priority match.
         """
         if self._slot_priority is None:
-            for slice_id, row in self._bucket_rows(bucket):
+            for slice_id, row in self._geometry.rows_of(bucket):
                 array = self._arrays[slice_id]
                 row_value = array.verified_peek_row(row)
                 free = self._layout.find_free_slot(row_value)
@@ -902,9 +883,17 @@ class SliceGroup:
     def _first_row(self, bucket: int) -> Tuple[MemoryArray, int, int]:
         """``(array, row, row_value)`` of a bucket's first physical row —
         the one holding its reach field."""
-        slice_id, row = self._bucket_rows(bucket)[0]
+        slice_id, row = self._geometry.rows_of(bucket)[0]
         array = self._arrays[slice_id]
         return array, row, array.verified_peek_row(row)
+
+    def reach_fields(self) -> List[int]:
+        """Every bucket's reach field, in bucket order, read from the row
+        holding it: no record is decoded and no access is counted."""
+        return [
+            self._layout.read_aux(self._first_row(bucket)[2])
+            for bucket in range(self.bucket_count)
+        ]
 
     def _raise_reach(self, home: int, attempt: int) -> None:
         array, row, row_value = self._first_row(home)
@@ -945,17 +934,25 @@ class SliceGroup:
             bucket = self._probing.probe(
                 home, attempt, self.bucket_count, target.value
             )
-            for slice_id, row in self._bucket_rows(bucket):
-                array = self._arrays[slice_id]
-                row_value = array.verified_peek_row(row)
-                for slot in range(self._layout.slots_per_bucket):
-                    valid, record = self._layout.read_slot(row_value, slot)
-                    if valid and record.key == target:
-                        array.write_row(
-                            row, self._layout.write_slot(row_value, slot, None)
-                        )
-                        self._record_count -= 1
-                        return True
+            if self._clear_slot(bucket, lambda record: record.key == target):
+                return True
+        return False
+
+    def _clear_slot(
+        self, bucket: int, matches: Callable[[Record], bool]
+    ) -> bool:
+        """Clear the first slot of ``bucket`` whose record ``matches``."""
+        for slice_id, row in self._geometry.rows_of(bucket):
+            array = self._arrays[slice_id]
+            row_value = array.verified_peek_row(row)
+            for slot in range(self._layout.slots_per_bucket):
+                valid, record = self._layout.read_slot(row_value, slot)
+                if valid and matches(record):
+                    array.write_row(
+                        row, self._layout.write_slot(row_value, slot, None)
+                    )
+                    self._record_count -= 1
+                    return True
         return False
 
     # ------------------------------------------------------------------
@@ -1022,14 +1019,14 @@ class SliceGroup:
         mirror = self._synced_mirror()
         match = mirror.match_predicate(search_key, search_mask)
         self._charge_sweep()
-        per_row = self._layout.slots_per_bucket
+        geometry = self._geometry
         record_format = self._config.record_format
         modified = 0
         for bucket in np.flatnonzero(match.any(axis=1)).tolist():
-            for i, (slice_id, row) in enumerate(self._bucket_rows(bucket)):
-                first = i * per_row
+            for slice_id, row in geometry.rows_of(bucket):
+                first = geometry.slot_offset(slice_id)
                 slots = np.flatnonzero(
-                    match[bucket, first : first + per_row]
+                    match[bucket, first : first + geometry.slots]
                 ).tolist()
                 if not slots:
                     continue
@@ -1076,30 +1073,20 @@ class SliceGroup:
         for record in stored:
             # Re-place one copy per stored entry; duplicates were stored
             # explicitly, so bypass re-duplication.
-            if not self._place_copy(self._index.index(record.key), record):
+            if self._place_copy(self._index.index(record.key), record) is None:
                 self._overflow.insert(record.key, record.data)
 
     def clear(self) -> None:
-        """Drop all records and reset counters."""
+        """Drop all records, the overflow area's too, and reset counters."""
         for array in self._arrays:
             array.fill(0)
+        if self._overflow is not None:
+            self._overflow.clear()
         self._record_count = 0
         self.stats.reset()
         self.physical_row_fetches = 0
         if self._reliability is not None:
             self._reliability.reset()
-
-
-@dataclass
-class PortConfig:
-    """One virtual request port: a name bound to a database group.
-
-    "each port address can be tied to a 'virtual port' mapped to a specific
-    database" (Section 3.2).
-    """
-
-    name: str
-    group: str
 
 
 class CARAMSubsystem:
@@ -1254,4 +1241,4 @@ class CARAMSubsystem:
         )
 
 
-__all__ = ["SliceGroup", "CARAMSubsystem", "PortConfig", "OverflowStore"]
+__all__ = ["SliceGroup", "CARAMSubsystem", "OverflowStore"]

@@ -64,7 +64,7 @@ def run_ip(
     ca_ram_power = ca_ram_search_power_w(
         row_bits=design.row_bits,
         search_rate_hz=search_rate,
-        rows_fetched=design.slice_count,  # horizontal: both slices fetch
+        rows_fetched=design.geometry.rows_fetched,
         amal=result.amal_uniform,
     )
     dram = DRAM_TIMING.scaled_to(paper_values.FIG8_CA_RAM_CLOCK_HZ)

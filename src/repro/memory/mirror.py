@@ -28,13 +28,10 @@ the key's width); binary formats, whose masks are all zero, keep none.  The
 comparison is an exact word-wise rendering of Figure 4(b): a slot matches
 when, in every word, ``(stored ^ search) & care & ~search_mask`` is zero.
 
-Logical-bucket composition mirrors :class:`~repro.core.subsystem.SliceGroup`:
-
-* one array, or several arranged VERTICALLY — bucket ``b`` is row
-  ``b % rows`` of array ``b // rows``; slot axis is one slice wide;
-* several arranged HORIZONTALLY — bucket ``b`` is row ``b`` of *every*
-  array, slots concatenated in slice order (slice 0 first, matching the
-  match-priority order of the scalar path).
+Logical-bucket composition is the group's
+:class:`~repro.core.config.BucketGeometry`: each array's rows land in the
+buckets and slot columns the geometry names, and only rows that hold a
+reach field write the reach column.
 """
 
 from __future__ import annotations
@@ -48,6 +45,7 @@ from repro.utils.bits import mask_of
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.bucket import BucketLayout
+    from repro.core.config import BucketGeometry
     from repro.memory.array import MemoryArray
 
 #: Width of one mirror storage word.
@@ -221,8 +219,8 @@ class DecodedMirror:
             (one for a single slice).  All must share the same geometry.
         layout: the :class:`~repro.core.bucket.BucketLayout` that gives the
             rows their bucket/record structure.
-        horizontal: True when the arrays form wider buckets (same row index
-            across all arrays); False for vertical row-space concatenation.
+        geometry: where each logical bucket lives across ``arrays``; None
+            stacks the arrays' row spaces vertically.
 
     Attributes (all kept in sync by :meth:`sync`):
         valid: ``(buckets, slots)`` bool — slot occupancy.
@@ -250,27 +248,31 @@ class DecodedMirror:
         self,
         arrays: Sequence["MemoryArray"],
         layout: "BucketLayout",
-        horizontal: bool = False,
+        geometry: Optional["BucketGeometry"] = None,
     ) -> None:
+        from repro.core.config import Arrangement, BucketGeometry
+
         if not arrays:
             raise ConfigurationError("at least one memory array is required")
-        rows = arrays[0].rows
-        for array in arrays:
-            if array.rows != rows or array.row_bits != arrays[0].row_bits:
-                raise ConfigurationError(
-                    "all mirrored arrays must share the same geometry"
-                )
+        if geometry is None:
+            geometry = BucketGeometry(
+                Arrangement.VERTICAL,
+                arrays[0].rows,
+                len(arrays),
+                layout.slots_per_bucket,
+            )
+        if len(arrays) != geometry.slices or any(
+            array.rows != geometry.rows or array.row_bits != arrays[0].row_bits
+            for array in arrays
+        ):
+            raise ConfigurationError(
+                "all mirrored arrays must share the same geometry"
+            )
         self._arrays = list(arrays)
         self._layout = layout
-        self._horizontal = horizontal
-        self._rows = rows
-        self._slice_slots = layout.slots_per_bucket
-        if horizontal:
-            self.buckets = rows
-            self.slots = self._slice_slots * len(self._arrays)
-        else:
-            self.buckets = rows * len(self._arrays)
-            self.slots = self._slice_slots
+        self._geometry = geometry
+        self.buckets = geometry.bucket_count
+        self.slots = geometry.slots_per_bucket
         key_bits = layout.record_format.key_bits
         self._key_bits = key_bits
         self._word_count = words_for_bits(key_bits)
@@ -292,7 +294,7 @@ class DecodedMirror:
             (self.buckets, self.slots, self._data_word_count), dtype=np.uint64
         )
         self.version = 0
-        self._dirty = [np.ones(rows, dtype=bool) for _ in self._arrays]
+        self._dirty = [np.ones(geometry.rows, dtype=bool) for _ in arrays]
         self._any_dirty = True
         self.sync_count = 0
         self.rows_decoded = 0
@@ -372,19 +374,11 @@ class DecodedMirror:
                     array.peek_row if guard is None else guard.verified_peek
                 )
                 row_values = [row_reader(row) for row in dirty_rows.tolist()]
-                if self._horizontal:
-                    buckets = dirty_rows
-                    slot_base = slice_id * self._slice_slots
-                else:
-                    buckets = slice_id * self._rows + dirty_rows
-                    slot_base = 0
-                # The logical bucket's reach lives in its first physical
-                # row — slice 0 for horizontal arrangements.
                 self._decode_rows(
                     row_values,
-                    buckets,
-                    slot_base,
-                    read_reach=not self._horizontal or slice_id == 0,
+                    self._geometry.bucket_of(slice_id, dirty_rows),
+                    self._geometry.slot_offset(slice_id),
+                    read_reach=self._geometry.holds_reach(slice_id),
                 )
                 decoded += dirty_rows.size
                 dirty[:] = False
@@ -439,7 +433,7 @@ class DecodedMirror:
                     layout.read_aux(value) for value in row_values
                 ]
 
-        slots = self._slice_slots
+        slots = self._geometry.slots
         slot_bits = fmt.slot_bits
         key_bits = fmt.key_bits
         word_count = self._word_count

@@ -36,16 +36,7 @@ so differential parity tests keep passing under quarantine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -64,11 +55,8 @@ from repro.reliability.faults import FaultConfig, FaultInjector
 from repro.reliability.guard import RowGuard
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.bucket import BucketLayout
-    from repro.core.match import MatchProcessor
     from repro.core.record import Record
-    from repro.memory.array import MemoryArray
-    from repro.memory.mirror import DecodedMirror
+    from repro.core.subsystem import SliceGroup
 
 
 @dataclass(frozen=True)
@@ -127,34 +115,23 @@ class ReliabilityPolicy:
 class ReliabilityManager:
     """Reliability orchestration for one slice group (or lone slice).
 
-    Built through :meth:`for_group`; the logic is parameterized only by
-    the bucket <-> (array, row) mapping.
+    Reads the group's arrays, layout and
+    :class:`~repro.core.config.BucketGeometry`, and rewrites buckets
+    through the group's one bucket writer.
     """
 
     def __init__(
         self,
-        owner,
-        arrays: Sequence["MemoryArray"],
-        layout: "BucketLayout",
-        matcher: "MatchProcessor",
-        slot_priority: Optional[Callable[["Record"], float]],
+        group: "SliceGroup",
         policy: ReliabilityPolicy,
         faults: Optional[FaultConfig],
-        horizontal: bool,
     ) -> None:
-        self.owner = owner
+        self.group = group
         self.policy = policy
         self.fault_config = faults
-        self._arrays = list(arrays)
-        self._layout = layout
-        self._matcher = matcher
-        self._slot_priority = slot_priority
-        self._horizontal = horizontal
-        self._rows = self._arrays[0].rows
-        self._total_rows = self._rows * len(self._arrays)
         self.injectors: List[Optional[FaultInjector]] = []
         self.guards: List[RowGuard] = []
-        for index, array in enumerate(self._arrays):
+        for index, array in enumerate(group._arrays):
             injector = None
             if faults is not None and faults.any_faults:
                 injector = FaultInjector(
@@ -168,7 +145,7 @@ class ReliabilityManager:
                 ecc=policy.ecc,
                 correct_writeback=policy.correct_writeback,
             )
-            guard.search_stats = owner.stats
+            guard.search_stats = group.stats
             self.guards.append(guard)
         self.victims: List["Record"] = []
         self.quarantined_buckets: Set[int] = set()
@@ -179,50 +156,10 @@ class ReliabilityManager:
         self.restores = 0
         self._since_scrub = 0
 
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def for_group(
-        cls,
-        group,
-        policy: ReliabilityPolicy,
-        faults: Optional[FaultConfig] = None,
-    ) -> "ReliabilityManager":
-        from repro.core.config import Arrangement
-
-        return cls(
-            owner=group,
-            arrays=group._arrays,
-            layout=group._layout,
-            matcher=group._matcher,
-            slot_priority=group._slot_priority,
-            policy=policy,
-            faults=faults,
-            horizontal=group._arrangement is Arrangement.HORIZONTAL,
-        )
-
     def detach(self) -> None:
         """Remove the guards (the arrays return to unprotected reads)."""
-        for array in self._arrays:
+        for array in self.group._arrays:
             array.guard = None
-
-    # ------------------------------------------------------------------
-    # Bucket <-> physical mapping
-    # ------------------------------------------------------------------
-
-    def bucket_of(self, array_index: int, row: int) -> int:
-        """Logical bucket containing one physical row."""
-        if self._horizontal:
-            return row
-        return array_index * self._rows + row
-
-    def rows_of(self, bucket: int) -> List[Tuple[int, int]]:
-        """Physical ``(array_index, row)`` pairs composing one bucket."""
-        if self._horizontal:
-            return [(i, bucket) for i in range(len(self._arrays))]
-        return [(bucket // self._rows, bucket % self._rows)]
 
     # ------------------------------------------------------------------
     # Quarantine (row sparing + victim remap)
@@ -238,7 +175,8 @@ class ReliabilityManager:
         directly; a row that fails even that is **counted data loss** —
         detected and reported, never silent.
         """
-        mirror: Optional["DecodedMirror"] = getattr(self.owner, "_mirror", None)
+        group = self.group
+        mirror = group._mirror
         if mirror is not None:
             valid = mirror.valid[bucket]
             records = [
@@ -246,20 +184,22 @@ class ReliabilityManager:
                 for slot in np.flatnonzero(valid).tolist()
             ]
             return records, int(mirror.reach[bucket])
+        layout = group._layout
         records = []
         reach = 0
-        for i, (array_index, row) in enumerate(self.rows_of(bucket)):
-            guard = self.guards[array_index]
-            value = self._arrays[array_index]._data[row]
+        for i, (array_index, row) in enumerate(group.geometry.rows_of(bucket)):
+            array = group._arrays[array_index]
             status, corrected, _ = check_row(
-                value, guard.checkwords[row], self._arrays[array_index].row_bits
+                array._data[row],
+                self.guards[array_index].checkwords[row],
+                array.row_bits,
             )
             if status not in (ECC_CLEAN, ECC_CORRECTED):
                 self.unrecoverable_rows += 1
                 continue
             if i == 0:
-                reach = self._layout.read_aux(corrected)
-            for slot_valid, record in self._layout.read_all(corrected):
+                reach = layout.read_aux(corrected)
+            for slot_valid, record in layout.read_all(corrected):
                 if slot_valid:
                     records.append(record)
         return records, reach
@@ -276,24 +216,21 @@ class ReliabilityManager:
                 f"victim store full: {len(self.victims)} + {len(records)} "
                 f"records exceed capacity {self.policy.victim_capacity}"
             )
-        for array_index, row in self.rows_of(bucket):
+        group = self.group
+        for array_index, row in group.geometry.rows_of(bucket):
             self.guards[array_index].quarantine(row)
         # Rewrite the spared bucket: no records, but the reach field is
         # kept — records previously spilled *from* this home must remain
         # reachable by extended searches.
-        for i, (array_index, row) in enumerate(self.rows_of(bucket)):
-            self._arrays[array_index].write_row(
-                row, self._layout.pack([], reach if i == 0 else 0)
-            )
+        group._write_occupants(bucket, [], reach)
         self.victims.extend(records)
         self.quarantined_buckets.add(bucket)
-        self.owner._record_count -= len(records)
+        group._record_count -= len(records)
         # Reflect the spared bucket in the mirror immediately, so a repeat
         # failure before the next sync cannot double-harvest the records.
-        mirror: Optional["DecodedMirror"] = getattr(self.owner, "_mirror", None)
-        if mirror is not None:
-            mirror.clear_bucket(bucket, reach)
-        self.owner.stats.record_quarantine(len(records))
+        if group._mirror is not None:
+            group._mirror.clear_bucket(bucket, reach)
+        group.stats.record_quarantine(len(records))
         return len(records)
 
     def restore_bucket(self, bucket: int) -> bool:
@@ -311,14 +248,9 @@ class ReliabilityManager:
             # A spared bucket's content lives in the victim store; the
             # rows themselves are kept empty.
             records = []
-        per_row = self._layout.slots_per_bucket
-        for i, (array_index, row) in enumerate(self.rows_of(bucket)):
-            chunk = records[i * per_row : (i + 1) * per_row]
-            self._arrays[array_index].write_row(
-                row, self._layout.pack(chunk, reach if i == 0 else 0)
-            )
+        self.group._write_occupants(bucket, records, reach)
         self.restores += 1
-        for array_index, row in self.rows_of(bucket):
+        for array_index, row in self.group.geometry.rows_of(bucket):
             if self.guards[array_index].scrub_row(row) == ECC_DETECTED:
                 return False
         return True
@@ -333,8 +265,9 @@ class ReliabilityManager:
         """
         if error.row is None:
             raise error
-        array_index = error.array_index or 0
-        bucket = self.bucket_of(array_index, error.row)
+        bucket = self.group.geometry.bucket_of(
+            error.array_index or 0, error.row
+        )
         attempts = self.restore_counts.get(bucket, 0)
         if attempts >= self.policy.restore_attempts:
             self.quarantine_bucket(bucket)
@@ -358,7 +291,7 @@ class ReliabilityManager:
             except CorruptionError as exc:
                 self.handle_corruption(exc)
                 retries += 1
-                self.owner.stats.record_lookup_retry()
+                self.group.stats.record_lookup_retry()
                 if retries > self.policy.max_retries:
                     raise ReliabilityError(
                         f"lookup retry budget ({self.policy.max_retries}) "
@@ -369,7 +302,8 @@ class ReliabilityManager:
     def synced_mirror(self, provider):
         """Sync the mirror, quarantining any row whose decode detects an
         uncorrectable error (the batch-path retry loop)."""
-        budget = self._total_rows + self.policy.max_retries + 1
+        geometry = self.group.geometry
+        budget = geometry.rows * geometry.slices + self.policy.max_retries + 1
         for _ in range(budget):
             try:
                 return provider()
@@ -380,20 +314,22 @@ class ReliabilityManager:
         )
 
     # ------------------------------------------------------------------
-    # Victim store (searched by the owner's Section 4.3 overlay)
+    # Victim store (searched by the group's Section 4.3 overlay)
     # ------------------------------------------------------------------
 
     def best_victim(self, value: int, mask: int) -> Optional["Record"]:
         """The victim matching ``value`` under don't-care ``mask``: the
         first one, or the highest-priority one with a slot priority."""
+        matcher = self.group._matcher
+        slot_priority = self.group._slot_priority
         best = None
         best_priority = None
         for record in self.victims:
-            if not self._matcher.match_slot(True, record, value, mask):
+            if not matcher.match_slot(True, record, value, mask):
                 continue
-            if self._slot_priority is None:
+            if slot_priority is None:
                 return record
-            priority = self._slot_priority(record)
+            priority = slot_priority(record)
             if best_priority is None or priority > best_priority:
                 best, best_priority = record, priority
         return best
@@ -414,14 +350,10 @@ class ReliabilityManager:
         self._tick(int(ids.size))
         if self.fault_config is None or not self.fault_config.bit_flip_rate:
             return
-        for array_index, injector in enumerate(self.injectors):
-            if injector is None:
-                continue
-            if self._horizontal:
-                rows = ids
-            else:
-                rows = ids[ids // self._rows == array_index] % self._rows
-            if not rows.size:
+        for array_index, (injector, rows) in enumerate(
+            zip(self.injectors, self.group.geometry.rows_by_slice(ids))
+        ):
+            if injector is None or not rows.size:
                 continue
             counts = injector.flip_counts_for_reads(int(rows.size))
             guard = self.guards[array_index]
@@ -455,9 +387,10 @@ class ReliabilityManager:
         corrected = 0
         quarantined = 0
         threshold = self.policy.quarantine_threshold
+        geometry = self.group.geometry
         for array_index, guard in enumerate(self.guards):
             guard.stats.scrub_passes += 1
-            for row in range(self._rows):
+            for row in range(geometry.rows):
                 status = guard.scrub_row(row)
                 if status == ECC_CORRECTED:
                     corrected += 1
@@ -475,15 +408,17 @@ class ReliabilityManager:
                     and guard.corrected_counts.get(row, 0) > threshold
                 ):
                     if status not in (ECC_CLEAN, ECC_CORRECTED):
-                        self.owner.stats.record_corruption_detected()
-                    self.quarantine_bucket(self.bucket_of(array_index, row))
+                        self.group.stats.record_corruption_detected()
+                    self.quarantine_bucket(
+                        geometry.bucket_of(array_index, row)
+                    )
                     quarantined += 1
                 else:
                     # A held repair certifies the row healthy again: its
                     # bucket earns a fresh restore budget and its
                     # correctable-error count restarts.
                     self.restore_counts.pop(
-                        self.bucket_of(array_index, row), None
+                        geometry.bucket_of(array_index, row), None
                     )
                     if not persistent:
                         guard.corrected_counts.pop(row, None)
@@ -495,7 +430,7 @@ class ReliabilityManager:
 
     def reset(self) -> None:
         """Drop degradation state (victims, quarantine bookkeeping) after
-        the owner cleared its database.  Guards stay installed."""
+        the group cleared its database.  Guards stay installed."""
         self.victims = []
         self.quarantined_buckets.clear()
         self.restore_counts.clear()

@@ -784,20 +784,17 @@ class CaramCluster:
         Replica *r* of shard *s* mounts its full group telemetry under
         ``{prefix}.shard{s}.replica{r}.*``; the cluster-wide view mounts
         under ``{prefix}.cluster.search`` / ``.occupancy`` / ``.bulk``,
-        merged over every replica at snapshot time with the rollup leaf
-        rules (exact counter sums, sketch merges, recomputed ratios) so
-        health rules and dashboards can address the whole cluster as one
-        database.  Breaker state and failover counters mount at
-        ``{prefix}.replica.membership``, the layout at
-        ``{prefix}.cluster.topology``.
+        merged at snapshot time with the rollup leaf rules (exact counter
+        sums, sketch merges, recomputed ratios) so health rules and
+        dashboards can address the whole cluster as one database.
+        Activity (search stats, physical row fetches) adds over every
+        replica; stored state (record and capacity counts, the bulk plan)
+        is counted once per shard, from its primary.  Breaker state and
+        failover counters mount at ``{prefix}.replica.membership``, the
+        layout at ``{prefix}.cluster.topology``.
         """
         from repro.telemetry.rollup import merge_blocks
 
-        groups = [
-            replica.group
-            for shard in self.shards
-            for replica in shard.replicas
-        ]
         for shard in self.shards:
             for replica in shard.replicas:
                 replica.group.register_telemetry(
@@ -808,26 +805,33 @@ class CaramCluster:
                     ),
                 )
 
-        def _merged(block_of) -> Callable[[], dict]:
-            def provider() -> dict:
-                return merge_blocks([block_of(group) for group in groups])
+        def replicas() -> List[SliceGroup]:
+            return [r.group for shard in self.shards for r in shard.replicas]
 
-            return provider
+        def primaries() -> List[SliceGroup]:
+            return [shard.group for shard in self.shards]
+
+        def _merged(block_of, groups) -> Callable[[], dict]:
+            return lambda: merge_blocks([block_of(g) for g in groups()])
 
         registry.register_provider(
             f"{prefix}.cluster.search",
-            _merged(lambda group: group.stats.as_dict()),
+            _merged(lambda group: group.stats.as_dict(), replicas),
+        )
+        stored = _merged(
+            lambda group: {
+                "record_count": group.record_count,
+                "capacity_records": group.capacity_records,
+                "load_factor": group.load_factor,
+            },
+            primaries,
+        )
+        fetches = _merged(
+            lambda group: {"physical_row_fetches": group.physical_row_fetches},
+            replicas,
         )
         registry.register_provider(
-            f"{prefix}.cluster.occupancy",
-            _merged(
-                lambda group: {
-                    "record_count": group.record_count,
-                    "capacity_records": group.capacity_records,
-                    "load_factor": group.load_factor,
-                    "physical_row_fetches": group.physical_row_fetches,
-                }
-            ),
+            f"{prefix}.cluster.occupancy", lambda: {**stored(), **fetches()}
         )
         registry.register_provider(
             f"{prefix}.cluster.bulk",
@@ -836,7 +840,8 @@ class CaramCluster:
                     group.last_bulk_plan.as_dict()
                     if group.last_bulk_plan is not None
                     else {}
-                )
+                ),
+                primaries,
             ),
         )
         registry.register_provider(

@@ -13,6 +13,8 @@ the **aggregate** of each same-named stat block appearing anywhere below
 it.  Leaf-merge rules:
 
 * integer leaves add exactly;
+* ``max_*`` leaves (largest displacement, deepest queue...) take the
+  maximum;
 * float leaves add (accumulated in sorted child order, so the result is a
   pure function of the *set* of children — shard arrival order never
   changes the rollup);
@@ -88,6 +90,8 @@ def merge_blocks(blocks: List[Dict[str, object]]) -> Dict[str, object]:
         if isinstance(first, bool):
             if all(v == first for v in values):
                 merged[key] = first
+        elif isinstance(first, (int, float)) and key.startswith("max_"):
+            merged[key] = max(values)
         elif isinstance(first, (int, float)):
             total = 0
             for v in sorted(float(v) for v in values):

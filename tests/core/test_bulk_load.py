@@ -103,11 +103,7 @@ def assert_same_state(bulk, reference):
 def assert_mirror_matches_rows(store):
     """The installed mirror must equal one decoded fresh from the rows."""
     installed = store._synced_mirror()
-    fresh = DecodedMirror(
-        store._arrays,
-        store._layout,
-        horizontal=store.arrangement is Arrangement.HORIZONTAL,
-    )
+    fresh = DecodedMirror(store._arrays, store._layout, store.geometry)
     fresh.sync()
     assert np.array_equal(installed.valid, fresh.valid)
     assert np.array_equal(installed.key_words, fresh.key_words)

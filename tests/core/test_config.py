@@ -1,9 +1,13 @@
 """Unit tests for slice configuration."""
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.config import (
     Arrangement,
+    BucketGeometry,
     PROTOTYPE_KEY_BYTES,
     SliceConfig,
     prototype_key_supported,
@@ -84,3 +88,71 @@ class TestArrangement:
     def test_values(self):
         assert Arrangement.HORIZONTAL.value == "horizontal"
         assert Arrangement.VERTICAL.value == "vertical"
+
+
+class TestBucketGeometry:
+    def test_vertical_stacks_rows(self):
+        geometry = BucketGeometry(Arrangement.VERTICAL, 8, 3, 4)
+        assert geometry.bucket_count == 24
+        assert geometry.slots_per_bucket == 4
+        assert geometry.rows_fetched == 1
+        assert geometry.rows_of(10) == [(1, 2)]
+        assert all(geometry.holds_reach(s) for s in range(3))
+
+    def test_horizontal_widens_buckets(self):
+        geometry = BucketGeometry(Arrangement.HORIZONTAL, 8, 3, 4)
+        assert geometry.bucket_count == 8
+        assert geometry.slots_per_bucket == 12
+        assert geometry.rows_fetched == 3
+        assert geometry.rows_of(5) == [(0, 5), (1, 5), (2, 5)]
+        assert [geometry.holds_reach(s) for s in range(3)] == [
+            True, False, False
+        ]
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ConfigurationError):
+            BucketGeometry(Arrangement.VERTICAL, 8, 0, 4)
+        with pytest.raises(ConfigurationError):
+            BucketGeometry(Arrangement.HORIZONTAL, 8, 2, 4).rows_of(8)
+
+    @given(
+        arrangement=st.sampled_from(list(Arrangement)),
+        rows=st.integers(1, 6),
+        slices=st.integers(1, 4),
+        slots=st.integers(1, 4),
+    )
+    def test_array_forms_agree_with_rows_of(
+        self, arrangement, rows, slices, slots
+    ):
+        geometry = BucketGeometry(arrangement, rows, slices, slots)
+        assert geometry.capacity_records == (
+            geometry.bucket_count * geometry.slots_per_bucket
+        )
+        buckets = np.arange(geometry.bucket_count)
+        per_slice = geometry.rows_by_slice(buckets)
+        for s in range(slices):
+            expected = [
+                row
+                for b in buckets.tolist()
+                for slice_id, row in geometry.rows_of(b)
+                if slice_id == s
+            ]
+            assert per_slice[s].tolist() == expected
+        for b in buckets.tolist():
+            pairs = geometry.rows_of(b)
+            assert geometry.holds_reach(pairs[0][0])
+            for slice_id, row in pairs:
+                assert geometry.bucket_of(slice_id, row) == b
+            slot_ids = np.arange(geometry.slots_per_bucket)
+            placed = geometry.place(np.full_like(slot_ids, b), slot_ids)
+            expected_slots = [
+                (slice_id, row, slot)
+                for slice_id, row in pairs
+                for slot in range(slots)
+            ]
+            assert list(zip(*(column.tolist() for column in placed))) == (
+                expected_slots
+            )
+            assert [geometry.slot_offset(s) for s, _ in pairs] == [
+                i * slots for i in range(len(pairs))
+            ]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import Arrangement, SliceConfig
+from repro.core.key import TernaryKey
 from repro.core.record import RecordFormat
 from repro.core.subsystem import CARAMSubsystem, SliceGroup
 from repro.errors import CapacityError, ConfigurationError, LookupError_
@@ -224,6 +225,63 @@ class TestVictimOverflow:
         sub = self.make_subsystem()
         result = sub.search("db", 999)
         assert not result.hit
+
+
+class TestAllOrNothing:
+    """``clear`` and a failed ``insert`` leave nothing behind."""
+
+    def make_group(self, overflow=None):
+        record_format = RecordFormat(key_bits=16, data_bits=8, ternary=True)
+        config = SliceConfig(
+            index_bits=2,
+            row_bits=8 + 2 * record_format.slot_bits,
+            record_format=record_format,
+            aux_bits=8,
+        )
+        group = SliceGroup(
+            config, 1, Arrangement.VERTICAL, BitSelectHash(16, (0, 1))
+        )
+        if overflow is not None:
+            group.attach_overflow(overflow)
+        return group
+
+    def test_clear_empties_the_overflow_area(self):
+        group = self.make_group(TCAM(1, 16))
+        for key in (0x0100, 0x0200, 0x0300):
+            group.insert(key, data=key >> 8)
+        assert group.overflow_store.entry_count == 1
+        group.clear()
+        assert group.record_count == 0
+        assert group.overflow_store.entry_count == 0
+        assert not group.search(0x0300).hit
+        assert not group.search_batch([0x0300])[0].hit
+
+    def test_failed_insert_into_full_area_stores_nothing(self):
+        group = self.make_group(TCAM(1, 16))
+        for key in (0x0100, 0x0200, 0x0300):
+            group.insert(key, data=key >> 8)
+        inserts = group.stats.inserts
+        # Homes 0 (full) and 2 (free); the full TCAM refuses the spill.
+        with pytest.raises(CapacityError):
+            group.insert(TernaryKey(value=0x0400, mask=0x8000, width=16), 4)
+        assert group.record_count == 2
+        assert group.stats.inserts == inserts
+        assert not group.search(0x8400).hit
+        assert not group.search_batch([0x8400])[0].hit
+        assert group.search(0x0300).data == 3
+
+    def test_failed_probing_insert_stores_nothing(self):
+        group = self.make_group()
+        for key in (0x0100, 0x0200, 0x4100, 0x4200, 0x8100, 0x8200, 0xC100):
+            group.insert(key, data=1)
+        assert group.record_count == 7
+        # Home 0's copy takes the last free slot; home 2's finds none.
+        with pytest.raises(CapacityError):
+            group.insert(TernaryKey(value=0x0400, mask=0x8000, width=16), 4)
+        assert group.record_count == 7
+        assert not group.search(0x0400).hit
+        assert not group.search_batch([0x0400])[0].hit
+        assert group.insert(0xC200, data=1) == 1
 
 
 class TestOverflowOverlay:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bucket import BucketLayout
+from repro.core.config import Arrangement, BucketGeometry
 from repro.core.key import TernaryKey
 from repro.core.record import Record, RecordFormat
 from repro.errors import ConfigurationError, KeyFormatError
@@ -153,7 +154,13 @@ class TestComposition:
     def test_vertical_concatenates_row_spaces(self):
         arrays = [make_array(), make_array()]
         arrays[1].write_row(2, pack([record(0x77)], reach=1))
-        mirror = DecodedMirror(arrays, LAYOUT, horizontal=False)
+        mirror = DecodedMirror(
+            arrays,
+            LAYOUT,
+            BucketGeometry(
+                Arrangement.VERTICAL, ROWS, 2, LAYOUT.slots_per_bucket
+            ),
+        )
         mirror.sync()
         assert mirror.buckets == 2 * ROWS
         bucket = ROWS + 2
@@ -164,7 +171,13 @@ class TestComposition:
         arrays = [make_array(), make_array()]
         arrays[0].write_row(4, pack([record(0x11)], reach=2))
         arrays[1].write_row(4, pack([record(0x22)]))
-        mirror = DecodedMirror(arrays, LAYOUT, horizontal=True)
+        mirror = DecodedMirror(
+            arrays,
+            LAYOUT,
+            BucketGeometry(
+                Arrangement.HORIZONTAL, ROWS, 2, LAYOUT.slots_per_bucket
+            ),
+        )
         mirror.sync()
         assert mirror.buckets == ROWS
         assert mirror.slots == 2 * LAYOUT.slots_per_bucket
@@ -465,7 +478,16 @@ class TestVectorizedSyncIdentity:
                         )
                     )
                 array.write_row(row, pack(recs, reach=int(rng.integers(0, 4))))
-        mirror = DecodedMirror(arrays, LAYOUT, horizontal=horizontal)
+        mirror = DecodedMirror(
+            arrays,
+            LAYOUT,
+            BucketGeometry(
+                Arrangement.HORIZONTAL if horizontal else Arrangement.VERTICAL,
+                ROWS,
+                len(arrays),
+                LAYOUT.slots_per_bucket,
+            ),
+        )
         mirror.sync()
         valid, key_words, mask_words, reach, records = reference_decode(
             mirror, arrays, LAYOUT, horizontal

@@ -122,6 +122,48 @@ class TestTelemetry:
             assert topology["shard_count"] == 2
             assert topology["router"] == "ConsistentHashRouter"
 
+    def test_stored_state_counted_once_per_shard(self):
+        cluster = CaramCluster.build(
+            shard_count=2, index_bits=6, slots=8, replication=2
+        )
+        records = make_records(count=600)
+        with cluster:
+            cluster.load(records)
+            cluster.search_batch([key for key, _ in records[:50]])
+            registry = MetricsRegistry()
+            cluster.register_telemetry(registry)
+            stats = registry.snapshot()["stats"]
+            primaries = [shard.group for shard in cluster.shards]
+            groups = [
+                replica.group
+                for shard in cluster.shards
+                for replica in shard.replicas
+            ]
+            occupancy = stats["serving.cluster.occupancy"]
+            assert occupancy["record_count"] == cluster.record_count == 600
+            assert occupancy["capacity_records"] == sum(
+                group.capacity_records for group in primaries
+            )
+            assert occupancy["load_factor"] == pytest.approx(
+                600 / occupancy["capacity_records"]
+            )
+            # Activity still adds over every replica.
+            assert occupancy["physical_row_fetches"] == sum(
+                group.physical_row_fetches for group in groups
+            )
+            assert stats["serving.cluster.search"]["lookups"] == sum(
+                group.stats.lookups for group in groups
+            )
+            plans = [group.last_bulk_plan for group in primaries]
+            bulk = stats["serving.cluster.bulk"]
+            assert bulk["record_count"] == 600
+            assert bulk["max_displacement"] == max(
+                plan.max_displacement for plan in plans
+            )
+            assert bulk["max_reach"] == max(
+                plan.as_dict()["max_reach"] for plan in plans
+            )
+
     def test_cluster_ratios_recomputed_not_summed(self):
         cluster, records = build_loaded(shard_count=2)
         with cluster:

@@ -33,6 +33,12 @@ class TestMergeBlocks:
         assert merged == {"reads": 12}
         assert isinstance(merged["reads"], int)
 
+    def test_max_leaves_take_the_maximum(self):
+        merged = merge_blocks(
+            [{"max_displacement": d, "copy_count": 1} for d in (2, 3, 3, 10)]
+        )
+        assert merged == {"max_displacement": 10, "copy_count": 4}
+
     def test_derived_ratios_recomputed_not_summed(self):
         a = search_block(100, 90, 110, {"1": 90, "2": 10})
         b = search_block(300, 30, 600, {"1": 100, "2": 200})
