@@ -20,6 +20,12 @@ gate diffs it against the committed file.  The report's ``metadata``
 block records the result representation so the telemetry differ refuses
 to compare runs with different configurations.
 
+The ``wide`` section times the 128-bit path: ``trigram_lookup_batch``
+calls of 1,024 strings on Table 3 design A at 1/32 scale, the strings
+reaching the kernel as one word matrix per call.  Its answers are
+checked against per-string ``trigram_lookup`` outside the timed region.
+It stays out of the gated ``batch`` section.
+
 Run standalone with::
 
     PYTHONPATH=src python benchmarks/bench_batch_lookup.py
@@ -34,6 +40,17 @@ import json
 import time
 
 from harness import finalize, result_path
+from repro.apps.trigram.caram import (
+    build_trigram_caram,
+    trigram_lookup,
+    trigram_lookup_batch,
+)
+from repro.apps.trigram.designs import TRIGRAM_DESIGNS
+from repro.apps.trigram.generator import (
+    FULL_TRIGRAM_COUNT,
+    TrigramConfig,
+    generate_trigram_database,
+)
 from repro.core.config import SliceConfig
 from repro.core.index import IndexGenerator
 from repro.core.record import RecordFormat
@@ -54,6 +71,11 @@ QUERY_COUNT = 120_000
 HIT_FRACTION = 0.5
 CHURN_ROWS = 12          # rows rewritten between the churn batches
 SEED = 1234
+
+TRIGRAM_SCALE_SHIFT = 5  # design A at 1/32 scale
+STRINGS_PER_CALL = 1024
+TRIGRAM_CALLS = 8
+UNSEEN_FRACTION = 0.1
 
 
 def build_slice() -> CARAMSlice:
@@ -209,6 +231,71 @@ def bench_kernel(stored, streams, scalars):
     }
 
 
+def trigram_calls(strings):
+    """``TRIGRAM_CALLS`` batches of stored strings, with a tenth of them
+    made unseen: the generator emits lowercase and spaces only, so an
+    uppercase first byte never matches a stored entry."""
+    rng = make_rng(SEED + 4)
+    total = STRINGS_PER_CALL * TRIGRAM_CALLS
+    picks = rng.integers(0, len(strings), size=total)
+    unseen = rng.random(total) < UNSEEN_FRACTION
+    texts = [
+        b"Z" + strings[pick][1:] if miss else strings[pick]
+        for pick, miss in zip(picks.tolist(), unseen.tolist())
+    ]
+    return [
+        texts[start : start + STRINGS_PER_CALL]
+        for start in range(0, total, STRINGS_PER_CALL)
+    ]
+
+
+def bench_wide() -> dict:
+    """128-bit keys: trigram string batches on a scaled design A."""
+    design = TRIGRAM_DESIGNS["A"].scaled(TRIGRAM_SCALE_SHIFT)
+    database = generate_trigram_database(
+        TrigramConfig(
+            total_entries=FULL_TRIGRAM_COUNT >> TRIGRAM_SCALE_SHIFT,
+            seed=SEED,
+        )
+    )
+    strings = list(database.strings())
+    group = build_trigram_caram(
+        zip(strings, database.probabilities.tolist()), design
+    )
+    calls = trigram_calls(strings)
+    trigram_lookup_batch(group, calls[0])  # builds the engine and mirror
+
+    batch_seconds = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        answers = [trigram_lookup_batch(group, texts) for texts in calls]
+        batch_seconds = min(batch_seconds, time.perf_counter() - start)
+
+    start = time.perf_counter()
+    expected = [
+        [trigram_lookup(group, text) for text in texts] for texts in calls
+    ]
+    scalar_seconds = time.perf_counter() - start
+    assert answers == expected, "trigram batch/scalar divergence"
+
+    keys = STRINGS_PER_CALL * TRIGRAM_CALLS
+    return {
+        "key_bits": group.config.record_format.key_bits,
+        "design": f"{design.name}/{1 << TRIGRAM_SCALE_SHIFT}",
+        "entries": len(strings),
+        "strings_per_call": STRINGS_PER_CALL,
+        "calls": TRIGRAM_CALLS,
+        "hit_rate": round(
+            sum(value is not None for row in expected for value in row) / keys,
+            4,
+        ),
+        "batch_keys_per_sec": round(keys / batch_seconds),
+        "batch_call_ms": round(batch_seconds / TRIGRAM_CALLS * 1e3, 3),
+        "scalar_keys_per_sec": round(keys / scalar_seconds),
+        "speedup": round(scalar_seconds / batch_seconds, 2),
+    }
+
+
 def run_benchmark() -> dict:
     reference = build_slice()
     stored = populate(reference)
@@ -248,6 +335,7 @@ def _run_benchmark(reference, stored, streams) -> dict:
             }
 
         slice_, section = bench_kernel(stored, streams, scalars)
+        wide = bench_wide()
 
     # Mount telemetry after the run: providers are read lazily at
     # snapshot() time.
@@ -267,6 +355,7 @@ def _run_benchmark(reference, stored, streams) -> dict:
             len(streams["uniform"]) / scalars["uniform"]["seconds"]
         ),
         "batch": section,
+        "wide": wide,
     }
     return finalize(
         RESULT_PATH,
@@ -283,6 +372,7 @@ def test_batch_lookup_speedup():
     section = result["batch"]
     assert section["mixed"]["speedup"] >= 10, result
     assert section["uniform"]["speedup"] >= 10, result
+    assert result["wide"]["speedup"] >= 10, result
     # The columnar set skips ~10^5 SearchResult allocations, so it must
     # not be slower than the materializing warm batch (10% slack for
     # shared-runner noise).

@@ -286,6 +286,10 @@ class CaRamLibrary:
         return sorted(self._allocations)
 
     def _claim(self, count: int) -> List[int]:
+        if count < 1:
+            raise ConfigurationError(
+                f"an allocation needs at least one slice, not {count}"
+            )
         if count > len(self._free):
             raise CapacityError(
                 f"requested {count} slices but only {len(self._free)} free"
@@ -331,21 +335,21 @@ class CaRamLibrary:
         self._check_name(name)
         extra = 1 if overflow is OverflowKind.CA_RAM_SLICE else 0
         slice_ids = self._claim(slice_count + extra)
-        config = SliceConfig(
-            index_bits=self._index_bits,
-            row_bits=self._row_bits,
-            record_format=record_format,
-            timing=self._timing,
-        )
-        buckets = BucketGeometry(
-            arrangement, config.rows, slice_count, config.slots_per_bucket
-        ).bucket_count
-        if hash_function is None:
-            if buckets & (buckets - 1) == 0:
-                hash_function = MultiplicativeHash(buckets)
-            else:
-                hash_function = ModuloHash(buckets)
         try:
+            config = SliceConfig(
+                index_bits=self._index_bits,
+                row_bits=self._row_bits,
+                record_format=record_format,
+                timing=self._timing,
+            )
+            buckets = BucketGeometry(
+                arrangement, config.rows, slice_count, config.slots_per_bucket
+            ).bucket_count
+            if hash_function is None:
+                if buckets & (buckets - 1) == 0:
+                    hash_function = MultiplicativeHash(buckets)
+                else:
+                    hash_function = ModuloHash(buckets)
             composed = compose_database(
                 self._subsystem,
                 name=name,
@@ -368,12 +372,16 @@ class CaRamLibrary:
         """Claim slices as plain RAM-mode on-chip memory."""
         self._check_name(name)
         slice_ids = self._claim(slice_count)
-        memory = BankedMemory(
-            rows=(1 << self._index_bits) * slice_count,
-            row_bits=self._row_bits,
-            bank_count=slice_count,
-            timing=self._timing,
-        )
+        try:
+            memory = BankedMemory(
+                rows=(1 << self._index_bits) * slice_count,
+                row_bits=self._row_bits,
+                bank_count=slice_count,
+                timing=self._timing,
+            )
+        except Exception:
+            self._free.update(slice_ids)
+            raise
         handle = ScratchpadHandle(self, name, memory, slice_ids)
         self._allocations[name] = handle
         return handle

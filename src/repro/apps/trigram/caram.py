@@ -34,7 +34,7 @@ from repro.core.subsystem import SliceGroup
 from repro.errors import KeyFormatError
 from repro.hashing.base import HashFunction
 from repro.hashing.djb import djb2_bytes, djb2_matrix
-from repro.memory.mirror import keys_to_words
+from repro.memory.mirror import keys_to_words, words_to_ints
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.reliability.faults import FaultConfig
@@ -45,6 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 BytesLike = Union[bytes, bytearray, str]
 
 _KEY_BYTES = TRIGRAM_KEY_BITS // 8
+_KEY_WORDS = _KEY_BYTES // 8
 
 
 class StringKeyCodec:
@@ -74,24 +75,26 @@ class StringKeyCodec:
         return raw.rstrip(b"\x00")
 
     @staticmethod
-    def encode_batch(keys: Sequence[BytesLike]) -> List[int]:
-        """Vectorized :meth:`encode` of a whole string array.
+    def encode_batch(keys: Sequence[BytesLike]) -> np.ndarray:
+        """Vectorized :meth:`encode` of a whole string array, as words.
 
-        Builds one zero-padded byte matrix for all keys and packs it into
-        big-endian integers, with the same validation as the scalar path:
-        over-long keys and embedded NUL bytes raise
-        :class:`~repro.errors.KeyFormatError`, non-ASCII text raises
-        ``UnicodeEncodeError``.  One divergence: *trailing* NUL bytes fold
-        into the padding here (NumPy's fixed-width byte storage cannot
-        distinguish them), where the scalar encoder rejects them.
+        Builds one zero-padded byte matrix for all keys and returns it as
+        a ``(len(keys), 2)`` uint64 matrix of little-endian 64-bit words:
+        row ``i`` is :func:`~repro.memory.mirror.keys_to_words` of
+        ``encode(keys[i])``, the form
+        :meth:`SliceGroup.search_batch_columnar` takes, with no Python
+        int per string.  Validation is the scalar path's: over-long keys
+        and embedded NUL bytes raise :class:`~repro.errors.KeyFormatError`,
+        non-ASCII text raises ``UnicodeEncodeError``.  One divergence:
+        *trailing* NUL bytes fold into the padding here (NumPy's
+        fixed-width byte storage cannot distinguish them), where the
+        scalar encoder rejects them.
         """
         count = len(keys)
-        if count == 0:
-            return []
         arr = np.asarray(list(keys), dtype=np.bytes_)
         width = arr.dtype.itemsize
         if width == 0:
-            return [0] * count
+            return np.zeros((count, _KEY_WORDS), dtype=np.uint64)
         matrix = np.frombuffer(arr.tobytes(), dtype=np.uint8).reshape(
             count, width
         )
@@ -106,7 +109,7 @@ class StringKeyCodec:
                     f"string of {length} bytes exceeds the "
                     f"{_KEY_BYTES}-byte key"
                 )
-            matrix = matrix[:, :_KEY_BYTES]
+            matrix = np.ascontiguousarray(matrix[:, :_KEY_BYTES])
         elif width < _KEY_BYTES:
             padded = np.zeros((count, _KEY_BYTES), dtype=np.uint8)
             padded[:, :width] = matrix
@@ -116,11 +119,9 @@ class StringKeyCodec:
         nonzero = matrix != 0
         if ((~nonzero[:, :-1]) & nonzero[:, 1:]).any():
             raise KeyFormatError("string keys must not contain NUL bytes")
-        data = matrix.tobytes()
-        return [
-            int.from_bytes(data[i * _KEY_BYTES : (i + 1) * _KEY_BYTES], "big")
-            for i in range(count)
-        ]
+        # Each row is one big-endian 128-bit key: its second 8 bytes are
+        # the low word.
+        return matrix.view(">u8")[:, ::-1].astype(np.uint64)
 
 
 class PackedStringDJBHash(HashFunction):
@@ -146,10 +147,10 @@ class PackedStringDJBHash(HashFunction):
         string's length from its trailing padding, and runs the columnwise
         DJB kernel — row for row equal to the scalar ``__call__``.
         """
-        if words.shape[1] != _KEY_BYTES // 8:
+        if words.shape[1] != _KEY_WORDS:
             raise KeyFormatError(
                 f"packed string keys are {TRIGRAM_KEY_BITS}-bit "
-                f"({_KEY_BYTES // 8} words), got {words.shape[1]} words"
+                f"({_KEY_WORDS} words), got {words.shape[1]} words"
             )
         if len(words) == 0:
             return np.empty(0, dtype=np.int64)
@@ -230,7 +231,8 @@ def build_trigram_caram(
     if registry is not None:
         group.register_telemetry(registry)
     pairs = list(entries)
-    keys = StringKeyCodec.encode_batch([text for text, _ in pairs])
+    texts = [text for text, _ in pairs]
+    keys = words_to_ints(StringKeyCodec.encode_batch(texts))
     group.bulk_load(zip(keys, (probability for _, probability in pairs)))
     if reliability is not None or faults is not None:
         group.enable_reliability(reliability, faults)
@@ -248,16 +250,16 @@ def trigram_lookup_batch(
 ) -> List[Optional[int]]:
     """Vectorized exact-match lookup of many trigram strings at once.
 
-    The 128-bit packed keys take the wide-key (multi-word) path of the
-    decoded mirror; results and statistics match per-string
-    :func:`trigram_lookup` calls.  Keys are packed through the vectorized
-    :meth:`StringKeyCodec.encode_batch` rather than one scalar encode per
-    string.  Probabilities come straight from the columnar result set's
-    packed data words (:meth:`BatchResultSet.data_values`) — no
-    per-string ``SearchResult`` materialization.
+    Results and statistics match per-string :func:`trigram_lookup` calls.
+    :meth:`StringKeyCodec.encode_batch` turns the strings into one
+    ``(n, 2)`` word matrix, which the batch kernel takes as its key form,
+    so no Python int is made per string.  Probabilities come straight
+    from the columnar result set's packed data words
+    (:meth:`BatchResultSet.data_values`) — no per-string
+    ``SearchResult`` materialization.
     """
-    keys = StringKeyCodec.encode_batch(list(texts))
-    return group.search_batch_columnar(keys).data_values()
+    words = StringKeyCodec.encode_batch(texts)
+    return group.search_batch_columnar(words).data_values()
 
 
 __all__ = [

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -57,9 +57,20 @@ from repro.core.match import priority_encode_batch
 from repro.core.probing import ProbingPolicy
 from repro.core.results import BatchResultSet
 from repro.core.stats import SearchStats
-from repro.memory.mirror import DecodedMirror, keys_to_words, words_for_bits
+from repro.memory.mirror import (
+    KEY_WORD_BITS,
+    DecodedMirror,
+    int_to_words,
+    keys_to_words,
+    words_for_bits,
+    words_to_ints,
+)
 from repro.telemetry.profiling import profile
 from repro.utils.bits import mask_of
+
+#: What the batch path accepts as keys: a sequence of ints and
+#: ``TernaryKey`` s, or a ``(n, words)`` uint64 word matrix.
+BatchKeys = Union[Sequence[KeyInput], np.ndarray]
 
 #: Upper bound on keys processed per vectorized chunk.
 DEFAULT_CHUNK_SIZE = 16384
@@ -82,9 +93,9 @@ def check_query(key: KeyInput, search_mask: int, key_bits: int) -> None:
 
     :meth:`BatchSearchEngine.search_columnar` rejects a whole batch when
     its search mask, a ternary key's width, or an integer key (through
-    :func:`~repro.memory.mirror.keys_to_words`) does not fit ``key_bits``
-    bits.  This is the same check for one key, so a caller that batches
-    keys from many sources can refuse a bad one before it joins a batch.
+    :func:`query_words`) does not fit ``key_bits`` bits.  This is the
+    same check for one key, so a caller that batches keys from many
+    sources can refuse a bad one before it joins a batch.
 
     Raises:
         KeyFormatError: naming the first rule the query breaks.
@@ -108,6 +119,127 @@ def check_query(key: KeyInput, search_mask: int, key_bits: int) -> None:
         raise KeyFormatError(
             f"search key {value:#x} does not fit in {key_bits} bits"
         )
+
+
+def query_words(
+    keys: BatchKeys, search_mask: int, key_bits: int
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """A batch's keys as ``(n, words)`` uint64 key and don't-care words.
+
+    The word matrix is the batch path's native key form (little-endian
+    64-bit words, as :func:`~repro.memory.mirror.keys_to_words` packs
+    them).  Three inputs reach it:
+
+    * a word matrix is taken as given, once its dtype, word count and
+      width are checked;
+    * plain integer keys that fit in 64 bits become the low word column
+      in one NumPy call;
+    * anything else (``TernaryKey`` s, wider Python ints) takes one
+      per-key pass.
+
+    Returns ``(words, mask_words)``; ``mask_words`` is None for an
+    all-binary batch without a search mask.
+
+    Raises:
+        KeyFormatError: on a word matrix of another dtype or word count,
+            a key bit above ``key_bits``, a negative key, or a ternary key
+            of another width.
+    """
+    masks = None
+    if isinstance(keys, np.ndarray) and keys.ndim == 2:
+        words = _checked_words(keys, key_bits)
+    else:
+        column = _int_column(keys, key_bits)
+        if column is None:
+            words, masks = _per_key_words(keys, search_mask, key_bits)
+        elif key_bits <= KEY_WORD_BITS:
+            words = column.reshape(-1, 1)
+        else:
+            words = np.zeros(
+                (column.size, words_for_bits(key_bits)), dtype=np.uint64
+            )
+            words[:, 0] = column
+    if masks is not None:
+        return words, keys_to_words(masks, key_bits)
+    if not search_mask:
+        return words, None
+    row = np.array(int_to_words(search_mask, words.shape[1]), dtype=np.uint64)
+    return words, np.broadcast_to(row, words.shape)
+
+
+def _checked_words(words: np.ndarray, key_bits: int) -> np.ndarray:
+    """A caller's word matrix, after the checks ``keys_to_words`` makes."""
+    if words.dtype != np.uint64:
+        raise KeyFormatError(f"key words must be uint64, not {words.dtype}")
+    word_count = words_for_bits(key_bits)
+    if words.shape[1] != word_count:
+        raise KeyFormatError(
+            f"{key_bits}-bit keys take {word_count} words, "
+            f"got {words.shape[1]}"
+        )
+    top_bits = key_bits - (word_count - 1) * KEY_WORD_BITS
+    if top_bits < KEY_WORD_BITS and len(words):
+        over = words[:, -1] >> np.uint64(top_bits)
+        if over.any():
+            bad = words_to_ints(words[int(np.argmax(over != 0)), None])[0]
+            raise KeyFormatError(
+                f"search key {bad:#x} does not fit in {key_bits} bits"
+            )
+    return words
+
+
+def _int_column(keys: BatchKeys, key_bits: int) -> Optional[np.ndarray]:
+    """Plain integer keys as one uint64 column, or None for keys that
+    need the per-key pass (ternary keys, ints wider than 64 bits)."""
+    if isinstance(keys, np.ndarray):
+        if keys.ndim != 1 or keys.dtype.kind not in "iu":
+            return None
+        if keys.dtype.kind == "i" and keys.size and int(keys.min()) < 0:
+            raise KeyFormatError(
+                f"search key {int(keys.min())} does not fit in "
+                f"{key_bits} bits"
+            )
+        column = keys.astype(np.uint64, copy=False)
+    elif len(keys) and isinstance(keys[0], TernaryKey):
+        return None
+    else:
+        try:
+            column = np.array(keys, dtype=np.uint64)
+        except (OverflowError, TypeError, ValueError):
+            return None
+        if column.ndim != 1:
+            return None
+    if key_bits < KEY_WORD_BITS and column.size:
+        top = int(column.max())
+        if top >> key_bits:
+            raise KeyFormatError(
+                f"search key {top:#x} does not fit in {key_bits} bits"
+            )
+    return column
+
+
+def _per_key_words(
+    keys: Sequence[KeyInput], search_mask: int, key_bits: int
+) -> Tuple[np.ndarray, Optional[List[int]]]:
+    """Key words, plus per-key masks when a ternary key brings one."""
+    total = len(keys)
+    values = [0] * total
+    masks: Optional[List[int]] = None
+    for i, key in enumerate(keys):
+        if isinstance(key, TernaryKey):
+            if key.width != key_bits:
+                raise KeyFormatError(
+                    f"search width {key.width} != stored width {key_bits}"
+                )
+            values[i] = key.value
+            merged = key.mask | search_mask
+            if merged:
+                if masks is None:
+                    masks = [search_mask] * total
+                masks[i] = merged
+        else:
+            values[i] = int(key)
+    return keys_to_words(values, key_bits), masks
 
 
 def default_chunk_size(
@@ -141,15 +273,13 @@ def default_chunk_size(
 
 @dataclass
 class PreparedBatch:
-    """Stage-0/1 product: normalized keys, packed words, home buckets.
+    """Stage-0/1 product: key words and home buckets.
 
     Produced by :meth:`BatchSearchEngine._prepare`; consumed by
     :meth:`BatchSearchEngine._finish`.
     """
 
     total: int
-    values: List[int]
-    masks: Optional[List[int]]
     words: np.ndarray                       # (total, W) uint64
     mask_words: Optional[np.ndarray]        # (total, W) or None
     homes: np.ndarray                       # (total,) int64
@@ -242,7 +372,7 @@ class BatchSearchEngine:
         engine's ``SearchStats``."""
         return self._stats.probe_walk_keys
 
-    def search(self, keys: Sequence[KeyInput], search_mask: int = 0) -> List:
+    def search(self, keys: BatchKeys, search_mask: int = 0) -> List:
         """Look up every key; returns one ``SearchResult`` per key, in order.
 
         A materializing wrapper over :meth:`search_columnar` — the list is
@@ -251,80 +381,39 @@ class BatchSearchEngine:
         return self.search_columnar(keys, search_mask).results()
 
     def search_columnar(
-        self, keys: Sequence[KeyInput], search_mask: int = 0
+        self, keys: BatchKeys, search_mask: int = 0
     ) -> BatchResultSet:
         """Look up every key; returns the columnar ``BatchResultSet``.
 
         The native form of the batch path: the match kernels write the
         result columns directly, with zero per-key Python objects.  Call
         :meth:`BatchResultSet.results` for the ``SearchResult`` list, or
-        consume the columns / ``data_values()`` directly.
+        consume the columns / ``data_values()`` directly.  ``keys`` is a
+        ``(n, words)`` uint64 word matrix or a sequence of ints and
+        ``TernaryKey`` s (see :func:`query_words`); a rejected batch
+        raises before any ``SearchStats`` counter moves.
         """
         if not 0 <= search_mask <= self._full_mask:
             raise KeyFormatError(
                 f"search mask {search_mask:#x} does not fit in "
                 f"{self._key_bits} bits"
             )
-        if len(keys) == 0:
-            return BatchResultSet(0)
         prep = self._prepare(keys, search_mask)
+        if prep.total == 0:
+            return BatchResultSet(0)
         return self._finish(keys, search_mask, prep)
 
     # ------------------------------------------------------------------
-    # Stages 0/1: normalize keys to (value, mask) pairs, then hash the
-    # whole array at once.
+    # Stages 0/1: keys to words, then hash the whole array at once.
     # ------------------------------------------------------------------
 
-    def _prepare(
-        self, keys: Sequence[KeyInput], search_mask: int
-    ) -> PreparedBatch:
-        """Normalize and hash the whole key array (stage 0/1)."""
-        total = len(keys)
+    def _prepare(self, keys: BatchKeys, search_mask: int) -> PreparedBatch:
+        """Pack and hash the whole key array (stage 0/1)."""
         with profile("batch.index"):
-            # Fast path: a batch of plain machine-width ints (the common
-            # case) converts in one shot — a numeric ndarray cannot contain
-            # TernaryKey objects, so the per-key scan is provably skippable.
-            values: Optional[List[int]] = None
-            masks: Optional[List[int]] = None
-            try:
-                key_arr = np.asarray(keys)
-            except (OverflowError, ValueError):
-                key_arr = None
-            if key_arr is not None and key_arr.dtype.kind in "iu":
-                values = key_arr.tolist()
-            if values is None:
-                values = [0] * total
-                for i, key in enumerate(keys):
-                    if isinstance(key, TernaryKey):
-                        if key.width != self._key_bits:
-                            raise KeyFormatError(
-                                f"search width {key.width} != stored width "
-                                f"{self._key_bits}"
-                            )
-                        values[i] = key.value
-                        merged = key.mask | search_mask
-                        if merged:
-                            if masks is None:
-                                masks = [search_mask] * total
-                            masks[i] = merged
-                    else:
-                        values[i] = int(key)
-            if masks is None and search_mask:
-                masks = [search_mask] * total
-
-            words = keys_to_words(values, self._key_bits)
-            mask_words = (
-                keys_to_words(masks, self._key_bits)
-                if masks is not None
-                else None
-            )
-            homes, needs_scalar = self._index.indices_batch(
-                values, masks, words
-            )
+            words, mask_words = query_words(keys, search_mask, self._key_bits)
+            homes, needs_scalar = self._index.indices_batch(words, mask_words)
         return PreparedBatch(
-            total=total,
-            values=values,
-            masks=masks,
+            total=len(words),
             words=words,
             mask_words=mask_words,
             homes=homes,
@@ -333,7 +422,7 @@ class BatchSearchEngine:
 
     def _finish(
         self,
-        keys: Sequence[KeyInput],
+        keys: BatchKeys,
         search_mask: int,
         prep: PreparedBatch,
     ) -> BatchResultSet:
@@ -349,28 +438,34 @@ class BatchSearchEngine:
             prep.homes,
             prep.words,
             prep.mask_words,
-            prep.values,
         )
-        self._scalar_fallback(rs, keys, search_mask, prep.needs_scalar)
+        self._scalar_fallback(rs, keys, search_mask, prep)
         self.columnar_rows += prep.total
         return rs
 
     def _scalar_fallback(
         self,
         rs: BatchResultSet,
-        keys: Sequence[KeyInput],
+        keys: BatchKeys,
         search_mask: int,
-        needs_scalar: np.ndarray,
+        prep: PreparedBatch,
     ) -> None:
-        """Resolve multi-home ternary keys through the scalar search."""
-        scalar_keys: List[int] = np.flatnonzero(needs_scalar).tolist()
+        """Resolve multi-home ternary keys through the scalar search.
+
+        A ternary key is passed on as given; any other key as the Python
+        int its words hold (the scalar search takes no word rows).
+        """
+        scalar_keys: List[int] = np.flatnonzero(prep.needs_scalar).tolist()
         if not scalar_keys:
             return
         self._stats.record_scalar_fallbacks(len(scalar_keys))
         with profile("batch.scalar_fallback"):
             for out_i in scalar_keys:
+                key = keys[out_i]
+                if not isinstance(key, TernaryKey):
+                    key = words_to_ints(prep.words[out_i, None])[0]
                 rs.set_override(
-                    out_i, self._scalar_search(keys[out_i], search_mask)
+                    out_i, self._scalar_search(key, search_mask)
                 )
 
     # ------------------------------------------------------------------
@@ -385,7 +480,6 @@ class BatchSearchEngine:
         homes: np.ndarray,
         words: np.ndarray,
         mask_words: Optional[np.ndarray],
-        values: Sequence[int],
     ) -> None:
         """Resolve the listed key positions into the result columns.
 
@@ -450,7 +544,6 @@ class BatchSearchEngine:
                         mask_words[pending]
                         if mask_words is not None
                         else None,
-                        values,
                     )
             if latency is not None:
                 latency.observe(perf_counter() - chunk_started)
@@ -463,7 +556,6 @@ class BatchSearchEngine:
         homes: np.ndarray,
         query_words: np.ndarray,
         query_mask_words: Optional[np.ndarray],
-        values: Sequence[int],
     ) -> None:
         """Resolve home-miss/nonzero-reach keys attempt level by level.
 
@@ -485,11 +577,13 @@ class BatchSearchEngine:
             attempt += 1
             homes_alive = homes[alive]
             if generic_probe:
-                # Key-dependent policies (double hashing) need the original
-                # key values; vectorized policies ignore them.
-                keys_arg = [values[i] for i in key_idx[alive].tolist()]
+                # Key-dependent policies (double hashing) probe with the
+                # key as an int; vectorized policies ignore the key.
                 rows = self._probing.probe_batch(
-                    homes_alive, attempt, buckets, keys_arg
+                    homes_alive,
+                    attempt,
+                    buckets,
+                    words_to_ints(query_words[alive]),
                 )
             else:
                 rows = self._probing.probe_batch(homes_alive, attempt, buckets)
@@ -532,10 +626,12 @@ class BatchSearchEngine:
 
 
 __all__ = [
+    "BatchKeys",
     "BatchSearchEngine",
     "DEFAULT_CHUNK_SIZE",
     "MIN_CHUNK_SIZE",
     "PreparedBatch",
     "check_query",
     "default_chunk_size",
+    "query_words",
 ]

@@ -163,7 +163,7 @@ def plan_bulk_build(
         else None
     )
     homes, needs_multi = index_generator.indices_batch(
-        values, masks, key_words
+        key_words, mask_words, values
     )
 
     if masks is not None and bool(needs_multi.any()):

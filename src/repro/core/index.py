@@ -30,6 +30,7 @@ from repro.errors import ConfigurationError, KeyFormatError
 from repro.core.key import TernaryKey
 from repro.hashing.base import HashFunction
 from repro.hashing.bit_select import BitSelectHash
+from repro.memory.mirror import int_to_words, words_to_ints
 
 KeyInput = Union[int, bytes, str, TernaryKey]
 
@@ -125,9 +126,9 @@ class IndexGenerator:
 
     def indices_batch(
         self,
-        values: Sequence[int],
-        masks: Optional[Sequence[int]] = None,
-        words: Optional[np.ndarray] = None,
+        words: np.ndarray,
+        mask_words: Optional[np.ndarray] = None,
+        values: Optional[Sequence[int]] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized home-row generation for a whole key array.
 
@@ -139,44 +140,44 @@ class IndexGenerator:
         :meth:`indices_for_search` path instead.
 
         Args:
-            values: search-key values (don't-care bits already zeroed).
-            masks: per-key don't-care masks, or None when the whole batch
-                is binary.
-            words: optional ``(len(values), words)`` packed-key matrix
-                (see :func:`repro.memory.mirror.keys_to_words`); a hash
-                that defines ``index_words`` indexes it directly instead
-                of re-packing ``values``.
+            words: ``(n, words)`` uint64 key matrix (see
+                :func:`repro.memory.mirror.keys_to_words`), don't-care bits
+                zeroed.
+            mask_words: don't-care masks in the same form, or None when the
+                whole batch is binary.
+            values: the keys as Python ints, for a hash without an
+                ``index_words`` kernel; derived from ``words`` when omitted.
 
         Returns:
             ``(homes, needs_scalar)``: int64 home row per key (meaningless
             where ``needs_scalar`` is set) and the scalar-fallback flags.
         """
-        count = len(values)
-        needs_scalar = np.zeros(count, dtype=bool)
-        if masks is not None:
-            if isinstance(self._hash, BitSelectHash):
-                position_mask = self._hash.position_mask
-                for i, mask in enumerate(masks):
-                    if mask & position_mask:
-                        needs_scalar[i] = True
-            else:
-                for i, mask in enumerate(masks):
-                    if mask:
-                        needs_scalar[i] = True
-        index_words = getattr(self._hash, "index_words", None)
-        if index_words is not None and words is not None:
-            homes = index_words(words)
+        count = words.shape[0]
+        if mask_words is None:
+            needs_scalar = np.zeros(count, dtype=bool)
+        elif isinstance(self._hash, BitSelectHash):
+            hashed = np.array(
+                int_to_words(self._hash.position_mask, words.shape[1]),
+                dtype=np.uint64,
+            )
+            needs_scalar = (mask_words & hashed).any(axis=1)
         else:
-            try:
-                homes = self._hash.index_many(values)
-            except OverflowError:
-                # Keys wider than the vectorized kernel supports: fall back
-                # to the scalar hash, one key at a time.
-                homes = np.fromiter(
-                    (self._hash(value) for value in values),
-                    dtype=np.int64,
-                    count=count,
-                )
+            needs_scalar = mask_words.any(axis=1)
+        index_words = getattr(self._hash, "index_words", None)
+        if index_words is not None:
+            return np.asarray(index_words(words), dtype=np.int64), needs_scalar
+        if values is None:
+            values = words_to_ints(words)
+        try:
+            homes = self._hash.index_many(values)
+        except OverflowError:
+            # Keys wider than the vectorized kernel supports: fall back
+            # to the scalar hash, one key at a time.
+            homes = np.fromiter(
+                (self._hash(value) for value in values),
+                dtype=np.int64,
+                count=count,
+            )
         return np.asarray(homes, dtype=np.int64), needs_scalar
 
 

@@ -62,7 +62,7 @@ from repro.memory.array import MemoryArray
 from repro.telemetry.profiling import profile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.batch import BatchSearchEngine
+    from repro.core.batch import BatchKeys, BatchSearchEngine
     from repro.core.bulk import BulkPlan
     from repro.memory.mirror import DecodedMirror
     from repro.reliability.faults import FaultConfig
@@ -549,21 +549,28 @@ class SliceGroup:
     def _overlay_columnar(
         self,
         result_set: "BatchResultSet",
-        keys: Sequence[KeyInput],
+        keys: "BatchKeys",
         search_mask: int,
     ) -> "BatchResultSet":
         """Columnar :meth:`_overlay`: side-store answers become per-key
-        overrides.  No per-key work while neither store holds a record."""
+        overrides.  No per-key work while neither store holds a record;
+        the stores search Python ints, so the keys they are asked about
+        are read out of a word matrix."""
         if not self._side_stores_hold_records():
             return result_set
         import numpy as np
+        from repro.memory.mirror import words_to_ints
 
         if self._slot_priority is None:
-            positions = np.flatnonzero(~result_set.hit).tolist()
+            positions = np.flatnonzero(~result_set.hit)
         else:
-            positions = range(len(result_set))
-        for i in positions:
-            side = self._side_answer(result_set.result_at(i), keys[i], search_mask)
+            positions = np.arange(len(result_set))
+        if isinstance(keys, np.ndarray) and keys.ndim == 2:
+            asked = words_to_ints(keys[positions])
+        else:
+            asked = [keys[i] for i in positions.tolist()]
+        for i, key in zip(positions.tolist(), asked):
+            side = self._side_answer(result_set.result_at(i), key, search_mask)
             if side is not None:
                 result_set.set_override(i, side)
         return result_set
@@ -664,7 +671,7 @@ class SliceGroup:
         )
 
     def search_batch_columnar(
-        self, keys: Sequence[KeyInput], search_mask: int = 0
+        self, keys: "BatchKeys", search_mask: int = 0
     ) -> "BatchResultSet":
         """Vectorized lookup returning the columnar ``BatchResultSet``.
 
@@ -674,6 +681,16 @@ class SliceGroup:
         ``BatchResultSet.results()`` materializes the same
         ``SearchResult`` list :meth:`search_batch` returns;
         ``data_values()`` skips record objects entirely.
+
+        ``keys`` is either a ``(n, words)`` uint64 word matrix
+        (little-endian 64-bit words, as
+        :func:`~repro.memory.mirror.keys_to_words` and
+        :meth:`~repro.apps.trigram.caram.StringKeyCodec.encode_batch`
+        produce them), which reaches the kernel without one Python object
+        per key, or a sequence of ints and ``TernaryKey`` s.  A word
+        matrix of another dtype or word count, or with a bit above the
+        key width, raises :class:`~repro.errors.KeyFormatError` before
+        any counter moves.
         """
         if self._batch_engine is None:
             self._batch_engine = self._build_batch_engine()
@@ -684,7 +701,7 @@ class SliceGroup:
         )
 
     def search_batch(
-        self, keys: Sequence[KeyInput], search_mask: int = 0
+        self, keys: "BatchKeys", search_mask: int = 0
     ) -> List[SearchResult]:
         """Vectorized lookup of a whole key array across the group.
 
@@ -1070,10 +1087,16 @@ class SliceGroup:
         self._record_count = 0
         if self._slot_priority is not None:
             stored.sort(key=self._slot_priority, reverse=True)
+        # Each stored copy goes back where a fresh insert puts one: the
+        # k-th copy of an entry to the k-th of its duplication homes, so
+        # a ternary key duplicated over hash bits keeps one copy per home.
+        copies_seen: Dict[Record, int] = {}
         for record in stored:
-            # Re-place one copy per stored entry; duplicates were stored
-            # explicitly, so bypass re-duplication.
-            if self._place_copy(self._index.index(record.key), record) is None:
+            homes = self._index.indices_for_stored(record.key)
+            copy = copies_seen.get(record, 0)
+            copies_seen[record] = copy + 1
+            home = homes[copy % len(homes)]
+            if self._place_copy(home, record) is None:
                 self._overflow.insert(record.key, record.data)
 
     def clear(self) -> None:
@@ -1184,12 +1207,12 @@ class CARAMSubsystem:
         return self.group(group_name).search(key, search_mask)
 
     def search_batch_columnar(
-        self, group_name: str, keys: Sequence[KeyInput], search_mask: int = 0
+        self, group_name: str, keys: "BatchKeys", search_mask: int = 0
     ) -> "BatchResultSet":
         return self.group(group_name).search_batch_columnar(keys, search_mask)
 
     def search_batch(
-        self, group_name: str, keys: Sequence[KeyInput], search_mask: int = 0
+        self, group_name: str, keys: "BatchKeys", search_mask: int = 0
     ) -> List[SearchResult]:
         """Batch counterpart of :meth:`search` — a materializing wrapper
         over :meth:`search_batch_columnar`."""

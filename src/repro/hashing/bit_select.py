@@ -50,11 +50,7 @@ class BitSelectHash(HashFunction):
         super().__init__(2 ** len(positions))
         self._key_width = key_width
         self._positions = tuple(positions)
-        # Precompute shift amounts for the vectorized path: position p sits
-        # (key_width - 1 - p) bits above the LSB.
-        self._shifts = np.array(
-            [key_width - 1 - p for p in positions], dtype=np.uint64
-        )
+        self._runs = _bit_runs(key_width, self._positions)
         self._position_mask = 0
         for pos in positions:
             self._position_mask |= 1 << (key_width - 1 - pos)
@@ -87,28 +83,47 @@ class BitSelectHash(HashFunction):
             from repro.memory.mirror import keys_to_words
 
             return self.index_words(keys_to_words(keys, self._key_width))
-        arr = np.asarray(keys, dtype=np.uint64)
-        index = np.zeros(arr.shape, dtype=np.uint64)
-        for shift in self._shifts:
-            index = (index << np.uint64(1)) | ((arr >> shift) & np.uint64(1))
-        return index.astype(np.int64)
+        column = np.asarray(keys, dtype=np.uint64).reshape(-1, 1)
+        return self.index_words(column)
 
     def index_words(self, words: np.ndarray) -> np.ndarray:
         """Vectorized indexing over keys packed as little-endian 64-bit
-        words (the :mod:`repro.memory.mirror` batch representation) — the
-        wide-key path the 128-bit trigram keys need.
+        words (the :mod:`repro.memory.mirror` batch representation).
+
+        Each run of adjacent selected bits inside one word is taken with
+        one shift and one mask, so the paper's contiguous hash bits cost
+        one run, not one pass per bit.
         """
-        index = np.zeros(words.shape[0], dtype=np.uint64)
-        for pos in self._positions:
-            bit = self._key_width - 1 - pos
-            word, shift = divmod(bit, 64)
-            index = (index << np.uint64(1)) | (
-                (words[:, word] >> np.uint64(shift)) & np.uint64(1)
-            )
+        index = None
+        for word, shift, width, mask in self._runs:
+            run = (words[:, word] >> shift) & mask
+            index = run if index is None else (index << width) | run
         return index.astype(np.int64)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BitSelectHash(key_width={self._key_width}, positions={self._positions})"
+
+
+def _bit_runs(key_width: int, positions: Sequence[int]) -> tuple:
+    """Group MSB-first positions into maximal runs of adjacent key bits
+    inside one 64-bit word, most significant output bits first.
+
+    Returns one ``(word, shift, width, mask)`` per run, as uint64 scalars
+    where NumPy needs them: the run is ``(words[:, word] >> shift) &
+    mask``, ``width`` bits of the index.
+    """
+    runs: List[List[int]] = []  # [word, lowest bit, width]
+    for pos in positions:
+        word, bit = divmod(key_width - 1 - pos, 64)
+        if runs and runs[-1][0] == word and runs[-1][1] == bit + 1:
+            runs[-1][1] = bit
+            runs[-1][2] += 1
+        else:
+            runs.append([word, bit, 1])
+    return tuple(
+        (word, np.uint64(bit), np.uint64(width), np.uint64((1 << width) - 1))
+        for word, bit, width in runs
+    )
 
 
 def last_bits_of_first(key_width: int, window: int, count: int) -> BitSelectHash:

@@ -120,6 +120,21 @@ def keys_to_words(values: Sequence[int], key_bits: int) -> np.ndarray:
     raise AssertionError("an out-of-range key went unnamed")
 
 
+def words_to_ints(words: np.ndarray) -> List[int]:
+    """Python ints from a ``(n, words)`` uint64 matrix: the inverse of
+    :func:`keys_to_words`, for the few consumers that need one int per
+    key (scalar fallbacks, key-dependent probing, the side stores)."""
+    if words.shape[1] == 1:
+        return words[:, 0].tolist()
+    nbytes = words.shape[1] * (KEY_WORD_BITS // 8)
+    data = words.astype("<u8", copy=False).tobytes()
+    from_bytes = int.from_bytes
+    return [
+        from_bytes(data[start : start + nbytes], "little")
+        for start in range(0, len(data), nbytes)
+    ]
+
+
 # ----------------------------------------------------------------------
 # Encode direction: decoded matrices -> row bit patterns
 # ----------------------------------------------------------------------
@@ -596,7 +611,8 @@ class DecodedMirror:
         cared-for bits (stored care plane for ternary formats, the query's
         ``~mask`` when one is given), and OR into one accumulator.  A slot
         matches when its accumulator is zero.  No ``& width`` term: stored
-        words and :func:`keys_to_words` queries both stay within
+        words and batch queries (checked by
+        :func:`~repro.core.batch.query_words`) both stay within
         ``key_bits``.  ``query_words`` (and the mask) are ``(B, words)``,
         or ``(1, words)`` to broadcast one query over every row.
         """
@@ -704,6 +720,7 @@ __all__ = [
     "words_for_bits",
     "int_to_words",
     "keys_to_words",
+    "words_to_ints",
     "words_to_bits",
     "bits_to_words",
     "rows_from_bits",

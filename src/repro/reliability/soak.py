@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.core.config import Arrangement
 from repro.errors import ConfigurationError
+from repro.memory.mirror import words_to_ints
 from repro.reliability.faults import FaultConfig
 from repro.reliability.manager import ReliabilityPolicy
 from repro.utils.rng import make_rng
@@ -224,15 +225,18 @@ def _answer(result) -> Tuple[bool, Optional[int]]:
     return (result.hit, result.data if result.hit else None)
 
 
-def _run_queries(group, queries: Sequence[int], block: int, manager,
+def _run_queries(group, queries, block: int, manager,
                  scrub_every: int) -> Tuple[List[Tuple[bool, Optional[int]]], float]:
     """Replay the stream in alternating scalar/batch blocks, scrubbing
-    every ``scrub_every`` blocks when a manager is armed."""
+    every ``scrub_every`` blocks when a manager is armed.  ``queries`` is
+    a list of ints or a key-word matrix; scalar blocks search ints."""
     answers: List[Tuple[bool, Optional[int]]] = []
     started = time.perf_counter()
     for index, start in enumerate(range(0, len(queries), block)):
         chunk = queries[start : start + block]
         if index % 2 == 0:
+            if isinstance(chunk, np.ndarray):
+                chunk = words_to_ints(chunk)
             answers.extend(_answer(group.search(key)) for key in chunk)
         else:
             answers.extend(_answer(r) for r in group.search_batch(chunk))

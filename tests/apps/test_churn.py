@@ -6,10 +6,12 @@ from repro.apps.iplookup.churn import run_update_churn
 from repro.apps.iplookup.designs import IpDesign
 from repro.apps.iplookup.prefix import Prefix
 from repro.core.config import Arrangement, SliceConfig
+from repro.core.key import TernaryKey
 from repro.core.record import RecordFormat
 from repro.core.subsystem import SliceGroup
 from repro.errors import ConfigurationError
 from repro.hashing.base import ModuloHash
+from repro.hashing.bit_select import BitSelectHash
 from repro.utils.rng import make_rng
 
 DESIGN = IpDesign("churn", 7, 32, 2, Arrangement.HORIZONTAL)
@@ -45,6 +47,36 @@ class TestGroupRebuild:
         for k in range(40):
             assert group.lookup(k) == k % 100
 
+    def duplicated_group(self):
+        """Four two-slot buckets hashed on the top two key bits, holding
+        one ternary key duplicated into buckets 0 and 2."""
+        record_format = RecordFormat(key_bits=16, data_bits=8, ternary=True)
+        config = SliceConfig(
+            index_bits=2,
+            row_bits=8 + 2 * record_format.slot_bits,
+            record_format=record_format,
+            aux_bits=8,
+        )
+        group = SliceGroup(
+            config, 1, Arrangement.VERTICAL, BitSelectHash(16, (0, 1))
+        )
+        key = TernaryKey(value=0x0400, mask=0x8000, width=16)
+        assert group.insert(key, 7) == 2
+        assert [b for b, _, _ in group.records()] == [0, 2]
+        return group
+
+    def test_rebuild_keeps_one_copy_per_duplicated_home(self):
+        group = self.duplicated_group()
+        group.rebuild()
+        assert group.record_count == 2
+        assert [b for b, _, _ in group.records()] == [0, 2]
+        # 0x8400 hashes to bucket 2, 0x0400 to bucket 0.
+        assert [group.search(q).data for q in (0x0400, 0x8400)] == [7, 7]
+        assert group.search_batch_columnar([0x0400, 0x8400]).data_values() == [
+            7,
+            7,
+        ]
+
     def test_rebuild_compacts_reach(self):
         group = self.make_group()
         slots = group.slots_per_bucket
@@ -76,6 +108,22 @@ class TestChurn:
             prefix_pairs(150, 4), DESIGN, flaps=300, seed=4
         )
         assert result.flaps == 300
+
+    def test_duplicated_routes_survive_rebuild(self):
+        """/12 and /14 prefixes sit under the hash window (the last 7 of
+        the first 16 bits), so each is duplicated into 8 or 2 homes;
+        run_update_churn probes one address in every home after the
+        rebuild."""
+        rng = make_rng(9)
+        short = {}
+        while len(short) < 20:
+            length = int(rng.choice([12, 14]))
+            bits = int(rng.integers(0, 1 << length))
+            prefix = Prefix.from_bits(bits, length)
+            short.setdefault((prefix.value, prefix.length), (prefix, 2))
+        pairs = prefix_pairs(100, 9) + list(short.values())
+        result = run_update_churn(pairs, DESIGN, flaps=50, seed=9)
+        assert result.updates_per_flap_entries > 2
 
     def test_rebuild_restores_fresh_amal(self):
         result = run_update_churn(

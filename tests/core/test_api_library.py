@@ -55,6 +55,29 @@ class TestAllocation:
         with pytest.raises(ConfigurationError):
             lib.allocate_scratchpad("a", 1)
 
+    @pytest.mark.parametrize("count", [0, -1, -3])
+    def test_rejected_allocation_claims_nothing(self, count):
+        lib = make_library(slice_count=4)
+        with pytest.raises(ConfigurationError):
+            lib.allocate_database("a", FMT16, slice_count=count)
+        assert lib.free_slices == 4
+        with pytest.raises(ConfigurationError):
+            lib.allocate_scratchpad("pad", count)
+        assert lib.free_slices == 4
+        assert lib.allocation_names == []
+        # The slices are still there to claim.
+        lib.allocate_database("a", FMT16, slice_count=4)
+        assert lib.free_slices == 0
+
+    def test_failed_database_build_frees_its_claim(self):
+        # The overflow slice is claimed, then the group geometry fails.
+        lib = make_library(slice_count=4)
+        with pytest.raises(ConfigurationError):
+            lib.allocate_database(
+                "a", FMT16, slice_count=0, overflow=OverflowKind.CA_RAM_SLICE
+            )
+        assert lib.free_slices == 4
+
     def test_free_returns_slices(self):
         lib = make_library()
         db = lib.allocate_database("a", FMT16, slice_count=4)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
@@ -11,6 +11,7 @@ from repro.hashing.bit_select import (
     greedy_bit_selection,
     last_bits_of_first,
 )
+from repro.memory.mirror import keys_to_words
 
 
 class TestBitSelectHash:
@@ -59,6 +60,64 @@ class TestBitSelectHash:
         vectorized = h.index_many(keys)
         scalar = [h(int(k)) for k in keys]
         assert vectorized.tolist() == scalar
+
+
+@st.composite
+def hash_and_keys(draw):
+    """A key width of 8-130 bits, a position set (arbitrary order, or one
+    run of adjacent positions across a 64-bit word boundary), and keys."""
+    width = draw(st.integers(min_value=8, max_value=130))
+    if width > 64 and draw(st.booleans()):
+        # Key bit 64 sits at MSB-first position width - 65: a run over it
+        # crosses from word 1 into word 0.
+        boundary = width - 65
+        first = draw(st.integers(max(0, boundary - 7), boundary))
+        last = draw(st.integers(boundary + 1, min(width - 1, boundary + 8)))
+        positions = list(range(first, last + 1))
+    else:
+        positions = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=width - 1),
+                min_size=1,
+                max_size=min(width, 20),
+                unique=True,
+            )
+        )
+    keys = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=(1 << width) - 1),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    return BitSelectHash(width, positions), keys
+
+
+class TestBitRuns:
+    """The run-grouped ``index_words``/``index_many`` against the scalar
+    per-bit ``__call__``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(hash_and_keys())
+    def test_matches_scalar(self, case):
+        h, keys = case
+        scalar = [h(key) for key in keys]
+        words = keys_to_words(keys, h.key_width)
+        assert h.index_words(words).tolist() == scalar
+        assert h.index_many(keys).tolist() == scalar
+
+    def test_paper_hashes_are_one_run(self):
+        # Section 4.1's "last R bits in the first 16", and any contiguous
+        # window of a wide key inside one word.
+        assert len(last_bits_of_first(32, 16, 11)._runs) == 1
+        assert len(BitSelectHash(128, range(100, 112))._runs) == 1
+
+    def test_runs_split_at_gaps_order_and_words(self):
+        assert len(BitSelectHash(16, (0, 1, 3, 4))._runs) == 2
+        # Descending positions are not adjacent in output order.
+        assert len(BitSelectHash(16, (4, 3))._runs) == 2
+        # Positions 60-67 of a 128-bit key straddle key bit 64.
+        assert len(BitSelectHash(128, range(60, 68))._runs) == 2
 
 
 class TestLastBitsOfFirst:
