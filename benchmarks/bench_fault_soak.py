@@ -11,8 +11,9 @@ Two contracts of the reliability layer are pinned here with numbers:
   slice/query stream, a slice whose reliability layer was enabled and then
   disabled must keep warm batch-lookup throughput within 5% of an
   identical slice that never had one (the guard hook is one ``is None``
-  check per row access).  Both slices are built and timed in the same
-  run, interleaved, best-of-``REPEATS`` each.
+  check per row access).  Both slices are built in the same run and timed
+  in ``REPEATS`` pinned pairs that alternate which runs first; the gate
+  reads the median per-pair ratio (``harness.paired_overhead``).
 
 Results (per-rate soak reports + the disabled-path throughput) land in
 ``BENCH_fault_soak.json``.
@@ -26,17 +27,16 @@ or through pytest (asserts both gates)::
     PYTHONPATH=src python -m pytest benchmarks/bench_fault_soak.py
 """
 
-import gc
 import json
 import time
 
 from bench_batch_lookup import build_slice, make_queries, populate
-from harness import finalize, result_path
+from harness import finalize, paired_overhead, result_path
 from repro.reliability.soak import run_soak
 
 RESULT_PATH = result_path("fault_soak")
 
-REPEATS = 10         # best-of to squeeze out scheduler noise
+REPEATS = 10         # alternating pairs behind the median ratio
 GATE_THRESHOLD = 0.05
 SOAK_QUERIES = 10_000
 SOAK_RATE = 1e-4
@@ -55,8 +55,9 @@ def measure_disabled_overhead() -> dict:
     a baseline slice measured in the same run.
 
     Two identical slices are built; one has its reliability layer enabled
-    and then disabled.  Their warm passes alternate with the garbage
-    collector paused, and each keeps its best of ``REPEATS``.
+    and then disabled.  Their warm passes run in ``REPEATS`` pinned pairs,
+    alternating which goes first; the overhead is the median per-pair
+    ratio, and every pair's ratio is reported.
     """
     slices = {"baseline": build_slice(), "disabled": build_slice()}
     stored = populate(slices["baseline"])
@@ -66,22 +67,17 @@ def measure_disabled_overhead() -> dict:
     queries = make_queries(stored)
     for slice_ in slices.values():
         slice_.search_batch(queries)  # warm the mirror, engine and heap
-    best = dict.fromkeys(slices, 0.0)
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(REPEATS):
-            for name, slice_ in slices.items():
-                best[name] = max(best[name], _warm_pass(slice_, queries))
-    finally:
-        gc.enable()
+    leg = paired_overhead(
+        lambda: _warm_pass(slices["baseline"], queries),
+        lambda: _warm_pass(slices["disabled"], queries),
+        REPEATS,
+    )
     return {
         "keys": len(queries),
-        "baseline_keys_per_sec": round(best["baseline"]),
-        "disabled_keys_per_sec": round(best["disabled"]),
-        "disabled_overhead_vs_baseline": round(
-            best["baseline"] / best["disabled"] - 1, 4
-        ),
+        "baseline_keys_per_sec": round(leg["reference_rate"]),
+        "disabled_keys_per_sec": round(leg["candidate_rate"]),
+        "disabled_overhead_vs_baseline": leg["overhead"],
+        "disabled_overhead_pairs": leg["pair_ratios"],
     }
 
 

@@ -15,13 +15,14 @@ that down with numbers on the same slice/query stream as
   registry snapshots (latency sketch included) every 50 ms — the
   serving-mode "scrape while running" configuration.
 
-Every mode is the best of ``REPEATS`` warm ``search_batch`` passes with
-the garbage collector paused; the baseline and disabled slices are built
-in the same run and timed interleaved.  Keys/sec plus the relative
-overheads go to ``BENCH_telemetry_overhead.json``.  The pytest gates
-assert (a) the disabled slice stays within ``GATE_THRESHOLD`` of the
-baseline slice, i.e. that merely *having* the instrumentation costs
-nothing, and (b) the enabled sampler mode stays within
+Every mode is timed against the disabled slice in ``REPEATS`` pinned
+pairs of warm ``search_batch`` passes that alternate which runs first
+(``harness.paired_overhead``), and each overhead is the median per-pair
+ratio; the baseline and disabled slices are built in the same run.
+Median keys/sec, the relative overheads and every pair's ratio go to
+``BENCH_telemetry_overhead.json``.  The pytest gates assert (a) the
+disabled slice stays within ``GATE_THRESHOLD`` of the baseline slice,
+i.e. that merely *having* the instrumentation costs nothing, and (b) the enabled sampler mode stays within
 ``SAMPLER_GATE_THRESHOLD`` of the disabled mode — the price of live
 observability is bounded, not just measured.
 
@@ -34,21 +35,20 @@ or through pytest (asserts both gates)::
     PYTHONPATH=src python -m pytest benchmarks/bench_telemetry_overhead.py
 """
 
-import gc
 import json
 import tempfile
 import time
 from pathlib import Path
 
 from bench_batch_lookup import build_slice, make_queries, populate
-from harness import finalize, result_path
+from harness import finalize, paired_overhead, result_path
 from repro.telemetry.export import JsonlSampler
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.trace import InMemorySink, NullSink, Tracer
 
 RESULT_PATH = result_path("telemetry_overhead")
 
-REPEATS = 10         # best-of to squeeze out scheduler noise
+REPEATS = 10         # alternating pairs behind each median ratio
 GATE_THRESHOLD = 0.05
 SAMPLER_INTERVAL = 0.05
 #: The sampler thread snapshots the registry off the hot path, so its cost
@@ -63,21 +63,6 @@ def _warm_pass(slice_, queries) -> float:
     return len(queries) / (time.perf_counter() - start)
 
 
-def _best_of(slices, queries) -> dict:
-    """Best-of-``REPEATS`` warm throughput per slice, passes interleaved
-    across the slices, with the garbage collector paused."""
-    best = dict.fromkeys(slices, 0.0)
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(REPEATS):
-            for name, slice_ in slices.items():
-                best[name] = max(best[name], _warm_pass(slice_, queries))
-    finally:
-        gc.enable()
-    return best
-
-
 def run_benchmark() -> dict:
     slices = {"baseline": build_slice(), "disabled": build_slice()}
     stored = populate(slices["baseline"])
@@ -88,50 +73,78 @@ def run_benchmark() -> dict:
     queries = make_queries(stored)
     for warm in slices.values():
         warm.search_batch(queries)  # warm the mirror, engine and heap
-    best = _best_of(slices, queries)
-    disabled = best["disabled"]
 
-    slice_.tracer = Tracer(sink=NullSink())
-    null_sink = _best_of({"slice": slice_}, queries)["slice"]
+    def plain(target):
+        return lambda: _warm_pass(target, queries)
+
+    def traced(tracer):
+        def run() -> float:
+            slice_.tracer = tracer
+            try:
+                return _warm_pass(slice_, queries)
+            finally:
+                slice_.tracer = None
+
+        return run
 
     ring_tracer = Tracer(sink=InMemorySink())
-    slice_.tracer = ring_tracer
-    ring = _best_of({"slice": slice_}, queries)["slice"]
-    trace_summary = ring_tracer.summary()
-
-    slice_.tracer = None
-
-    # Serving mode: latency sketch on, background sampler scraping the
-    # registry while the lookups run.
     registry = MetricsRegistry()
     slice_.register_telemetry(registry)
-    slice_.enable_latency_tracking()
     with tempfile.TemporaryDirectory() as tmp:
         sampler = JsonlSampler(
             registry, Path(tmp) / "samples.jsonl", interval=SAMPLER_INTERVAL
         )
-        with sampler:
-            sampler_mode = _best_of({"slice": slice_}, queries)["slice"]
-        sampler_samples = sampler.samples_written
-    slice_.disable_latency_tracking()
+
+        def sampled() -> float:
+            # Serving mode: latency sketch on, background sampler scraping
+            # the registry while the lookups run.
+            slice_.enable_latency_tracking()
+            sampler.start()
+            try:
+                return _warm_pass(slice_, queries)
+            finally:
+                sampler.stop(final_sample=False)
+                slice_.disable_latency_tracking()
+
+        try:
+            legs = {
+                "disabled": paired_overhead(
+                    plain(slices["baseline"]), plain(slice_), REPEATS
+                ),
+                "null_sink": paired_overhead(
+                    plain(slice_), traced(Tracer(sink=NullSink())), REPEATS
+                ),
+                "ring": paired_overhead(
+                    plain(slice_), traced(ring_tracer), REPEATS
+                ),
+                "sampler": paired_overhead(plain(slice_), sampled, REPEATS),
+            }
+        finally:
+            sampler.close()
 
     result = {
         "keys": len(queries),
-        "baseline_keys_per_sec": round(best["baseline"]),
-        "disabled_keys_per_sec": round(disabled),
-        "null_sink_keys_per_sec": round(null_sink),
-        "ring_keys_per_sec": round(ring),
-        "sampler_keys_per_sec": round(sampler_mode),
-        "disabled_overhead_vs_baseline": round(
-            best["baseline"] / disabled - 1, 4
-        ),
-        "null_sink_overhead": round(disabled / null_sink - 1, 4),
-        "ring_overhead": round(disabled / ring - 1, 4),
-        "sampler_overhead": round(disabled / sampler_mode - 1, 4),
+        "baseline_keys_per_sec": round(legs["disabled"]["reference_rate"]),
+        **{
+            f"{mode}_keys_per_sec": round(leg["candidate_rate"])
+            for mode, leg in legs.items()
+        },
+        "disabled_overhead_vs_baseline": legs["disabled"]["overhead"],
+        **{
+            f"{mode}_overhead": leg["overhead"]
+            for mode, leg in legs.items()
+            if mode != "disabled"
+        },
+        **{
+            f"{mode}_overhead_pairs": leg["pair_ratios"]
+            for mode, leg in legs.items()
+        },
         "sampler_interval_s": SAMPLER_INTERVAL,
-        "sampler_samples": sampler_samples,
+        "sampler_samples": sampler.samples_written,
     }
-    return finalize(RESULT_PATH, result, telemetry={"trace": trace_summary})
+    return finalize(
+        RESULT_PATH, result, telemetry={"trace": ring_tracer.summary()}
+    )
 
 
 def test_disabled_tracing_overhead():

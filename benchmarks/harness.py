@@ -9,9 +9,12 @@ telemetry nested means existing consumers (``ci.yml`` gates,
 gains the registry snapshot, per-phase wall times, and trace summary.
 """
 
+import gc
 import json
+import os
+import statistics
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -19,6 +22,50 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 def result_path(name: str) -> Path:
     """Repository-root path of a ``BENCH_<name>.json`` report."""
     return REPO_ROOT / f"BENCH_{name}.json"
+
+
+def paired_overhead(
+    reference: Callable[[], float],
+    candidate: Callable[[], float],
+    pairs: int,
+) -> Dict[str, object]:
+    """Relative cost of ``candidate`` over ``reference``, from ``pairs``
+    back-to-back pairs of runs.
+
+    Each callable runs one pass and returns its rate (higher is better).
+    The pairs alternate which side runs first, with the process pinned to
+    one CPU and the garbage collector paused; the CPU affinity is restored
+    afterwards.  The estimate is the median of the per-pair ratios
+    ``reference / candidate - 1``: a real cost shows in every pair, while a
+    burst of other load on the host moves only the pairs it lands in — a
+    best-of per side instead keeps whichever side the burst spared.
+
+    Returns ``overhead`` (the median ratio), ``pair_ratios`` and each
+    side's median rate (``reference_rate``, ``candidate_rate``).
+    """
+    pinnable = hasattr(os, "sched_getaffinity")
+    affinity = os.sched_getaffinity(0) if pinnable else None
+    if affinity:
+        os.sched_setaffinity(0, {min(affinity)})
+    sides = (reference, candidate)
+    rates = ([], [])
+    gc.collect()
+    gc.disable()
+    try:
+        for pair in range(pairs):
+            for side in (0, 1) if pair % 2 == 0 else (1, 0):
+                rates[side].append(sides[side]())
+    finally:
+        gc.enable()
+        if affinity:
+            os.sched_setaffinity(0, affinity)
+    ratios = [ref / cand - 1 for ref, cand in zip(*rates)]
+    return {
+        "overhead": round(statistics.median(ratios), 4),
+        "pair_ratios": [round(ratio, 4) for ratio in ratios],
+        "reference_rate": statistics.median(rates[0]),
+        "candidate_rate": statistics.median(rates[1]),
+    }
 
 
 def collect_telemetry(

@@ -11,16 +11,36 @@ Row layout, MSB first::
 
 Slot 0 is the highest-priority slot (the priority encoder picks the lowest
 matching slot index), which is how LPM ordering is realized inside a bucket.
+
+The layout owns both codecs: the scalar one (:meth:`BucketLayout.read_all`,
+:meth:`BucketLayout.pack`) and its vectorized twin over many rows at once
+(:meth:`BucketLayout.decode_rows`, :meth:`BucketLayout.encode_rows`), which
+the decoded mirror's re-decode and the bulk build call.  Fields travel as
+little-endian uint64 word matrices, the form the match kernel reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.core.record import Record, RecordFormat, decode_record, encode_record
+from repro.memory.mirror import (
+    KEY_WORD_BITS,
+    bits_to_words,
+    keys_to_words,
+    rows_from_bits,
+    words_to_bits,
+)
 from repro.utils.bits import extract_bits, mask_of
+
+#: Rows encoded per chunk by :meth:`BucketLayout.encode_rows` — bounds the
+#: peak ``(chunk, row_bits)`` bit matrix to a few MB even for the trigram
+#: study's 13,928-bit rows.
+ENCODE_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -167,5 +187,126 @@ class BucketLayout:
             row_value = self.write_slot(row_value, slot, record)
         return row_value
 
+    # ------------------------------------------------------------------
+    # Vectorized codec: many rows <-> word matrices
+    # ------------------------------------------------------------------
 
-__all__ = ["BucketLayout"]
+    def decode_rows(
+        self, row_values: Sequence[int]
+    ) -> Tuple[
+        np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray
+    ]:
+        """:meth:`read_aux` and :meth:`read_all` over many rows at once.
+
+        Returns ``(reach, valid, keys, masks, data)``: the ``(n,)`` int64
+        reach fields, the ``(n, S)`` valid bits and the ``(n, S, W)``
+        uint64 key, mask and data words (little-endian).  ``masks`` is
+        None for binary formats and ``data`` has no words without a data
+        field.  Invalid slots decode to zero, and key bits under a
+        don't-care are zeroed, as :class:`~repro.core.key.TernaryKey`
+        normalizes them.
+        """
+        fmt = self.record_format
+        n = len(row_values)
+        slots = self.slots_per_bucket
+        row_bits = self.row_bits
+        nbytes = (row_bits + 7) // 8
+        packed = b"".join(v.to_bytes(nbytes, "big") for v in row_values)
+        bit_rows = np.unpackbits(
+            np.frombuffer(packed, dtype=np.uint8).reshape(n, nbytes), axis=1
+        )[:, nbytes * 8 - row_bits :]
+        aux = self.aux_bits
+        if 0 < aux <= KEY_WORD_BITS:
+            reach = bits_to_words(bit_rows[:, :aux], aux)[:, 0]
+            reach = reach.astype(np.int64)
+        else:  # no field, or one wider than a word
+            reach = np.array([self.read_aux(v) for v in row_values], np.int64)
+        region = bit_rows[:, aux : aux + slots * fmt.slot_bits].reshape(
+            n, slots, fmt.slot_bits
+        )
+        valid = region[:, :, 0].astype(bool)
+
+        def words(columns: np.ndarray) -> np.ndarray:
+            bits = columns.shape[2]
+            out = bits_to_words(columns.reshape(n * slots, bits), bits)
+            out = out.reshape(n, slots, -1)
+            out[~valid] = 0
+            return out
+
+        key_bits = fmt.key_bits
+        key_columns = region[:, :, 1 : 1 + key_bits]
+        masks = None
+        if fmt.ternary:
+            mask_columns = region[:, :, 1 + key_bits : 1 + 2 * key_bits]
+            key_columns = key_columns & (1 - mask_columns)
+            masks = words(mask_columns)
+        data_start = 1 + fmt.key_storage_bits
+        data = (
+            words(region[:, :, data_start : data_start + fmt.data_bits])
+            if fmt.data_bits
+            else np.zeros((n, slots, 0), dtype=np.uint64)
+        )
+        return reach, valid, words(key_columns), masks, data
+
+    def encode_rows(
+        self,
+        row_count: int,
+        reach: Optional[np.ndarray],
+        rows: np.ndarray,
+        slots: np.ndarray,
+        keys: np.ndarray,
+        masks: Optional[np.ndarray],
+        data: Optional[np.ndarray],
+    ) -> List[int]:
+        """:meth:`pack` for a whole array: ``row_count`` row values holding
+        the given stored copies, rendered ``ENCODE_CHUNK_ROWS`` at a time.
+
+        Args:
+            reach: ``(row_count,)`` aux-field values, or None when these
+                rows hold no reach field.
+            rows / slots: ``(copies,)`` row and slot of each stored copy.
+            keys / masks / data: ``(copies, W)`` uint64 words per copy, as
+                :meth:`decode_rows` returns them; ``masks`` is read only
+                for ternary formats and ``data`` only with a data field.
+        """
+        fmt = self.record_format
+        aux = self.aux_bits
+        width = fmt.slot_bits
+        row_bits = self.row_bits
+        columns = [
+            np.ones((len(rows), 1), dtype=bool),
+            words_to_bits(keys, fmt.key_bits),
+        ]
+        if fmt.ternary:
+            columns.append(words_to_bits(masks, fmt.key_bits))
+        if fmt.data_bits:
+            columns.append(words_to_bits(data, fmt.data_bits))
+        copy_bits = np.concatenate(columns, axis=1)
+        reach_bits = (
+            words_to_bits(keys_to_words(reach, aux), aux)
+            if aux and reach is not None
+            else None
+        )
+        order = np.argsort(rows, kind="stable")
+        rows, slots, copy_bits = rows[order], slots[order], copy_bits[order]
+        bit_columns = np.arange(width, dtype=np.int64)
+        out: List[int] = []
+        for start in range(0, row_count, ENCODE_CHUNK_ROWS):
+            stop = min(start + ENCODE_CHUNK_ROWS, row_count)
+            chunk = np.zeros((stop - start, row_bits), dtype=bool)
+            if reach_bits is not None:
+                chunk[:, :aux] = reach_bits[start:stop]
+            lo, hi = np.searchsorted(rows, [start, stop]).tolist()
+            if hi > lo:
+                flat = (
+                    (rows[lo:hi, None] - start) * row_bits
+                    + aux
+                    + slots[lo:hi, None] * width
+                    + bit_columns
+                ).ravel()
+                chunk.reshape(-1)[flat] = copy_bits[lo:hi].ravel()
+            out.extend(rows_from_bits(chunk, row_bits))
+        return out
+
+
+__all__ = ["BucketLayout", "ENCODE_CHUNK_ROWS"]

@@ -16,9 +16,10 @@ computes the *same final state* in four vectorized stages:
 3. **assign slots** per bucket by one stable lexsort — arrival order, or
    descending slot priority with arrival tiebreak, which is exactly the
    final content of the scalar sorted-insert splice;
-4. **encode** all rows in one word-packing pass (the encode-direction
-   codecs of :mod:`repro.memory.mirror`) and emit per-array row images plus
-   the ready-made decoded mirror matrices.
+4. **encode** each array's row image with the layout's vectorized codec
+   (:meth:`~repro.core.bucket.BucketLayout.encode_rows`, the inverse of the
+   mirror's re-decode) and emit the decoded mirror matrices, plus the
+   build's ``Record`` s as the first entries of the mirror's Record memo.
 
 The resulting memory image, reach fields, record counts, and
 ``SearchStats`` are bit-identical to the sequential insert loop — the
@@ -30,7 +31,7 @@ insertion for other policies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -49,21 +50,34 @@ from repro.core.config import BucketGeometry
 from repro.core.index import IndexGenerator
 from repro.core.record import KeyLike, Record, RecordFormat
 from repro.hashing.analysis import simulate_linear_probing
-from repro.memory.mirror import (
-    keys_to_words,
-    rows_from_bits,
-    words_for_bits,
-    words_to_bits,
-)
+from repro.memory.mirror import keys_to_words
 from repro.telemetry.profiling import profile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.trace import Tracer
 
-#: Rows encoded per chunk of the word-packing pass — bounds the peak
-#: ``(chunk, row_bits)`` bit matrix to a few MB even for the trigram
-#: study's 13,928-bit rows.
-ENCODE_CHUNK_ROWS = 1024
+
+@dataclass(frozen=True)
+class BulkTotals:
+    """Planner totals of one build: all a group keeps of its plan."""
+
+    record_count: int
+    copy_count: int
+    #: Copies displaced off their home bucket by the FCFS spill model.
+    spilled_copies: int
+    #: Largest probe-sequence displacement any copy needed.
+    max_displacement: int
+    max_reach: int
+
+    @property
+    def spill_rate(self) -> float:
+        """Fraction of stored copies that landed off their home bucket."""
+        copies = self.copy_count
+        return self.spilled_copies / copies if copies else 0.0
+
+    def as_dict(self) -> Dict[str, object]:
+        """Planner totals as a telemetry provider payload."""
+        return {**asdict(self), "spill_rate": self.spill_rate}
 
 
 @dataclass
@@ -78,39 +92,12 @@ class BulkPlan:
     records: List[Record]
     key_words: np.ndarray                 # (n_records, W) uint64
     mask_words: Optional[np.ndarray]      # (n_records, W) or None (binary)
+    data_words: np.ndarray                # (n_records, Wd) uint64
     copy_record: np.ndarray               # (copies,) record index per copy
     copy_bucket: np.ndarray               # (copies,) final bucket per copy
     copy_slot: np.ndarray                 # (copies,) slot within the bucket
     reach: np.ndarray                     # (bucket_count,) aux-field image
-    #: Copies displaced off their home bucket by the FCFS spill model.
-    spilled_copies: int = 0
-    #: Largest probe-sequence displacement any copy needed.
-    max_displacement: int = 0
-
-    @property
-    def record_count(self) -> int:
-        return len(self.records)
-
-    @property
-    def copy_count(self) -> int:
-        return int(self.copy_bucket.size)
-
-    @property
-    def spill_rate(self) -> float:
-        """Fraction of stored copies that landed off their home bucket."""
-        copies = self.copy_count
-        return self.spilled_copies / copies if copies else 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        """Planner totals as a telemetry provider payload."""
-        return {
-            "record_count": self.record_count,
-            "copy_count": self.copy_count,
-            "spilled_copies": self.spilled_copies,
-            "spill_rate": self.spill_rate,
-            "max_displacement": self.max_displacement,
-            "max_reach": int(self.reach.max()) if self.reach.size else 0,
-        }
+    totals: BulkTotals
 
 
 @dataclass
@@ -123,8 +110,8 @@ class BulkImage:
     mirror_key_words: np.ndarray          # (buckets, slots, W) uint64
     mirror_mask_words: np.ndarray         # (buckets, slots, W) uint64
     mirror_reach: np.ndarray              # (buckets,) int64
+    mirror_data_words: np.ndarray         # (buckets, slots, Wd) uint64
     mirror_records: np.ndarray            # (buckets, slots) object
-    mirror_data_words: Optional[np.ndarray] = None  # (buckets, slots, Wd)
 
 
 def plan_bulk_build(
@@ -148,10 +135,12 @@ def plan_bulk_build(
     records: List[Record] = []
     values: List[int] = []
     masks: Optional[List[int]] = [] if record_format.ternary else None
-    for key, data in pairs:
-        record = Record.make(key, data, record_format)
+    data: List[int] = []
+    for key, datum in pairs:
+        record = Record.make(key, datum, record_format)
         records.append(record)
         values.append(record.key.value)
+        data.append(record.data)
         if masks is not None:
             masks.append(record.key.mask)
     n = len(records)
@@ -161,6 +150,11 @@ def plan_bulk_build(
         keys_to_words(masks, record_format.key_bits)
         if masks is not None
         else None
+    )
+    data_words = (
+        keys_to_words(data, record_format.data_bits)
+        if record_format.data_bits
+        else np.zeros((n, 0), dtype=np.uint64)
     )
     homes, needs_multi = index_generator.indices_batch(
         key_words, mask_words, values
@@ -228,85 +222,28 @@ def plan_bulk_build(
         records=records,
         key_words=key_words,
         mask_words=mask_words,
+        data_words=data_words,
         copy_record=copy_record,
         copy_bucket=sim.placed_bucket,
         copy_slot=copy_slot,
         reach=sim.reach,
-        spilled_copies=spilled,
-        max_displacement=max_displacement,
+        totals=BulkTotals(
+            record_count=n,
+            copy_count=copies,
+            spilled_copies=spilled,
+            max_displacement=max_displacement,
+            max_reach=int(sim.reach.max()) if sim.reach.size else 0,
+        ),
     )
     if tracer is not None:
         tracer.emit(
             "bulk_plan",
-            records=plan.record_count,
-            copies=plan.copy_count,
+            records=n,
+            copies=copies,
             spilled=spilled,
             max_displacement=max_displacement,
         )
     return plan
-
-
-def encode_slot_bits(plan: BulkPlan, record_format: RecordFormat) -> np.ndarray:
-    """Serialize every stored copy into its slot bit pattern, vectorized.
-
-    Returns a ``(copies, slot_bits)`` bool matrix in the MSB-first slot
-    layout of :func:`~repro.core.record.encode_record`:
-    ``valid | key value | [key mask] | data``.
-    """
-    copies = plan.copy_count
-    columns = [np.ones((copies, 1), dtype=bool)]  # valid bit
-    key_bits = record_format.key_bits
-    columns.append(words_to_bits(plan.key_words[plan.copy_record], key_bits))
-    if record_format.ternary:
-        columns.append(
-            words_to_bits(plan.mask_words[plan.copy_record], key_bits)
-        )
-    if record_format.data_bits:
-        data = [plan.records[r].data for r in plan.copy_record.tolist()]
-        data_words = keys_to_words(data, record_format.data_bits)
-        columns.append(words_to_bits(data_words, record_format.data_bits))
-    return np.concatenate(columns, axis=1)
-
-
-def _encode_array_rows(
-    row_count: int,
-    layout: BucketLayout,
-    aux_values: Optional[np.ndarray],
-    rows: np.ndarray,
-    slots: np.ndarray,
-    slot_bits_matrix: np.ndarray,
-) -> List[int]:
-    """Render one array's full row image from its copies' bit patterns."""
-    row_bits = layout.row_bits
-    aux_bits = layout.aux_bits
-    slot_width = layout.record_format.slot_bits
-    order = np.argsort(rows, kind="stable")
-    rows_sorted = rows[order]
-    slots_sorted = slots[order]
-    bits_sorted = slot_bits_matrix[order]
-    bit_cols = np.arange(slot_width, dtype=np.int64)
-    out: List[int] = []
-    for start in range(0, row_count, ENCODE_CHUNK_ROWS):
-        stop = min(start + ENCODE_CHUNK_ROWS, row_count)
-        chunk = np.zeros((stop - start, row_bits), dtype=bool)
-        if aux_bits and aux_values is not None:
-            aux_words = np.asarray(
-                aux_values[start:stop], dtype=np.uint64
-            ).reshape(-1, 1)
-            chunk[:, :aux_bits] = words_to_bits(aux_words, aux_bits)
-        lo = int(np.searchsorted(rows_sorted, start, side="left"))
-        hi = int(np.searchsorted(rows_sorted, stop, side="left"))
-        if hi > lo:
-            local_row = rows_sorted[lo:hi] - start
-            col0 = aux_bits + slots_sorted[lo:hi] * slot_width
-            flat = (
-                local_row[:, None] * row_bits
-                + col0[:, None]
-                + bit_cols[None, :]
-            ).ravel()
-            chunk.reshape(-1)[flat] = bits_sorted[lo:hi].ravel()
-        out.extend(rows_from_bits(chunk, row_bits))
-    return out
 
 
 def build_bulk_image(
@@ -343,62 +280,48 @@ def build_bulk_image(
             tracer,
         )
     with profile("bulk.encode"):
-        slot_bits = encode_slot_bits(plan, record_format)
-
+        copy_keys = plan.key_words[plan.copy_record]
+        copy_masks = (
+            None if plan.mask_words is None
+            else plan.mask_words[plan.copy_record]
+        )
+        copy_data = plan.data_words[plan.copy_record]
         array_id, phys_row, phys_slot = geometry.place(
             plan.copy_bucket, plan.copy_slot
         )
         all_rows = np.arange(geometry.rows)
         array_rows: List[List[int]] = []
-        for s in range(geometry.slices):
-            aux_values = (
-                plan.reach[geometry.bucket_of(s, all_rows)]
-                if geometry.holds_reach(s)
-                else None
-            )
-            selected = array_id == s
+        for slice_id in range(geometry.slices):
+            selected = array_id == slice_id
             array_rows.append(
-                _encode_array_rows(
+                layout.encode_rows(
                     geometry.rows,
-                    layout,
-                    aux_values,
+                    plan.reach[geometry.bucket_of(slice_id, all_rows)]
+                    if geometry.holds_reach(slice_id)
+                    else None,
                     phys_row[selected],
                     phys_slot[selected],
-                    slot_bits[selected],
+                    copy_keys[selected],
+                    None if copy_masks is None else copy_masks[selected],
+                    copy_data[selected],
                 )
             )
 
-        word_count = words_for_bits(record_format.key_bits)
-        valid = np.zeros((bucket_count, slots_per_bucket), dtype=bool)
-        key_words = np.zeros(
-            (bucket_count, slots_per_bucket, word_count), dtype=np.uint64
-        )
-        mask_words = np.zeros_like(key_words)
-        records_grid = np.empty((bucket_count, slots_per_bucket), dtype=object)
+        shape = (bucket_count, slots_per_bucket)
         b, s = plan.copy_bucket, plan.copy_slot
+        valid = np.zeros(shape, dtype=bool)
         valid[b, s] = True
-        key_words[b, s] = plan.key_words[plan.copy_record]
-        if plan.mask_words is not None:
-            mask_words[b, s] = plan.mask_words[plan.copy_record]
+        key_words = np.zeros(shape + copy_keys.shape[1:], dtype=np.uint64)
+        key_words[b, s] = copy_keys
+        mask_words = np.zeros_like(key_words)
+        if copy_masks is not None:
+            mask_words[b, s] = copy_masks
+        data_grid = np.zeros(shape + copy_data.shape[1:], dtype=np.uint64)
+        data_grid[b, s] = copy_data
         record_column = np.empty(len(plan.records), dtype=object)
         record_column[:] = plan.records
+        records_grid = np.empty(shape, dtype=object)
         records_grid[b, s] = record_column[plan.copy_record]
-
-        if record_format.data_bits:
-            data_word_count = words_for_bits(record_format.data_bits)
-            data_grid = np.zeros(
-                (bucket_count, slots_per_bucket, data_word_count),
-                dtype=np.uint64,
-            )
-            per_record = keys_to_words(
-                [record.data for record in plan.records],
-                record_format.data_bits,
-            )
-            data_grid[b, s] = per_record[plan.copy_record]
-        else:
-            data_grid = np.zeros(
-                (bucket_count, slots_per_bucket, 0), dtype=np.uint64
-            )
 
     return BulkImage(
         plan=plan,
@@ -407,16 +330,15 @@ def build_bulk_image(
         mirror_key_words=key_words,
         mirror_mask_words=mask_words,
         mirror_reach=plan.reach.astype(np.int64, copy=True),
-        mirror_records=records_grid,
         mirror_data_words=data_grid,
+        mirror_records=records_grid,
     )
 
 
 __all__ = [
+    "BulkTotals",
     "BulkPlan",
     "BulkImage",
     "plan_bulk_build",
-    "encode_slot_bits",
     "build_bulk_image",
-    "ENCODE_CHUNK_ROWS",
 ]

@@ -10,11 +10,13 @@ columns (hit mask, winning row/slot, per-key bucket accesses, the
 multiple-match flag) with **zero per-key Python objects** on the hot path.
 
 Materialization is lazy and exact: :meth:`results` builds the very
-``SearchResult`` list today's callers receive — same records (the same
-object references, gathered from the decoded mirror), same rows, slots,
-access counts, and flags — so ``search_batch`` is now a thin wrapper over
-``search_batch_columnar(...).results()``.  Columnar-native consumers
-(:func:`~repro.apps.iplookup.caram.lpm_search_batch`,
+``SearchResult`` list the scalar path returns — records equal by value
+(asked of the decoded mirror's
+:meth:`~repro.memory.mirror.DecodedMirror.records_at`, which builds each
+from the planes once and keeps it until its row changes), same rows,
+slots, access counts, and flags — so ``search_batch`` is now a thin
+wrapper over ``search_batch_columnar(...).results()``.  Columnar-native
+consumers (:func:`~repro.apps.iplookup.caram.lpm_search_batch`,
 :func:`~repro.apps.trigram.caram.trigram_lookup_batch`) skip the object
 layer entirely via :meth:`data_values`, which reads the mirror's packed
 ``data_words`` grid instead of ``Record`` attributes.
@@ -37,6 +39,7 @@ import numpy as np
 
 from repro.core.record import Record
 from repro.errors import ConfigurationError
+from repro.memory.mirror import words_to_ints
 
 __all__ = ["BatchResultSet", "SearchResult"]
 
@@ -159,7 +162,7 @@ class BatchResultSet:
         slot = int(self.slot[index])
         return SearchResult(
             hit=True,
-            record=self._mirror.records[row, slot],
+            record=self._mirror.records_at([row], [slot])[0],
             row=row,
             slot=slot,
             bucket_accesses=int(self.bucket_accesses[index]),
@@ -169,10 +172,11 @@ class BatchResultSet:
     def results(self) -> List:
         """The full ``SearchResult`` list, bit-identical to the scalar path.
 
-        Hits gather their winning ``Record`` objects from the mirror in one
-        fancy-indexing pass; misses share one immutable instance per
-        distinct access count (the same instance-sharing the row-major
-        engine used).  The list is cached — repeated calls are free.
+        Hits ask the mirror for their winning ``Record`` s in one
+        :meth:`~repro.memory.mirror.DecodedMirror.records_at` call; misses
+        share one immutable instance per distinct access count (the same
+        instance-sharing the row-major engine used).  The list is cached —
+        repeated calls are free.
         """
         if self._results is not None:
             return self._results
@@ -182,7 +186,7 @@ class BatchResultSet:
             self._check_version()
             hit_rows = self.row[hit_positions]
             hit_slots = self.slot[hit_positions]
-            hit_records = self._mirror.records[hit_rows, hit_slots]
+            hit_records = self._mirror.records_at(hit_rows, hit_slots)
             # SearchResult is a frozen dataclass; building instances by
             # swapping in the finished __dict__ skips one
             # object.__setattr__ per field (value-identical).
@@ -192,7 +196,7 @@ class BatchResultSet:
                 hit_positions.tolist(),
                 hit_rows.tolist(),
                 hit_slots.tolist(),
-                hit_records.tolist(),
+                hit_records,
                 self.bucket_accesses[hit_positions].tolist(),
                 self.multiple_matches[hit_positions].tolist(),
             ):
@@ -240,8 +244,6 @@ class BatchResultSet:
     def data_values(self) -> List[Optional[int]]:
         """Per-key matched data (``result.data`` parity): int on a hit,
         None on a miss — without materializing any ``SearchResult``."""
-        from repro.memory.mirror import _words_to_int
-
         out: List[Optional[int]] = [None] * self._size
         hit_positions = np.flatnonzero(self.hit)
         if hit_positions.size:
@@ -256,17 +258,10 @@ class BatchResultSet:
                 words = mirror.data_words[
                     self.row[hit_positions], self.slot[hit_positions]
                 ]
-                if width == 1:
-                    for out_i, value in zip(
-                        hit_positions.tolist(), words[:, 0].tolist()
-                    ):
-                        out[out_i] = value
-                else:
-                    word_lists = words.tolist()
-                    for out_i, word_list in zip(
-                        hit_positions.tolist(), word_lists
-                    ):
-                        out[out_i] = _words_to_int(word_list)
+                for out_i, value in zip(
+                    hit_positions.tolist(), words_to_ints(words)
+                ):
+                    out[out_i] = value
         for index, override in self._overrides.items():
             out[index] = override.data if override.hit else None
         return out

@@ -63,7 +63,7 @@ from repro.telemetry.profiling import profile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.batch import BatchKeys, BatchSearchEngine
-    from repro.core.bulk import BulkPlan
+    from repro.core.bulk import BulkTotals
     from repro.memory.mirror import DecodedMirror
     from repro.reliability.faults import FaultConfig
     from repro.reliability.manager import ReliabilityManager, ReliabilityPolicy
@@ -144,7 +144,7 @@ class SliceGroup:
         self._record_count = 0
         self._mirror: Optional["DecodedMirror"] = None
         self._batch_engine = None
-        self._last_bulk_plan: Optional["BulkPlan"] = None
+        self._last_bulk_plan: Optional["BulkTotals"] = None
         self._batch_chunk_size = batch_chunk_size
         self.account_reads = account_reads
         self.stats = SearchStats()
@@ -272,7 +272,7 @@ class SliceGroup:
         )
 
     @property
-    def last_bulk_plan(self) -> Optional["BulkPlan"]:
+    def last_bulk_plan(self) -> Optional["BulkTotals"]:
         """Planner totals from the most recent fast-path :meth:`bulk_load`."""
         return self._last_bulk_plan
 
@@ -724,11 +724,11 @@ class SliceGroup:
         same final per-slice memory images bit for bit, same record count,
         same ``SearchStats`` — but built as one vectorized pipeline
         (Section 3.2's DMA-style database construction).  The fast path
-        requires an empty group, linear probing, a reach field of at most
-        64 bits and no overflow area; otherwise the pairs are inserted
-        sequentially.  Unlike the sequential loop, the fast path is
-        all-or-nothing: a :class:`~repro.errors.CapacityError` is raised
-        before any row is written, leaving the group untouched.
+        requires an empty group, linear probing and no overflow area;
+        otherwise the pairs are inserted sequentially.  Unlike the
+        sequential loop, the fast path is all-or-nothing: a
+        :class:`~repro.errors.CapacityError` is raised before any row is
+        written, leaving the group untouched.
         """
         pairs = list(records)
         if not pairs:
@@ -737,7 +737,6 @@ class SliceGroup:
             self._record_count == 0
             and self._overflow is None
             and type(self._probing) is LinearProbing
-            and self._layout.aux_bits <= 64
         )
         if not fast:
             return sum(self.insert(key, data) for key, data in pairs)
@@ -753,15 +752,15 @@ class SliceGroup:
             slot_priority=self._slot_priority,
             tracer=self.stats.tracer,
         )
-        self._last_bulk_plan = image.plan
+        totals = self._last_bulk_plan = image.plan.totals
         with profile("bulk.install"):
             # The group's full-image install, whatever a subclass's
             # ``dma_load`` means.
             SliceGroup.dma_load(
-                self, image.array_rows, record_count=image.plan.copy_count
+                self, image.array_rows, record_count=totals.copy_count
             )
             self.stats.record_insert_batch(
-                image.plan.record_count, image.plan.copy_count
+                totals.record_count, totals.copy_count
             )
             if self._mirror is None:
                 self._mirror = self._make_mirror()
@@ -770,10 +769,10 @@ class SliceGroup:
                 image.mirror_key_words,
                 image.mirror_mask_words,
                 image.mirror_reach,
-                image.mirror_records,
-                data_words=image.mirror_data_words,
+                image.mirror_data_words,
+                records=image.mirror_records,
             )
-        return image.plan.copy_count
+        return totals.copy_count
 
     def dma_load(
         self,
@@ -996,17 +995,14 @@ class SliceGroup:
             All matching ``(bucket, slot, record)`` triples, bucket-major.
             Costs one read per row of every array.
         """
-        import numpy as np
-
         if search_mask is None:
             search_mask = (1 << self._config.record_format.key_bits) - 1
         mirror = self._synced_mirror()
         match = mirror.match_predicate(search_key, search_mask)
+        buckets, slots = match.nonzero()
         self._charge_sweep()
-        return [
-            (int(bucket), int(slot), mirror.records[bucket, slot])
-            for bucket, slot in np.argwhere(match)
-        ]
+        found = mirror.records_at(buckets, slots)
+        return list(zip(buckets.tolist(), slots.tolist(), found))
 
     def scan_count(
         self, search_key: int = 0, search_mask: Optional[int] = None
@@ -1036,6 +1032,9 @@ class SliceGroup:
         mirror = self._synced_mirror()
         match = mirror.match_predicate(search_key, search_mask)
         self._charge_sweep()
+        rows, columns = match.nonzero()
+        found = mirror.records_at(rows, columns)
+        stored = dict(zip(zip(rows.tolist(), columns.tolist()), found))
         geometry = self._geometry
         record_format = self._config.record_format
         modified = 0
@@ -1050,7 +1049,7 @@ class SliceGroup:
                 array = self._arrays[slice_id]
                 row_value = array.verified_peek_row(row)
                 for slot in slots:
-                    record = mirror.records[bucket, first + slot]
+                    record = stored[bucket, first + slot]
                     row_value = self._layout.write_slot(
                         row_value,
                         slot,

@@ -4,21 +4,23 @@ The behavioral model stores rows as arbitrary-precision Python integers,
 which keeps sub-field extraction exact for any row width — but forces every
 search to re-decode every slot of the fetched row through big-int bit
 slicing.  A :class:`DecodedMirror` maintains the *decoded* view of the
-array(s) as dense NumPy matrices — per logical bucket: valid bits, stored
-key values, stored care bits (ternary formats only), the auxiliary reach
-field, and the decoded :class:`~repro.core.record.Record` objects — so
-steady-state batch lookups never touch Python-int bit extraction.
+array(s) as dense NumPy matrices of numbers only — per logical bucket:
+valid bits, stored key values, stored care bits (ternary formats only),
+data words and the auxiliary reach field — so steady-state batch lookups
+never touch Python-int bit extraction.  A
+:class:`~repro.core.record.Record` is built only when a reader asks for
+one (:meth:`DecodedMirror.records_at`), as the paper reads data out only
+at the slot the priority encoder returns.
 
 The mirror stays coherent through *dirty-row invalidation*: it subscribes to
 :meth:`~repro.memory.array.MemoryArray.subscribe_invalidation`, and every
 ``write_row`` / ``load`` / ``fill`` marks the affected rows dirty.  A
 :meth:`DecodedMirror.sync` before each batch operation re-decodes only the
 dirty rows, so a read-heavy workload pays the decode cost once per mutation,
-not once per lookup.  The re-decode itself is vectorized: the dirty row
-values are serialized to bytes once, bit-unpacked as one matrix, and every
-slot field (valid, key value, don't-care mask, data) is sliced out as a
-column and re-packed through the same word codecs the bulk-build pipeline
-uses — only the per-valid-slot ``Record`` construction stays in Python.
+not once per lookup.  The re-decode itself is the layout's vectorized
+codec (:meth:`~repro.core.bucket.BucketLayout.decode_rows`), the inverse
+of the one the bulk build encodes with; the mirror only places its word
+matrices into the planes.
 
 Keys are held word-major: one contiguous ``(buckets, slots)`` uint64 plane
 per 64-bit word (word 0 = the low 64 bits), so a key wider than 64 bits
@@ -40,6 +42,8 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.key import TernaryKey
+from repro.core.record import Record
 from repro.errors import ConfigurationError, KeyFormatError
 from repro.utils.bits import mask_of
 
@@ -123,7 +127,8 @@ def keys_to_words(values: Sequence[int], key_bits: int) -> np.ndarray:
 def words_to_ints(words: np.ndarray) -> List[int]:
     """Python ints from a ``(n, words)`` uint64 matrix: the inverse of
     :func:`keys_to_words`, for the few consumers that need one int per
-    key (scalar fallbacks, key-dependent probing, the side stores)."""
+    value (scalar fallbacks, key-dependent probing, the side stores, data
+    values and the mirror's Record memo)."""
     if words.shape[1] == 1:
         return words[:, 0].tolist()
     nbytes = words.shape[1] * (KEY_WORD_BITS // 8)
@@ -136,14 +141,14 @@ def words_to_ints(words: np.ndarray) -> List[int]:
 
 
 # ----------------------------------------------------------------------
-# Encode direction: decoded matrices -> row bit patterns
+# Bit codecs: word matrices <-> MSB-first bit patterns
 # ----------------------------------------------------------------------
 #
-# The decode direction above (rows -> word matrices) serves batch lookups;
-# the bulk-build pipeline needs the opposite: turn whole columns of field
-# values into MSB-first row bit patterns without per-record big-int
-# splicing.  Both codecs below are pure reshapes/bit-unpacks — O(1) NumPy
-# calls over the full matrix.
+# The bit-level halves of the layout's vectorized row codec
+# (:meth:`~repro.core.bucket.BucketLayout.decode_rows` and ``encode_rows``):
+# turn whole columns of field values into MSB-first bit patterns and back
+# without per-record big-int splicing.  Each is a pure reshape/bit-unpack —
+# O(1) NumPy calls over the full matrix.
 
 
 def words_to_bits(words: np.ndarray, bits: int) -> np.ndarray:
@@ -216,16 +221,6 @@ def rows_from_bits(bit_matrix: np.ndarray, row_bits: int) -> List[int]:
     ]
 
 
-def _words_to_int(words: Sequence[int]) -> int:
-    """Rebuild a Python int from little-endian word values (plain ints)."""
-    if len(words) == 1:
-        return words[0]
-    value = 0
-    for word in reversed(words):
-        value = (value << KEY_WORD_BITS) | word
-    return value
-
-
 class DecodedMirror:
     """Incrementally-maintained decoded view of CA-RAM array content.
 
@@ -247,12 +242,10 @@ class DecodedMirror:
             slots), or None for binary record formats, whose keys have no
             don't-care bits to store.
         reach: ``(buckets,)`` int64 — the auxiliary spill-reach field.
-        records: ``(buckets, slots)`` object — decoded ``Record`` instances
-            (``None`` in invalid slots), used for winner extraction.
         data_words: ``(buckets, slots, data_word_count)`` uint64 — stored
             data payloads as little-endian words (zero columns when the
             record format carries no data), the numeric source the columnar
-            result set gathers values from without touching ``records``.
+            result set gathers values from without building a ``Record``.
         version: monotonically increasing content stamp, bumped whenever a
             sync re-decodes rows or a bulk image is installed — the
             coherence token a :class:`~repro.core.results.BatchResultSet`
@@ -304,7 +297,7 @@ class DecodedMirror:
             self.care_planes = np.empty(planes, dtype=np.uint64)
             self.care_planes[...] = self.width_words[:, None, None]
         self.reach = np.zeros(self.buckets, dtype=np.int64)
-        self.records = np.empty((self.buckets, self.slots), dtype=object)
+        self._records = np.empty((self.buckets, self.slots), dtype=object)
         self.data_words = np.zeros(
             (self.buckets, self.slots, self._data_word_count), dtype=np.uint64
         )
@@ -411,104 +404,20 @@ class DecodedMirror:
         slot_base: int,
         read_reach: bool,
     ) -> None:
-        """Batched decode of whole physical rows into the mirror matrices.
-
-        One bytes round-trip plus ``unpackbits`` turns the dirty rows into a
-        bit matrix; every slot field is then a column slice re-packed through
-        :func:`bits_to_words` — the decode direction of the bulk-build
-        codecs.  Semantically identical to per-slot ``layout.read_slot``.
-        """
-        from repro.core.key import TernaryKey
-        from repro.core.record import Record
-
-        layout = self._layout
-        fmt = layout.record_format
-        n = len(row_values)
-        if not n:
-            return
-        row_bits = layout.row_bits
-        nbytes = (row_bits + 7) // 8
-        buf = bytearray(n * nbytes)
-        for i, value in enumerate(row_values):
-            buf[i * nbytes : (i + 1) * nbytes] = value.to_bytes(nbytes, "big")
-        bit_rows = np.unpackbits(
-            np.frombuffer(bytes(buf), dtype=np.uint8).reshape(n, nbytes),
-            axis=1,
-        )[:, nbytes * 8 - row_bits :]
-
+        """Place whole physical rows, decoded by the layout's vectorized
+        codec, into the planes; their memo entries are reset."""
+        reach, valid, keys, masks, data = self._layout.decode_rows(row_values)
         if read_reach:
-            aux_bits = layout.aux_bits
-            if not aux_bits:
-                self.reach[buckets] = 0
-            elif aux_bits <= KEY_WORD_BITS:
-                aux_words = bits_to_words(bit_rows[:, :aux_bits], aux_bits)
-                self.reach[buckets] = aux_words[:, 0].astype(np.int64)
-            else:
-                self.reach[buckets] = [
-                    layout.read_aux(value) for value in row_values
-                ]
-
-        slots = self._geometry.slots
-        slot_bits = fmt.slot_bits
-        key_bits = fmt.key_bits
-        word_count = self._word_count
-        region = bit_rows[
-            :, layout.aux_bits : layout.aux_bits + slots * slot_bits
-        ].reshape(n, slots, slot_bits)
-        valid = region[:, :, 0].astype(bool)
-        key_cols = region[:, :, 1 : 1 + key_bits]
-        mask_matrix = None
-        if fmt.ternary:
-            mask_cols = region[:, :, 1 + key_bits : 1 + 2 * key_bits]
-            # TernaryKey normalizes the value under don't-care positions;
-            # mirror the normalization so key_words matches record.key.value.
-            key_cols = key_cols & (1 - mask_cols)
-            mask_matrix = bits_to_words(
-                mask_cols.reshape(n * slots, key_bits), key_bits
-            ).reshape(n, slots, word_count)
-            mask_matrix[~valid] = 0
-        key_matrix = bits_to_words(
-            key_cols.reshape(n * slots, key_bits), key_bits
-        ).reshape(n, slots, word_count)
-        key_matrix[~valid] = 0
-
-        columns = slice(slot_base, slot_base + slots)
+            self.reach[buckets] = reach
+        columns = slice(slot_base, slot_base + self._geometry.slots)
         self.valid[buckets, columns] = valid
-        self.key_planes[:, buckets, columns] = key_matrix.transpose(2, 0, 1)
-        if mask_matrix is not None:
+        self.key_planes[:, buckets, columns] = keys.transpose(2, 0, 1)
+        if masks is not None:
             self.care_planes[:, buckets, columns] = (
-                ~mask_matrix & self.width_words
+                ~masks & self.width_words
             ).transpose(2, 0, 1)
-
-        data_bits = fmt.data_bits
-        if data_bits:
-            data_start = 1 + fmt.key_storage_bits
-            data_matrix = bits_to_words(
-                region[:, :, data_start : data_start + data_bits].reshape(
-                    n * slots, data_bits
-                ),
-                data_bits,
-            ).reshape(n, slots, -1)
-            data_matrix[~valid] = 0
-            self.data_words[buckets, columns] = data_matrix
-        else:
-            data_matrix = None
-
-        recs = np.full((n, slots), None, dtype=object)
-        positions = np.argwhere(valid).tolist()
-        if positions:
-            key_list = key_matrix.tolist()
-            mask_list = mask_matrix.tolist() if mask_matrix is not None else None
-            data_list = data_matrix.tolist() if data_matrix is not None else None
-            for i, j in positions:
-                value = _words_to_int(key_list[i][j])
-                mask = _words_to_int(mask_list[i][j]) if mask_list else 0
-                data = _words_to_int(data_list[i][j]) if data_list else 0
-                recs[i][j] = Record(
-                    key=TernaryKey(value=value, mask=mask, width=key_bits),
-                    data=data,
-                )
-        self.records[buckets, columns] = recs
+        self.data_words[buckets, columns] = data
+        self._records[buckets, columns] = None
 
     def install(
         self,
@@ -516,8 +425,8 @@ class DecodedMirror:
         key_words: np.ndarray,
         mask_words: np.ndarray,
         reach: np.ndarray,
-        records: np.ndarray,
-        data_words: Optional[np.ndarray] = None,
+        data_words: np.ndarray,
+        records: Optional[np.ndarray] = None,
     ) -> None:
         """Adopt a complete decoded image wholesale (encode direction).
 
@@ -525,26 +434,24 @@ class DecodedMirror:
         to serialize into the arrays; installing it here skips the O(rows x
         slots) big-int re-decode the invalidation listeners would otherwise
         schedule.  All dirty flags are cleared — the caller vouches that the
-        image matches the array content it just loaded.
+        image matches the array content it just loaded.  ``records``, a
+        ``(buckets, slots)`` object grid of the image's ``Record`` s (None
+        in empty slots), seeds the :meth:`records_at` memo.
         """
-        expected = (self.buckets, self.slots)
-        if valid.shape != expected or records.shape != expected:
-            raise ConfigurationError(
-                f"decoded image shape {valid.shape} != {expected}"
-            )
-        word_shape = (self.buckets, self.slots, self._word_count)
-        if key_words.shape != word_shape:
-            raise ConfigurationError(
-                f"key-word shape {key_words.shape} != {word_shape}"
-            )
-        if mask_words.shape != word_shape:
-            raise ConfigurationError(
-                f"mask-word shape {mask_words.shape} != {word_shape}"
-            )
-        if reach.shape != (self.buckets,):
-            raise ConfigurationError(
-                f"reach shape {reach.shape} != ({self.buckets},)"
-            )
+        grid = self.valid.shape
+        word_shape = grid + (self._word_count,)
+        for name, array, shape in (
+            ("valid", valid, grid),
+            ("key-word", key_words, word_shape),
+            ("mask-word", mask_words, word_shape),
+            ("reach", reach, self.reach.shape),
+            ("data-word", data_words, self.data_words.shape),
+            ("record", valid if records is None else records, grid),
+        ):
+            if array.shape != shape:
+                raise ConfigurationError(
+                    f"{name} shape {array.shape} != {shape}"
+                )
         self.valid[...] = valid
         self.key_planes[...] = key_words.transpose(2, 0, 1)
         if self.care_planes is not None:
@@ -552,24 +459,8 @@ class DecodedMirror:
                 ~mask_words & self.width_words
             ).transpose(2, 0, 1)
         self.reach[...] = reach
-        self.records[...] = records
-        if self._data_word_count:
-            if data_words is not None:
-                if data_words.shape != self.data_words.shape:
-                    raise ConfigurationError(
-                        f"data-word shape {data_words.shape} != "
-                        f"{self.data_words.shape}"
-                    )
-                self.data_words[...] = data_words
-            else:
-                # Legacy images carry no data grid — derive it from the
-                # record objects so the columnar gather stays coherent.
-                self.data_words[...] = 0
-                dwc = self._data_word_count
-                for i, j in np.argwhere(self.valid):
-                    self.data_words[i, j] = int_to_words(
-                        self.records[i, j].data, dwc
-                    )
+        self.data_words[...] = data_words
+        self._records[...] = records
         for dirty in self._dirty:
             dirty[:] = False
         self._any_dirty = False
@@ -585,7 +476,7 @@ class DecodedMirror:
         Bumps :attr:`version` like any other content change.
         """
         self.valid[bucket] = False
-        self.records[bucket] = None
+        self._records[bucket] = None
         self.key_planes[:, bucket] = 0
         if self.care_planes is not None:
             self.care_planes[:, bucket] = self.width_words[:, None]
@@ -707,11 +598,83 @@ class DecodedMirror:
         )
         return self.match_all(query, query_mask)
 
+    def records_at(self, buckets, slots) -> List[Optional[Record]]:
+        """The stored ``Record`` at each ``(bucket, slot)``, None where the
+        slot is empty.
+
+        A Record is built from the planes the first time it is asked for
+        and kept until its row is re-decoded, installed or cleared; a bulk
+        build seeds the memo with the Records it was built from.
+        """
+        gathered = self._records[buckets, slots]
+        if np.count_nonzero(gathered) < gathered.size:
+            buckets, slots = np.asarray(buckets), np.asarray(slots)
+            self._build_records(buckets, slots, gathered)
+            gathered = self._records[buckets, slots]
+        return gathered.tolist()
+
+    def _build_records(
+        self, buckets: np.ndarray, slots: np.ndarray, gathered: np.ndarray
+    ) -> None:
+        """Fill the memo at every valid coordinate ``gathered`` lacks."""
+        missing = ~gathered.astype(bool) & self.valid[buckets, slots]
+        b, s = buckets[missing], slots[missing]
+        keys, masks, data = self._fields_at(b, s)
+        values = words_to_ints(keys)
+        masks = [0] * len(values) if masks is None else words_to_ints(masks)
+        if not self._data_word_count:
+            data = [0] * len(values)
+        else:
+            data = words_to_ints(data)
+        built = np.empty(len(values), dtype=object)
+        built[:] = [
+            Record(TernaryKey(value, mask, self._key_bits), datum)
+            for value, mask, datum in zip(values, masks, data)
+        ]
+        self._records[b, s] = built
+
+    def _fields_at(self, buckets, slots):
+        """``(keys, masks, data)`` words of the given slots, one row per
+        slot (``masks`` is None for binary formats)."""
+        keys = self.key_planes[:, buckets, slots].T
+        masks = None
+        if self.care_planes is not None:
+            care = self.care_planes[:, buckets, slots]
+            masks = (~care & self.width_words[:, None]).T
+        return keys, masks, self.data_words[buckets, slots]
+
+    def row_dirty(self, slice_id: int, row: int) -> bool:
+        """Whether a physical row awaits re-decode."""
+        return bool(self._dirty[slice_id][row])
+
+    def row_value(self, slice_id: int, row: int) -> int:
+        """The row value the mirror's decode of one physical row encodes
+        to — what the row held when it was last decoded (or installed)."""
+        geometry = self._geometry
+        bucket = geometry.bucket_of(slice_id, row)
+        first = geometry.slot_offset(slice_id)
+        row_slots = np.flatnonzero(
+            self.valid[bucket, first : first + geometry.slots]
+        )
+        buckets = np.full(row_slots.size, bucket)
+        keys, masks, data = self._fields_at(buckets, first + row_slots)
+        return self._layout.encode_rows(
+            1,
+            self.reach[[bucket]] if geometry.holds_reach(slice_id) else None,
+            np.zeros(row_slots.size, dtype=np.int64),
+            row_slots,
+            keys,
+            masks,
+            data,
+        )[0]
+
     def iter_valid(self):
         """Yield ``(bucket, slot, record)`` for every valid slot, row-major
         (bucket ascending, slot ascending — the scalar iteration order)."""
-        for bucket, slot in np.argwhere(self.valid):
-            yield int(bucket), int(slot), self.records[bucket, slot]
+        buckets, slots = np.nonzero(self.valid)
+        yield from zip(
+            buckets.tolist(), slots.tolist(), self.records_at(buckets, slots)
+        )
 
 
 __all__ = [

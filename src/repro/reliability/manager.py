@@ -14,7 +14,8 @@ detect-or-correct primitive:
   pristine spare (its hard faults retire with it) and rewritten as an empty
   bucket that **keeps its reach field**, so extended searches to records
   spilled *past* it still terminate correctly.  The bucket's former records
-  are recovered from the decoded mirror's last-good copy and moved to a
+  are recovered from the decoded mirror's last-good copy (rows written
+  since the last sync from their ECC check instead) and moved to a
   bounded **victim store**, which the group searches in parallel with
   every lookup through the same overlay as its overflow area (Section
   4.3) — a victim hit costs no extra AMAL access;
@@ -50,6 +51,7 @@ from repro.reliability.ecc import (
     ECC_CORRECTED,
     ECC_DETECTED,
     check_row,
+    encode_row,
 )
 from repro.reliability.faults import FaultConfig, FaultInjector
 from repro.reliability.guard import RowGuard
@@ -166,37 +168,51 @@ class ReliabilityManager:
     # ------------------------------------------------------------------
 
     def _harvest_bucket(self, bucket: int) -> Tuple[List["Record"], int]:
-        """Recover a failing bucket's records and reach.
+        """Recover a failing bucket's records and reach, row by row.
 
-        The decoded mirror holds the last ECC-verified copy of every row
-        (fault persistence marks rows dirty *without* overwriting the
-        mirror's decode), so it is the recovery source of truth.  Without a
-        mirror, each constituent row is recovered through the ECC check
-        directly; a row that fails even that is **counted data loss** —
-        detected and reported, never silent.
+        A row comes from the decoded mirror when its decode is current:
+        the row was not written since the last sync, or the decode
+        re-encodes to the checkword of the row's last write (a fault marks
+        a row dirty without changing what it should hold, so the mirror
+        keeps its last-good copy).  Any other row is recovered through its
+        ECC check; a row that fails even that is **counted data loss** and
+        raises :class:`~repro.errors.CorruptionError` — a restore never
+        silently reverts a write the mirror has not seen.
         """
         group = self.group
-        mirror = group._mirror
-        if mirror is not None:
-            valid = mirror.valid[bucket]
-            records = [
-                mirror.records[bucket, slot]
-                for slot in np.flatnonzero(valid).tolist()
-            ]
-            return records, int(mirror.reach[bucket])
+        geometry = group.geometry
         layout = group._layout
-        records = []
+        row_bits = layout.row_bits
+        mirror = group._mirror
+        records: List["Record"] = []
         reach = 0
-        for i, (array_index, row) in enumerate(group.geometry.rows_of(bucket)):
-            array = group._arrays[array_index]
+        for i, (array_index, row) in enumerate(geometry.rows_of(bucket)):
+            checkword = self.guards[array_index].checkwords[row]
+            if mirror is not None and (
+                not mirror.row_dirty(array_index, row)
+                or checkword
+                == encode_row(mirror.row_value(array_index, row), row_bits)
+            ):
+                first = geometry.slot_offset(array_index)
+                slots = first + np.flatnonzero(
+                    mirror.valid[bucket, first : first + geometry.slots]
+                )
+                buckets = np.full(slots.size, bucket)
+                records.extend(mirror.records_at(buckets, slots))
+                if i == 0:
+                    reach = int(mirror.reach[bucket])
+                continue
             status, corrected, _ = check_row(
-                array._data[row],
-                self.guards[array_index].checkwords[row],
-                array.row_bits,
+                group._arrays[array_index]._data[row], checkword, row_bits
             )
             if status not in (ECC_CLEAN, ECC_CORRECTED):
                 self.unrecoverable_rows += 1
-                continue
+                raise CorruptionError(
+                    f"row {row} (array {array_index}) is uncorrectable and "
+                    f"has no current decode to restore from",
+                    array_index=array_index,
+                    row=row,
+                )
             if i == 0:
                 reach = layout.read_aux(corrected)
             for slot_valid, record in layout.read_all(corrected):
@@ -382,7 +398,9 @@ class ReliabilityManager:
         Correctable rows are rewritten in place; rows that fail the check
         outright (or exceed the correctable-error quarantine threshold,
         or fail the write-read-back dead-row test) are quarantined.
-        Never raises on corruption — scrub *is* the repair path.
+        Never raises on corruption — scrub *is* the repair path; a bucket
+        it cannot recover is left in place, counted in
+        ``unrecoverable_rows``, for lookups to surface.
         """
         corrected = 0
         quarantined = 0
@@ -409,9 +427,12 @@ class ReliabilityManager:
                 ):
                     if status not in (ECC_CLEAN, ECC_CORRECTED):
                         self.group.stats.record_corruption_detected()
-                    self.quarantine_bucket(
-                        geometry.bucket_of(array_index, row)
-                    )
+                    try:
+                        self.quarantine_bucket(
+                            geometry.bucket_of(array_index, row)
+                        )
+                    except CorruptionError:
+                        continue  # data loss, counted in unrecoverable_rows
                     quarantined += 1
                 else:
                     # A held repair certifies the row healthy again: its

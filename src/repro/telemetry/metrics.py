@@ -3,7 +3,7 @@
 The stack's counters live where they are cheapest to maintain —
 :class:`~repro.core.stats.SearchStats` on slices and groups,
 :class:`~repro.memory.array.ArrayStats` on memory arrays, planner totals on
-:class:`~repro.core.bulk.BulkPlan` — but every experiment wants the same
+:class:`~repro.core.bulk.BulkTotals` — but every experiment wants the same
 thing from them: one structured, diffable snapshot of *everything* that
 moved during a run.  A :class:`MetricsRegistry` is that aggregation point:
 

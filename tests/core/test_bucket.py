@@ -1,10 +1,15 @@
 """Unit tests for the bucket row layout."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bucket import BucketLayout
+from repro.core.key import TernaryKey
 from repro.core.record import Record, RecordFormat
 from repro.errors import ConfigurationError
+from repro.memory.mirror import int_to_words, keys_to_words, words_for_bits
 
 
 def make_layout(row_bits=128, key_bits=16, data_bits=8, aux_bits=8, **kw):
@@ -148,3 +153,115 @@ class TestHelpers:
         records = [make_record(layout, i, 0) for i in range(5)]
         with pytest.raises(ConfigurationError):
             layout.pack(records)
+
+
+@st.composite
+def codec_case(draw):
+    """A layout (binary or ternary, keys of 1-130 bits, data of 0-70 bits,
+    aux of 0, 8 or 70 bits, maybe a slot override) and rows packed with
+    a prefix of records each, plus their reach fields."""
+    fmt = RecordFormat(
+        key_bits=draw(st.integers(1, 130)),
+        data_bits=draw(st.integers(0, 70)),
+        ternary=draw(st.booleans()),
+    )
+    aux_bits = draw(st.sampled_from([0, 8, 70]))
+    fitting = draw(st.integers(1, 4))
+    layout = BucketLayout(
+        row_bits=aux_bits + fitting * fmt.slot_bits + draw(st.integers(0, 9)),
+        record_format=fmt,
+        aux_bits=aux_bits,
+        slots_override=draw(st.none() | st.integers(1, fitting)),
+    )
+    key_limit = (1 << fmt.key_bits) - 1
+    record = st.builds(
+        lambda value, mask, data: Record.make(
+            TernaryKey(value, mask if fmt.ternary else 0, fmt.key_bits),
+            data,
+            fmt,
+        ),
+        st.integers(0, key_limit),
+        st.integers(0, key_limit),
+        st.integers(0, (1 << fmt.data_bits) - 1),
+    )
+    rows = draw(
+        st.lists(
+            st.lists(record, max_size=layout.slots_per_bucket),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    reach_limit = layout.max_reach if aux_bits <= 8 else (1 << 16) - 1
+    reach = [draw(st.integers(0, reach_limit)) for _ in rows]
+    return layout, rows, reach
+
+
+class TestVectorizedCodec:
+    """``encode_rows``/``decode_rows`` against the scalar ``pack`` and
+    ``read_aux``/``read_all``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=codec_case(), data=st.data())
+    def test_encode_rows_matches_pack(self, case, data):
+        layout, rows, reach = case
+        fmt = layout.record_format
+        copies = [
+            (row, slot, rec)
+            for row, records in enumerate(rows)
+            for slot, rec in enumerate(records)
+        ]
+        copies = data.draw(st.permutations(copies))
+        recs = [rec for _, _, rec in copies]
+        with_reach = bool(layout.aux_bits) and data.draw(st.booleans())
+        image = layout.encode_rows(
+            len(rows),
+            reach if with_reach else None,
+            np.array([row for row, _, _ in copies], dtype=np.int64),
+            np.array([slot for _, slot, _ in copies], dtype=np.int64),
+            keys_to_words([r.key.value for r in recs], fmt.key_bits),
+            keys_to_words([r.key.mask for r in recs], fmt.key_bits),
+            keys_to_words([r.data for r in recs], max(fmt.data_bits, 1)),
+        )
+        assert image == [
+            layout.pack(records, reach[i] if with_reach else 0)
+            for i, records in enumerate(rows)
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=codec_case(), data=st.data())
+    def test_decode_rows_matches_read_all(self, case, data):
+        layout, rows, reach = case
+        fmt = layout.record_format
+        shift = layout.row_bits - layout.aux_bits
+        values = [
+            layout.pack(records, reach[i])
+            for i, records in enumerate(rows)
+        ]
+        # Junk below the aux field: stray valid bits, bits under masks,
+        # padding and contents of empty slots.
+        values += [
+            (r << shift) | data.draw(st.integers(0, (1 << shift) - 1))
+            for r in reach
+        ]
+        got_reach, valid, keys, masks, words = layout.decode_rows(values)
+        key_words = words_for_bits(fmt.key_bits)
+        data_words = words_for_bits(fmt.data_bits) if fmt.data_bits else 0
+        slots = layout.slots_per_bucket
+        assert keys.shape == (len(values), slots, key_words)
+        assert words.shape == (len(values), slots, data_words)
+        assert (masks is None) == (not fmt.ternary)
+        assert got_reach.tolist() == [layout.read_aux(v) for v in values]
+        for i, value in enumerate(values):
+            for j, (is_valid, rec) in enumerate(layout.read_all(value)):
+                assert valid[i, j] == is_valid
+                want_key = rec.key.value if is_valid else 0
+                want_mask = rec.key.mask if is_valid else 0
+                want_data = rec.data if is_valid else 0
+                assert keys[i, j].tolist() == int_to_words(want_key, key_words)
+                if masks is not None:
+                    assert masks[i, j].tolist() == int_to_words(
+                        want_mask, key_words
+                    )
+                assert words[i, j].tolist() == int_to_words(
+                    want_data, data_words
+                )

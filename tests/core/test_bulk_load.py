@@ -109,8 +109,10 @@ def assert_mirror_matches_rows(store):
     assert np.array_equal(installed.key_words, fresh.key_words)
     assert np.array_equal(installed.mask_words, fresh.mask_words)
     assert np.array_equal(installed.reach, fresh.reach)
-    for bucket, slot in np.argwhere(fresh.valid):
-        assert installed.records[bucket, slot] == fresh.records[bucket, slot]
+    buckets, slots = np.nonzero(fresh.valid)
+    assert installed.records_at(buckets, slots) == fresh.records_at(
+        buckets, slots
+    )
 
 
 @st.composite
@@ -253,6 +255,18 @@ class TestBulkLoadTargeted:
         staged.insert(*pairs[0])
         staged.bulk_load(pairs[1:])
         assert_same_state(staged, reference)
+
+    def test_wide_reach_field_takes_the_fast_path(self):
+        config = make_config(3, 2, ternary=False, aux_bits=70)
+        factory = lambda: CARAMSlice(config, IndexGenerator(ModuloHash(8), 8))
+        pairs = [(k * 8 + k % 2, k) for k in range(12)]  # buckets 0, 1 spill
+        reference, error = sequential_reference(factory, pairs)
+        assert error is None
+        bulk = factory()
+        bulk.bulk_load(pairs)
+        assert bulk.last_bulk_plan.max_displacement > 0
+        assert_same_state(bulk, reference)
+        assert_mirror_matches_rows(bulk)
 
     def test_capacity_error_before_any_write(self):
         slice_ = make_slice(2, 1, False, False, False)

@@ -1,8 +1,10 @@
 """Stateful property test: a CA-RAM slice against a dictionary model.
 
 Hypothesis drives random interleavings of insert / delete / search /
-rebuild / clear and checks, after every step, that the slice agrees with a
-plain dict on membership, data, and record count.
+batch search / rebuild / clear / bulk reload and checks, after every step,
+that the slice agrees with a plain dict on membership, data, stored
+records and record count — the batch path's mirror and its Record memo
+included.
 """
 
 import hypothesis.strategies as st
@@ -87,6 +89,23 @@ class SliceMachine(RuleBasedStateMachine):
         else:
             assert not result.hit
 
+    @rule(keys=st.lists(KEYS, max_size=8))
+    def search_batch(self, keys):
+        for key, got in zip(keys, self.caram.search_batch(keys)):
+            want = self.caram.search(key)
+            assert (
+                got.hit, got.record, got.row, got.slot, got.bucket_accesses
+            ) == (
+                want.hit, want.record, want.row, want.slot,
+                want.bucket_accesses,
+            )
+
+    @precondition(lambda self: not self.model)
+    @rule(pairs=st.dictionaries(KEYS, DATA, max_size=CAPACITY // 2))
+    def bulk_reload(self, pairs):
+        self.caram.bulk_load(list(pairs.items()))
+        self.model.update(pairs)
+
     @rule()
     def rebuild(self):
         self.caram.rebuild()
@@ -100,6 +119,15 @@ class SliceMachine(RuleBasedStateMachine):
     @invariant()
     def record_count_matches(self):
         assert self.caram.record_count == len(self.model)
+
+    @invariant()
+    def stored_records_match(self):
+        stored = [
+            (record.key.value, record.data)
+            for _, _, record in self.caram.records()
+        ]
+        assert sorted(stored) == sorted(self.model.items())
+        assert self.caram.scan_count() == len(self.model)
 
     @invariant()
     def load_factor_bounded(self):

@@ -106,6 +106,27 @@ class TestWordPacking:
 
 
 class TestSyncAndInvalidation:
+    def test_sync_builds_no_record(self, monkeypatch):
+        array = make_array()
+        mirror = DecodedMirror([array], LAYOUT)
+        mirror.sync()
+        array.write_row(1, pack([record(0xF00D, mask=0b11, data=5)], reach=2))
+        array.write_row(6, pack([None, record(0x1F)]))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sync built a Record")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Record, "__init__", refuse)
+            patch.setattr(TernaryKey, "__init__", refuse)
+            assert mirror.sync() == 2
+        # Records are built on request, from the planes.
+        assert mirror.records_at([1, 6, 6], [0, 0, 1]) == [
+            record(0xF00D, mask=0b11, data=5),
+            None,
+            record(0x1F),
+        ]
+
     def test_initial_sync_decodes_everything(self):
         array = make_array()
         array.write_row(2, pack([record(0x42, data=7)], reach=3))
@@ -115,7 +136,7 @@ class TestSyncAndInvalidation:
         assert not mirror.valid[2, 1]
         assert int(mirror.key_words[2, 0, 0]) == 0x42
         assert int(mirror.reach[2]) == 3
-        assert mirror.records[2, 0].data == 7
+        assert mirror.records_at([2], [0])[0].data == 7
 
     def test_write_row_marks_only_that_row_dirty(self):
         array = make_array()
@@ -181,8 +202,10 @@ class TestComposition:
         mirror.sync()
         assert mirror.buckets == ROWS
         assert mirror.slots == 2 * LAYOUT.slots_per_bucket
-        assert mirror.records[4, 0].key.value == 0x11
-        assert mirror.records[4, LAYOUT.slots_per_bucket].key.value == 0x22
+        assert mirror.records_at([4], [0])[0].key.value == 0x11
+        assert mirror.records_at([4], [LAYOUT.slots_per_bucket])[
+            0
+        ].key.value == 0x22
         # Reach of the logical bucket comes from slice 0 only.
         assert int(mirror.reach[4]) == 2
 
@@ -299,7 +322,7 @@ class TestPlaneStorage:
         version = mirror.version
         mirror.clear_bucket(3, reach=2)
         assert not mirror.valid[3].any()
-        assert mirror.records[3, 0] is None
+        assert mirror.records_at([3], [0]) == [None]
         assert not mirror.key_words[3].any() and not mirror.mask_words[3].any()
         assert not mirror.data_words[3].any()
         assert int(mirror.reach[3]) == 2
@@ -409,7 +432,7 @@ class TestKernelOracle:
         )
         installed.install(
             mirror.valid, mirror.key_words, mirror.mask_words, mirror.reach,
-            mirror.records,
+            mirror.data_words,
         )
         assert installed.match_rows(ids, words, mask_words).tolist() == expected
 
@@ -427,7 +450,7 @@ def reference_decode(mirror, arrays, layout, horizontal):
     key_words = np.zeros_like(mirror.key_words)
     mask_words = np.zeros_like(mirror.mask_words)
     reach = np.zeros_like(mirror.reach)
-    records = np.empty_like(mirror.records)
+    records = np.empty(mirror.valid.shape, dtype=object)
     slots = layout.slots_per_bucket
     word_count = mirror.word_count
     for slice_id, array in enumerate(arrays):
@@ -498,7 +521,8 @@ class TestVectorizedSyncIdentity:
         assert (mirror.reach == reach).all()
         for bucket in range(mirror.buckets):
             for slot in range(mirror.slots):
-                got, want = mirror.records[bucket, slot], records[bucket, slot]
+                got = mirror.records_at([bucket], [slot])[0]
+                want = records[bucket, slot]
                 if want is None:
                     assert got is None
                 else:
@@ -519,7 +543,7 @@ class TestVectorizedSyncIdentity:
         assert (mirror.mask_words == mask_words).all()
         assert (mirror.reach == reach).all()
         # Stored key values are normalized under the stored mask.
-        assert mirror.records[1, 0].key.value == 0xF00D & ~0b11
+        assert mirror.records_at([1], [0])[0].key.value == 0xF00D & ~0b11
 
     def test_wide_key_vectorized_decode(self):
         fmt = RecordFormat(key_bits=128, data_bits=8, ternary=True)
@@ -535,7 +559,7 @@ class TestVectorizedSyncIdentity:
         mirror.sync()
         is_valid, rec = layout.read_slot(array.peek_row(1), 0)
         assert is_valid and mirror.valid[1, 0]
-        assert mirror.records[1, 0].key == rec.key
+        assert mirror.records_at([1], [0])[0].key == rec.key
         assert list(mirror.key_words[1, 0]) == int_to_words(rec.key.value, 2)
         assert list(mirror.mask_words[1, 0]) == int_to_words(rec.key.mask, 2)
         assert int(mirror.reach[1]) == 1

@@ -12,7 +12,7 @@ from repro.core.index import make_index_generator
 from repro.core.record import RecordFormat
 from repro.core.slice import CARAMSlice
 from repro.core.subsystem import SliceGroup
-from repro.errors import ConfigurationError, ReliabilityError
+from repro.errors import CaRamError, ConfigurationError, ReliabilityError
 from repro.hashing.base import ModuloHash
 from repro.hashing.bit_select import BitSelectHash
 from repro.reliability.faults import FaultConfig
@@ -118,6 +118,36 @@ class TestRestore:
         slice_.memory._data[target] ^= 0b11
         assert slice_.search(keys[0]).data == expected
         assert target in slice_.reliability.quarantined_buckets
+
+
+    def test_restore_never_reverts_an_unsynced_write(self):
+        """A row written since the mirror's last sync has a stale decode;
+        restoring the bucket from it would silently drop the write."""
+        fmt = RecordFormat(key_bits=16, data_bits=8)
+        config = SliceConfig(
+            index_bits=3, row_bits=8 + 4 * fmt.slot_bits, record_format=fmt
+        )
+        slice_ = CARAMSlice(config, make_index_generator(ModuloHash(8)))
+        slice_.bulk_load([(k, k & 0xFF) for k in (1, 2, 3, 9, 10)])
+        manager = slice_.enable_reliability()
+        slice_.insert(17, 0x42)  # row 1, after the mirror's last decode
+        flips = 0b11 << 26  # two adjacent bits of one ECC segment
+        manager.guards[0].inject_access_fault(1, flips)
+        for lookup in (
+            lambda: slice_.search_batch([17])[0],
+            lambda: slice_.search(17),
+        ):
+            try:
+                result = lookup()
+            except CaRamError:
+                continue
+            assert result.hit and result.data == 0x42
+        assert slice_.record_count == 6
+        # The write is still in the row: undo the flips and it reads back.
+        manager.guards[0].inject_access_fault(1, flips)
+        assert slice_.search_batch([17])[0].data == 0x42
+        assert slice_.search(17).data == 0x42
+        assert len(list(slice_.records())) == slice_.record_count
 
 
 class TestQuarantine:
