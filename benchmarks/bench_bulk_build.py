@@ -27,6 +27,7 @@ import json
 import time
 
 from harness import finalize, result_path
+from repro.apps.iplookup.caram import prefix_priority
 from repro.core.config import Arrangement, SliceConfig
 from repro.core.key import TernaryKey
 from repro.core.record import RecordFormat
@@ -46,11 +47,6 @@ SEED = 4321
 
 FULL = {"index_bits": 10, "slots": 32, "queries": 60_000}
 QUICK = {"index_bits": 7, "slots": 16, "queries": 10_000}
-
-
-def prefix_priority(record) -> float:
-    """Longest-prefix-first slot ordering, as in the IP study."""
-    return float(record.key.width - record.key.dont_care_count)
 
 
 def make_group(index_bits: int, slots: int, ternary: bool) -> SliceGroup:

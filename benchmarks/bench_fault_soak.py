@@ -12,8 +12,8 @@ Two contracts of the reliability layer are pinned here with numbers:
   disabled must keep warm batch-lookup throughput within 5% of an
   identical slice that never had one (the guard hook is one ``is None``
   check per row access).  Both slices are built in the same run and timed
-  in ``REPEATS`` pinned pairs that alternate which runs first; the gate
-  reads the median per-pair ratio (``harness.paired_overhead``).
+  in ``QUARTETS`` pinned ABBA quartets; the gate reads the median
+  per-quartet ratio (``harness.paired_overhead``).
 
 Results (per-rate soak reports + the disabled-path throughput) land in
 ``BENCH_fault_soak.json``.
@@ -36,7 +36,7 @@ from repro.reliability.soak import run_soak
 
 RESULT_PATH = result_path("fault_soak")
 
-REPEATS = 10         # alternating pairs behind the median ratio
+QUARTETS = 10        # ABBA quartets (20 runs a side) behind the median
 GATE_THRESHOLD = 0.05
 SOAK_QUERIES = 10_000
 SOAK_RATE = 1e-4
@@ -55,9 +55,9 @@ def measure_disabled_overhead() -> dict:
     a baseline slice measured in the same run.
 
     Two identical slices are built; one has its reliability layer enabled
-    and then disabled.  Their warm passes run in ``REPEATS`` pinned pairs,
-    alternating which goes first; the overhead is the median per-pair
-    ratio, and every pair's ratio is reported.
+    and then disabled.  Their warm passes run in ``QUARTETS`` pinned ABBA
+    quartets; the overhead is the median per-quartet ratio, and every
+    quartet's ratio is reported.
     """
     slices = {"baseline": build_slice(), "disabled": build_slice()}
     stored = populate(slices["baseline"])
@@ -70,14 +70,14 @@ def measure_disabled_overhead() -> dict:
     leg = paired_overhead(
         lambda: _warm_pass(slices["baseline"], queries),
         lambda: _warm_pass(slices["disabled"], queries),
-        REPEATS,
+        QUARTETS,
     )
     return {
         "keys": len(queries),
         "baseline_keys_per_sec": round(leg["reference_rate"]),
         "disabled_keys_per_sec": round(leg["candidate_rate"]),
         "disabled_overhead_vs_baseline": leg["overhead"],
-        "disabled_overhead_pairs": leg["pair_ratios"],
+        "disabled_overhead_quartets": leg["quartet_ratios"],
     }
 
 

@@ -15,11 +15,11 @@ that down with numbers on the same slice/query stream as
   registry snapshots (latency sketch included) every 50 ms — the
   serving-mode "scrape while running" configuration.
 
-Every mode is timed against the disabled slice in ``REPEATS`` pinned
-pairs of warm ``search_batch`` passes that alternate which runs first
-(``harness.paired_overhead``), and each overhead is the median per-pair
-ratio; the baseline and disabled slices are built in the same run.
-Median keys/sec, the relative overheads and every pair's ratio go to
+Every mode is timed against the disabled slice in ``QUARTETS`` pinned
+ABBA quartets of warm ``search_batch`` passes (``harness.paired_overhead``),
+and each overhead is the median per-quartet ratio; the baseline and
+disabled slices are built in the same run.  Median keys/sec, the relative
+overheads and every quartet's ratio go to
 ``BENCH_telemetry_overhead.json``.  The pytest gates assert (a) the
 disabled slice stays within ``GATE_THRESHOLD`` of the baseline slice,
 i.e. that merely *having* the instrumentation costs nothing, and (b) the enabled sampler mode stays within
@@ -48,7 +48,7 @@ from repro.telemetry.trace import InMemorySink, NullSink, Tracer
 
 RESULT_PATH = result_path("telemetry_overhead")
 
-REPEATS = 10         # alternating pairs behind each median ratio
+QUARTETS = 10        # ABBA quartets (20 runs a side) behind each median
 GATE_THRESHOLD = 0.05
 SAMPLER_INTERVAL = 0.05
 #: The sampler thread snapshots the registry off the hot path, so its cost
@@ -109,15 +109,15 @@ def run_benchmark() -> dict:
         try:
             legs = {
                 "disabled": paired_overhead(
-                    plain(slices["baseline"]), plain(slice_), REPEATS
+                    plain(slices["baseline"]), plain(slice_), QUARTETS
                 ),
                 "null_sink": paired_overhead(
-                    plain(slice_), traced(Tracer(sink=NullSink())), REPEATS
+                    plain(slice_), traced(Tracer(sink=NullSink())), QUARTETS
                 ),
                 "ring": paired_overhead(
-                    plain(slice_), traced(ring_tracer), REPEATS
+                    plain(slice_), traced(ring_tracer), QUARTETS
                 ),
-                "sampler": paired_overhead(plain(slice_), sampled, REPEATS),
+                "sampler": paired_overhead(plain(slice_), sampled, QUARTETS),
             }
         finally:
             sampler.close()
@@ -136,7 +136,7 @@ def run_benchmark() -> dict:
             if mode != "disabled"
         },
         **{
-            f"{mode}_overhead_pairs": leg["pair_ratios"]
+            f"{mode}_overhead_quartets": leg["quartet_ratios"]
             for mode, leg in legs.items()
         },
         "sampler_interval_s": SAMPLER_INTERVAL,

@@ -27,20 +27,24 @@ def result_path(name: str) -> Path:
 def paired_overhead(
     reference: Callable[[], float],
     candidate: Callable[[], float],
-    pairs: int,
+    quartets: int,
 ) -> Dict[str, object]:
-    """Relative cost of ``candidate`` over ``reference``, from ``pairs``
-    back-to-back pairs of runs.
+    """Relative cost of ``candidate`` over ``reference``, from ``quartets``
+    ABBA quartets of runs.
 
     Each callable runs one pass and returns its rate (higher is better).
-    The pairs alternate which side runs first, with the process pinned to
-    one CPU and the garbage collector paused; the CPU affinity is restored
-    afterwards.  The estimate is the median of the per-pair ratios
-    ``reference / candidate - 1``: a real cost shows in every pair, while a
-    burst of other load on the host moves only the pairs it lands in — a
-    best-of per side instead keeps whichever side the burst spared.
+    A quartet runs reference, candidate, candidate, reference, with the
+    process pinned to one CPU and the garbage collector paused; the CPU
+    affinity is restored afterwards.  Its ratio is the reference's summed
+    rate over the candidate's, minus one.  Each side runs first in one of
+    the quartet's two pairs, and both sides sit at the same mean position,
+    so an order effect within a pair and a linear drift both cancel.  The
+    estimate is the median of the quartet ratios: a real cost shows in
+    every quartet, while a burst of other load on the host moves only the
+    quartets it lands in — a best-of per side instead keeps whichever side
+    the burst spared.
 
-    Returns ``overhead`` (the median ratio), ``pair_ratios`` and each
+    Returns ``overhead`` (the median ratio), ``quartet_ratios`` and each
     side's median rate (``reference_rate``, ``candidate_rate``).
     """
     pinnable = hasattr(os, "sched_getaffinity")
@@ -52,17 +56,20 @@ def paired_overhead(
     gc.collect()
     gc.disable()
     try:
-        for pair in range(pairs):
-            for side in (0, 1) if pair % 2 == 0 else (1, 0):
+        for _ in range(quartets):
+            for side in (0, 1, 1, 0):
                 rates[side].append(sides[side]())
     finally:
         gc.enable()
         if affinity:
             os.sched_setaffinity(0, affinity)
-    ratios = [ref / cand - 1 for ref, cand in zip(*rates)]
+    ratios = [
+        sum(rates[0][i : i + 2]) / sum(rates[1][i : i + 2]) - 1
+        for i in range(0, 2 * quartets, 2)
+    ]
     return {
         "overhead": round(statistics.median(ratios), 4),
-        "pair_ratios": [round(ratio, 4) for ratio in ratios],
+        "quartet_ratios": [round(ratio, 4) for ratio in ratios],
         "reference_rate": statistics.median(rates[0]),
         "candidate_rate": statistics.median(rates[1]),
     }

@@ -110,7 +110,7 @@ def main() -> None:
         hash_function=BitSelectHash(KEY_BITS, range(3, 8)),  # relation bits
         # Higher-activation chunks take earlier slots: the priority
         # encoder then implements ACT-R's "most active chunk wins".
-        slot_priority=lambda record: float(record.data),
+        slot_priority=lambda keys, masks, data: data[:, 0],
     )
 
     for chunk in facts:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 from typing import Callable, Dict, List, Optional, Set
 
+from repro.core.bucket import SlotPriority
 from repro.core.composer import ComposedDatabase, OverflowKind, compose_database
 from repro.core.config import Arrangement, BucketGeometry, SliceConfig
 from repro.core.index import KeyInput
@@ -324,13 +325,14 @@ class CaRamLibrary:
         hash_function: Optional[HashFunction] = None,
         overflow: OverflowKind = OverflowKind.NONE,
         tcam_entries: int = 4096,
-        slot_priority: Optional[Callable[[Record], float]] = None,
+        slot_priority: Optional[SlotPriority] = None,
     ) -> DatabaseHandle:
         """Create a searchable database over freshly claimed slices.
 
         ``hash_function`` defaults to multiplicative hashing over the
         bucket count (modulo for non-power-of-two counts).  Enabling
-        ternary search is part of the record format.
+        ternary search is part of the record format, and sorted buckets a
+        ``slot_priority`` (:data:`~repro.core.bucket.SlotPriority`).
         """
         self._check_name(name)
         extra = 1 if overflow is OverflowKind.CA_RAM_SLICE else 0

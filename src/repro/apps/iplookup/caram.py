@@ -21,10 +21,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.apps.iplookup.designs import IpDesign
 from repro.apps.iplookup.prefix import ADDRESS_BITS, Prefix
 from repro.core.config import SliceConfig
-from repro.core.record import Record, RecordFormat
+from repro.core.record import RecordFormat
 from repro.core.subsystem import SliceGroup
 from repro.hashing.bit_select import BitSelectHash
 
@@ -66,9 +68,9 @@ def ip_hash_function(design: IpDesign) -> BitSelectHash:
     return BitSelectHash(ADDRESS_BITS, tuple(range(16 - r_eff, 16)))
 
 
-def prefix_priority(record: Record) -> float:
-    """Slot priority: longer prefixes first (fewer don't-care bits)."""
-    return float(record.key.width - record.key.dont_care_count)
+def prefix_priority(keys, masks, data) -> np.ndarray:
+    """Slot priority over word columns: fewer don't-care bits first."""
+    return ADDRESS_BITS - np.bitwise_count(masks).sum(axis=1, dtype=np.int64)
 
 
 def build_ip_caram(

@@ -12,17 +12,17 @@ Row layout, MSB first::
 Slot 0 is the highest-priority slot (the priority encoder picks the lowest
 matching slot index), which is how LPM ordering is realized inside a bucket.
 
-The layout owns both codecs: the scalar one (:meth:`BucketLayout.read_all`,
-:meth:`BucketLayout.pack`) and its vectorized twin over many rows at once
+The layout owns both codecs: the scalar reference (``read_all``,
+``pack``) and its vectorized twin over many rows at once
 (:meth:`BucketLayout.decode_rows`, :meth:`BucketLayout.encode_rows`), which
-the decoded mirror's re-decode and the bulk build call.  Fields travel as
-little-endian uint64 word matrices, the form the match kernel reads.
+the mirror's re-decode, the bulk build and every bucket rewrite call.
+Fields travel as little-endian uint64 word matrices, as the kernel reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +41,11 @@ from repro.utils.bits import extract_bits, mask_of
 #: peak ``(chunk, row_bits)`` bit matrix to a few MB even for the trigram
 #: study's 13,928-bit rows.
 ENCODE_CHUNK_ROWS = 1024
+
+#: A sorted bucket's slot priority: ``(n, W)`` uint64 key, mask (zero for
+#: binary formats) and data words, as :meth:`BucketLayout.decode_rows` gives
+#: them, to one number per row; higher priorities take lower slots.
+SlotPriority = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -309,4 +314,4 @@ class BucketLayout:
         return out
 
 
-__all__ = ["BucketLayout", "ENCODE_CHUNK_ROWS"]
+__all__ = ["BucketLayout", "ENCODE_CHUNK_ROWS", "SlotPriority"]

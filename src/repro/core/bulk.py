@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     Iterable,
     List,
@@ -45,7 +44,7 @@ from typing import (
 import numpy as np
 
 from repro.errors import CapacityError
-from repro.core.bucket import BucketLayout
+from repro.core.bucket import BucketLayout, SlotPriority
 from repro.core.config import BucketGeometry
 from repro.core.index import IndexGenerator
 from repro.core.record import KeyLike, Record, RecordFormat
@@ -121,7 +120,7 @@ def plan_bulk_build(
     bucket_count: int,
     slots_per_bucket: int,
     reach_limit: int,
-    slot_priority: Optional[Callable[[Record], float]] = None,
+    slot_priority: Optional[SlotPriority] = None,
     tracer: Optional["Tracer"] = None,
 ) -> BulkPlan:
     """Resolve the final placement of a record set without writing rows.
@@ -201,11 +200,10 @@ def plan_bulk_build(
         # first strictly-lower-priority occupant, so the final content is
         # the stable sort of arrival-ordered occupants by descending
         # priority — exactly this lexsort.
-        priority = np.fromiter(
-            (slot_priority(records[r]) for r in copy_record.tolist()),
-            dtype=np.float64,
-            count=copies,
-        )
+        zeros = np.zeros_like(key_words)  # binary keys: no stored masks
+        stored = (key_words, zeros if mask_words is None else mask_words)
+        columns = [c[copy_record] for c in (*stored, data_words)]
+        priority = np.asarray(slot_priority(*columns), dtype=np.float64)
         order = np.lexsort((arrival, -priority, sim.placed_bucket))
     sorted_bucket = sim.placed_bucket[order]
     # In a sorted array, searchsorted-left of each element is the first
@@ -253,7 +251,7 @@ def build_bulk_image(
     geometry: BucketGeometry,
     index_generator: IndexGenerator,
     reach_limit: int,
-    slot_priority: Optional[Callable[[Record], float]] = None,
+    slot_priority: Optional[SlotPriority] = None,
     tracer: Optional["Tracer"] = None,
 ) -> BulkImage:
     """Plan and encode a whole database build in one vectorized pass.
@@ -262,7 +260,7 @@ def build_bulk_image(
         layout: one slice row's bit layout (and the record format).
         geometry: where each logical bucket lives; only rows that
             :meth:`~repro.core.config.BucketGeometry.holds_reach` get the
-            reach field, as in the scalar ``_write_occupants``.
+            reach field, as in the group's bucket writes.
         tracer: optional structured-event tracer (the ``bulk_plan`` event).
     """
     record_format = layout.record_format

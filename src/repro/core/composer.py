@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.cam.tcam import TCAM
+from repro.core.bucket import SlotPriority
 from repro.core.config import Arrangement, SliceConfig
-from repro.core.record import Record
 from repro.core.subsystem import CARAMSubsystem, OverflowStore, SliceGroup
 from repro.errors import ConfigurationError
 from repro.hashing.base import HashFunction, ModuloHash
@@ -62,7 +62,7 @@ def _overflow_slice_group(
     config: SliceConfig,
     hash_function: HashFunction,
     name: str,
-    slot_priority: Optional[Callable[[Record], float]],
+    slot_priority: Optional[SlotPriority],
 ) -> SliceGroup:
     """A one-slice CA-RAM overflow area sharing the main group's geometry.
 
@@ -97,7 +97,7 @@ def compose_database(
     hash_function: HashFunction,
     overflow: OverflowKind = OverflowKind.NONE,
     tcam_entries: int = 4096,
-    slot_priority: Optional[Callable[[Record], float]] = None,
+    slot_priority: Optional[SlotPriority] = None,
 ) -> ComposedDatabase:
     """Allocate a database (and optionally its overflow area) in a
     subsystem.
@@ -113,7 +113,7 @@ def compose_database(
             with the same geometry, TCAM attaches a ``tcam_entries``-entry
             victim TCAM.
         tcam_entries: victim TCAM capacity (TCAM overflow only).
-        slot_priority: optional sorted-bucket priority (LPM ordering).
+        slot_priority: optional :data:`~repro.core.bucket.SlotPriority` (LPM).
 
     Returns:
         A :class:`ComposedDatabase` descriptor.

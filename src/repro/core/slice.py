@@ -17,13 +17,13 @@ lookup.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.errors import ConfigurationError
+from repro.core.bucket import SlotPriority
 from repro.core.config import Arrangement, SliceConfig
 from repro.core.index import IndexGenerator
 from repro.core.probing import ProbingPolicy
-from repro.core.record import Record
 from repro.core.results import SearchResult
 from repro.core.subsystem import SliceGroup
 from repro.memory.array import MemoryArray
@@ -37,9 +37,9 @@ class CARAMSlice(SliceGroup):
         config: slice geometry.
         index_generator: the hash front-end; must address ``config.rows``.
         probing: overflow policy (the paper uses linear probing).
-        slot_priority: optional record-priority function; when given, bucket
-            slots are kept sorted descending so the priority encoder returns
-            the highest-priority match (LPM ordering).
+        slot_priority: optional :data:`~repro.core.bucket.SlotPriority`;
+            when given, bucket slots are kept sorted descending so the
+            priority encoder returns the highest-priority match (LPM).
         account_reads, batch_chunk_size: as for :class:`SliceGroup`.
     """
 
@@ -48,7 +48,7 @@ class CARAMSlice(SliceGroup):
         config: SliceConfig,
         index_generator: IndexGenerator,
         probing: Optional[ProbingPolicy] = None,
-        slot_priority: Optional[Callable[[Record], float]] = None,
+        slot_priority: Optional[SlotPriority] = None,
         account_reads: bool = False,
         batch_chunk_size: Optional[int] = None,
     ) -> None:

@@ -22,8 +22,8 @@ technique".
   Writes are per slot: an insert takes the lowest free slot on its probe
   walk and a delete clears one slot, each one row write, so buckets may
   hold holes.  Only a ``slot_priority`` insert (LPM ordering: slots sorted
-  descending, slot 0 matching first) decodes and re-packs its bucket.
-  Reach fields only grow; ``rebuild()`` recomputes them.
+  descending, slot 0 matching first) re-encodes its whole bucket.  Writes
+  use the layout's word codec; reach fields only grow until ``rebuild()``.
 
   Section 4.3's side stores belong to the group too: an attached overflow
   area (a small TCAM or a spare slice group) and the reliability layer's
@@ -48,7 +48,10 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro.errors import CapacityError, ConfigurationError, LookupError_
+from repro.core.bucket import SlotPriority
 from repro.core.config import Arrangement, BucketGeometry, SliceConfig
 from repro.core.index import IndexGenerator, KeyInput
 from repro.core.key import TernaryKey
@@ -59,12 +62,18 @@ from repro.core.results import BatchResultSet, SearchResult
 from repro.core.stats import SearchStats
 from repro.hashing.base import HashFunction
 from repro.memory.array import MemoryArray
+from repro.memory.mirror import (
+    DecodedMirror,
+    keys_to_words,
+    records_to_words,
+    words_for_bits,
+    words_to_ints,
+)
 from repro.telemetry.profiling import profile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.batch import BatchKeys, BatchSearchEngine
     from repro.core.bulk import BulkTotals
-    from repro.memory.mirror import DecodedMirror
     from repro.reliability.faults import FaultConfig
     from repro.reliability.manager import ReliabilityManager, ReliabilityPolicy
     from repro.telemetry.metrics import MetricsRegistry
@@ -99,7 +108,7 @@ class SliceGroup:
         hash_function: maps keys to this group's bucket space; its
             ``bucket_count`` must equal :attr:`bucket_count`.
         probing: overflow policy over the *bucket* space.
-        slot_priority: optional priority function for sorted buckets (LPM).
+        slot_priority: optional :data:`~repro.core.bucket.SlotPriority` (LPM).
         name: label used in subsystem routing and reports.
         account_reads: when True, batch lookups served from the decoded
             mirror also charge each slice's physical :class:`ArrayStats`
@@ -117,7 +126,7 @@ class SliceGroup:
         arrangement: Arrangement,
         hash_function: HashFunction,
         probing: Optional[ProbingPolicy] = None,
-        slot_priority: Optional[Callable[[Record], float]] = None,
+        slot_priority: Optional[SlotPriority] = None,
         name: str = "db",
         account_reads: bool = False,
         batch_chunk_size: Optional[int] = None,
@@ -347,33 +356,26 @@ class SliceGroup:
             candidates.extend(self._layout.read_all(row_value))
         return candidates, reach
 
-    def _occupants(self, bucket: int) -> Tuple[List[Record], int]:
-        """Decode a bucket's valid records (no access accounting)."""
-        records: List[Record] = []
-        reach = 0
-        for i, (slice_id, row) in enumerate(self._geometry.rows_of(bucket)):
-            row_value = self._arrays[slice_id].verified_peek_row(row)
-            if i == 0:
-                reach = self._layout.read_aux(row_value)
-            for valid, record in self._layout.read_all(row_value):
-                if valid:
-                    records.append(record)
-        return records, reach
+    def _bucket_words(self, row_values: Sequence[int]):
+        """``decode_rows`` of a bucket's first rows, in slot order: reach,
+        ``(S,)`` valid bits, ``(S, W)`` keys, masks (zero if binary), data."""
+        reach, valid, *words = self._layout.decode_rows(row_values)
+        if words[1] is None:
+            words[1] = np.zeros_like(words[0])
+        words = [w.reshape(valid.size, w.shape[2]) for w in words]
+        return (int(reach[0]), valid.reshape(valid.size), *words)
 
-    def _write_occupants(self, bucket: int, records: List[Record], reach: int) -> None:
-        """Re-pack a logical bucket from a record list (slot 0 first) —
-        the one bucket writer, shared with the reliability layer."""
-        geometry = self._geometry
-        if len(records) > geometry.slots_per_bucket:
-            raise CapacityError(
-                f"{len(records)} records exceed bucket capacity "
-                f"{geometry.slots_per_bucket}"
-            )
-        for i, (slice_id, row) in enumerate(geometry.rows_of(bucket)):
-            first = geometry.slot_offset(slice_id)
-            chunk = records[first : first + geometry.slots]
-            row_value = self._layout.pack(chunk, reach if i == 0 else 0)
-            self._arrays[slice_id].write_row(row, row_value)
+    def _write_bucket(self, bucket: int, row_values: Sequence[int]) -> None:
+        """Write a bucket's rows, in ``rows_of`` order: the one bucket
+        writer, shared with the reliability layer."""
+        rows = self._geometry.rows_of(bucket)
+        for (slice_id, row), value in zip(rows, row_values):
+            self._arrays[slice_id].write_row(row, value)
+
+    def _priorities(self, records: Sequence[Record]) -> np.ndarray:
+        """``slot_priority`` of Records, through their word columns."""
+        columns = records_to_words(records, self._config.record_format)
+        return np.asarray(self._slot_priority(*columns), dtype=np.float64)
 
     # ------------------------------------------------------------------
     # CAM mode
@@ -501,27 +503,28 @@ class SliceGroup:
             value, mask = key.value, search_mask | key.mask
         else:
             value, mask = int(key), search_mask
-        priority = self._slot_priority
+        sorted_buckets = self._slot_priority is not None
+
+        def outranks(record: Record, other: Optional[Record]) -> bool:
+            return other is None or sorted_buckets and bool(
+                np.greater(*self._priorities([record, other]))
+            )
+
         best = result.record if result.hit else None
         winner = None
         if self._reliability is not None and self._reliability.victims:
             victim = self._reliability.best_victim(value, mask)
-            if victim is not None and (
-                best is None
-                or (priority is not None and priority(victim) > priority(best))
-            ):
+            if victim is not None and outranks(victim, best):
                 best = victim
                 winner = (victim, True)
         store = self._overflow
         if (
             store is not None
             and store.record_count
-            and (best is None or priority is not None)
+            and (best is None or sorted_buckets)
         ):
             side = store.search(value, mask)
-            if side.hit and (
-                best is None or priority(side.record) > priority(best)
-            ):
+            if side.hit and outranks(side.record, best):
                 winner = (side.record, False)
         if winner is None:
             return None
@@ -558,9 +561,6 @@ class SliceGroup:
         are read out of a word matrix."""
         if not self._side_stores_hold_records():
             return result_set
-        import numpy as np
-        from repro.memory.mirror import words_to_ints
-
         if self._slot_priority is None:
             positions = np.flatnonzero(~result_set.hit)
         else:
@@ -600,27 +600,21 @@ class SliceGroup:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _make_mirror(self) -> "DecodedMirror":
+    def _make_mirror(self) -> DecodedMirror:
         """Build the decoded mirror over every slice of the group."""
-        from repro.memory.mirror import DecodedMirror
-
         return DecodedMirror(self._arrays, self._layout, self._geometry)
 
     def _synced_mirror(self) -> "DecodedMirror":
-        """Decoded mirror over the whole group's logical bucket space:
-        logical bucket ``b`` of the mirror is logical bucket ``b`` of the
-        scalar path (both read :attr:`geometry`)."""
+        """The synced decoded mirror (its bucket ``b`` is the scalar path's
+        bucket ``b``): the one provider of every mirror reader, synced
+        under the reliability layer's repair loop when it is enabled."""
         if self._mirror is None:
             self._mirror = self._make_mirror()
-        self._mirror.sync()
-        return self._mirror
-
-    def _mirror_for_batch(self) -> "DecodedMirror":
-        """The mirror provider handed to the batch engine (sync under the
-        quarantine-and-retry loop when reliability is enabled)."""
         if self._reliability is None:
-            return self._synced_mirror()
-        return self._reliability.synced_mirror(self._synced_mirror)
+            self._mirror.sync()
+        else:
+            self._reliability.guarded_sync(self._mirror)
+        return self._mirror
 
     def _mirror_access_sink(self, buckets) -> None:
         """Account a batch of mirror-served logical bucket fetches.
@@ -649,12 +643,11 @@ class SliceGroup:
 
     def _build_batch_engine(self) -> "BatchSearchEngine":
         from repro.core.batch import BatchSearchEngine
-        from repro.memory.mirror import words_for_bits
 
         record_format = self._config.record_format
         return BatchSearchEngine(
             index_generator=self._index,
-            mirror_provider=self._mirror_for_batch,
+            mirror_provider=self._synced_mirror,
             slots_per_bucket=self.slots_per_bucket,
             match_processors=self._config.match_processors,
             key_bits=record_format.key_bits,
@@ -830,8 +823,11 @@ class SliceGroup:
             if spilled:
                 self._overflow.insert(record.key, record.data)
         except CapacityError:
+            fields = np.concatenate(
+                records_to_words([record], self._config.record_format), axis=1
+            ).reshape(-1)
             for bucket in buckets:
-                self._clear_slot(bucket, lambda stored: stored == record)
+                self._clear_slot(bucket, fields)
             raise
         self.stats.record_insert(len(homes))
         return len(buckets) + spilled
@@ -867,13 +863,15 @@ class SliceGroup:
         """Store a record in one bucket; False when the bucket is full.
 
         Without a slot-priority function the record takes the lowest free
-        slot — one row write.  With one, the bucket is decoded, the record
-        spliced in ahead of the first lower-priority occupant and the
-        bucket re-packed, so the priority encoder's lowest-slot-wins rule
-        returns the highest-priority match.
+        slot — one row write.  With one, the record goes ahead of the first
+        occupant of strictly lower priority and the occupants are
+        re-encoded from slot 0, so the priority encoder's lowest-slot-wins
+        rule returns the highest-priority match.
         """
+        geometry = self._geometry
+        rows = geometry.rows_of(bucket)
         if self._slot_priority is None:
-            for slice_id, row in self._geometry.rows_of(bucket):
+            for slice_id, row in rows:
                 array = self._arrays[slice_id]
                 row_value = array.verified_peek_row(row)
                 free = self._layout.find_free_slot(row_value)
@@ -883,17 +881,26 @@ class SliceGroup:
                     )
                     return True
             return False
-        records, reach = self._occupants(bucket)
-        if len(records) >= self.slots_per_bucket:
+        reach, valid, *fields = self._bucket_words([
+            self._arrays[slice_id].verified_peek_row(row)
+            for slice_id, row in rows
+        ])
+        occupied = np.flatnonzero(valid)
+        if occupied.size >= self.slots_per_bucket:
             return False
-        priority = self._slot_priority(record)
-        position = len(records)
-        for i, existing in enumerate(records):
-            if self._slot_priority(existing) < priority:
-                position = i
-                break
-        records.insert(position, record)
-        self._write_occupants(bucket, records, reach)
+        new = records_to_words([record], self._config.record_format)
+        columns = [np.concatenate((a, b[occupied])) for a, b in zip(new, fields)]
+        priority = np.asarray(self._slot_priority(*columns))  # new: row 0
+        position = np.argmax(np.append(priority[1:] < priority[0], True))
+        order = np.insert(np.arange(1, occupied.size + 1), position, 0)
+        slots = np.arange(order.size)
+        self._write_bucket(bucket, self._layout.encode_rows(
+            len(rows),
+            np.array([reach] + [0] * (len(rows) - 1)),
+            slots // geometry.slots,
+            slots % geometry.slots,
+            *(column[order] for column in columns),
+        ))
         return True
 
     def _first_row(self, bucket: int) -> Tuple[MemoryArray, int, int]:
@@ -929,8 +936,9 @@ class SliceGroup:
         target = self._config.record_format.normalize_key(
             key if isinstance(key, TernaryKey) else int(key)
         )
+        fields = keys_to_words([target.value, target.mask], target.width)
         removed = sum(
-            self._clear_first(home, target)
+            self._clear_first(home, target.value, fields.reshape(-1))
             for home in self._index.indices_for_stored(target)
         )
         if self._overflow is not None and self._overflow.record_count:
@@ -943,32 +951,31 @@ class SliceGroup:
         self.stats.record_delete()
         return removed
 
-    def _clear_first(self, home: int, target: TernaryKey) -> bool:
-        """Clear the first slot holding ``target`` on ``home``'s probe walk."""
+    def _clear_first(self, home: int, value: int, fields: np.ndarray) -> bool:
+        """Clear the first slot holding ``fields`` on ``home``'s probe walk
+        (``value`` is the key value key-dependent probing reads)."""
         _, _, home_value = self._first_row(home)
         for attempt in range(self._layout.read_aux(home_value) + 1):
-            bucket = self._probing.probe(
-                home, attempt, self.bucket_count, target.value
-            )
-            if self._clear_slot(bucket, lambda record: record.key == target):
+            bucket = self._probing.probe(home, attempt, self.bucket_count, value)
+            if self._clear_slot(bucket, fields):
                 return True
         return False
 
-    def _clear_slot(
-        self, bucket: int, matches: Callable[[Record], bool]
-    ) -> bool:
-        """Clear the first slot of ``bucket`` whose record ``matches``."""
+    def _clear_slot(self, bucket: int, fields: np.ndarray) -> bool:
+        """Clear the first valid slot of ``bucket`` whose key and mask
+        words (and data words, if given) are ``fields``: one row write."""
         for slice_id, row in self._geometry.rows_of(bucket):
             array = self._arrays[slice_id]
             row_value = array.verified_peek_row(row)
-            for slot in range(self._layout.slots_per_bucket):
-                valid, record = self._layout.read_slot(row_value, slot)
-                if valid and matches(record):
-                    array.write_row(
-                        row, self._layout.write_slot(row_value, slot, None)
-                    )
-                    self._record_count -= 1
-                    return True
+            _, valid, *stored = self._bucket_words([row_value])
+            stored = np.concatenate(stored, axis=1)[:, : fields.size]
+            hits = np.flatnonzero(valid & (stored == fields).all(axis=1))
+            if hits.size:
+                array.write_row(
+                    row, self._layout.write_slot(row_value, int(hits[0]), None)
+                )
+                self._record_count -= 1
+                return True
         return False
 
     # ------------------------------------------------------------------
@@ -1027,8 +1034,6 @@ class SliceGroup:
             array for the sweep, plus one write per row holding a match;
             the matched slots are rewritten in place.
         """
-        import numpy as np
-
         mirror = self._synced_mirror()
         match = mirror.match_predicate(search_key, search_mask)
         self._charge_sweep()
@@ -1072,20 +1077,17 @@ class SliceGroup:
         tight extended-search bounds — the database (re)construction the
         paper performs through RAM mode.
         """
-        if self._reliability is not None:
-            # Sync under the retry loop (a corrupt row quarantines instead
-            # of aborting the rebuild), then fold the victim store back in.
-            mirror = self._reliability.synced_mirror(self._synced_mirror)
-            stored = [record for _, _, record in mirror.iter_valid()]
-            stored.extend(self._reliability.drain_victims())
+        stored = [record for _, _, record in self.records()]
+        if self._reliability is not None:  # quarantined records flow back
+            stored.extend(self._reliability.victims)
+            self._reliability.victims = []
             self._reliability.quarantined_buckets.clear()
-        else:
-            stored = [record for _, _, record in self.records()]
         for array in self._arrays:
             array.fill(0)
         self._record_count = 0
-        if self._slot_priority is not None:
-            stored.sort(key=self._slot_priority, reverse=True)
+        if self._slot_priority is not None and stored:
+            order = np.argsort(-self._priorities(stored), kind="stable")
+            stored = [stored[i] for i in order.tolist()]
         # Each stored copy goes back where a fresh insert puts one: the
         # k-th copy of an entry to the k-th of its duplication homes, so
         # a ternary key duplicated over hash bits keeps one copy per home.

@@ -38,7 +38,7 @@ reach field write the reach column.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +50,7 @@ from repro.utils.bits import mask_of
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.bucket import BucketLayout
     from repro.core.config import BucketGeometry
+    from repro.core.record import RecordFormat
     from repro.memory.array import MemoryArray
 
 #: Width of one mirror storage word.
@@ -122,6 +123,32 @@ def keys_to_words(values: Sequence[int], key_bits: int) -> np.ndarray:
                 f"search key {value:#x} does not fit in {key_bits} bits"
             )
     raise AssertionError("an out-of-range key went unnamed")
+
+
+def records_to_words(
+    records: Sequence[Record], record_format: "RecordFormat"
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(keys, masks, data)`` word matrices of Records, one row each, as
+    a ``slot_priority`` reads them (masks zero for binary keys)."""
+    key_bits, data_bits = record_format.key_bits, record_format.data_bits
+    data = np.zeros((len(records), 0), dtype=np.uint64)
+    if data_bits:
+        data = keys_to_words([record.data for record in records], data_bits)
+    keys = [record.key.value for record in records]
+    masks = [record.key.mask for record in records]
+    return keys_to_words(keys, key_bits), keys_to_words(masks, key_bits), data
+
+
+def records_from_words(keys, masks, data, key_bits: int) -> List[Record]:
+    """Records from ``(n, W)`` key, mask (None: binary) and data words: the
+    one way words become Records, for readers that hand one to user code."""
+    values = words_to_ints(keys)
+    masks = [0] * len(values) if masks is None else words_to_ints(masks)
+    data = words_to_ints(data) if data.shape[1] else [0] * len(values)
+    return [
+        Record(TernaryKey(value, mask, key_bits), datum)
+        for value, mask, datum in zip(values, masks, data)
+    ]
 
 
 def words_to_ints(words: np.ndarray) -> List[int]:
@@ -609,29 +636,13 @@ class DecodedMirror:
         gathered = self._records[buckets, slots]
         if np.count_nonzero(gathered) < gathered.size:
             buckets, slots = np.asarray(buckets), np.asarray(slots)
-            self._build_records(buckets, slots, gathered)
+            missing = ~gathered.astype(bool) & self.valid[buckets, slots]
+            b, s = buckets[missing], slots[missing]
+            built = np.empty(b.size, dtype=object)
+            built[:] = records_from_words(*self._fields_at(b, s), self._key_bits)
+            self._records[b, s] = built
             gathered = self._records[buckets, slots]
         return gathered.tolist()
-
-    def _build_records(
-        self, buckets: np.ndarray, slots: np.ndarray, gathered: np.ndarray
-    ) -> None:
-        """Fill the memo at every valid coordinate ``gathered`` lacks."""
-        missing = ~gathered.astype(bool) & self.valid[buckets, slots]
-        b, s = buckets[missing], slots[missing]
-        keys, masks, data = self._fields_at(b, s)
-        values = words_to_ints(keys)
-        masks = [0] * len(values) if masks is None else words_to_ints(masks)
-        if not self._data_word_count:
-            data = [0] * len(values)
-        else:
-            data = words_to_ints(data)
-        built = np.empty(len(values), dtype=object)
-        built[:] = [
-            Record(TernaryKey(value, mask, self._key_bits), datum)
-            for value, mask, datum in zip(values, masks, data)
-        ]
-        self._records[b, s] = built
 
     def _fields_at(self, buckets, slots):
         """``(keys, masks, data)`` words of the given slots, one row per
@@ -683,6 +694,8 @@ __all__ = [
     "words_for_bits",
     "int_to_words",
     "keys_to_words",
+    "records_to_words",
+    "records_from_words",
     "words_to_ints",
     "words_to_bits",
     "bits_to_words",

@@ -10,12 +10,13 @@ detect-or-correct primitive:
   :class:`~repro.errors.CorruptionError` quarantines the failing bucket and
   retries; the caller sees a correct answer or a *surfaced* error, never a
   silently wrong one;
+* **restore = write-back** — a detected bucket gets each row's last-good
+  value back bit for bit (the decoded mirror's, else the ECC-corrected);
 * **quarantine = row sparing** — the failing physical row is replaced by a
   pristine spare (its hard faults retire with it) and rewritten as an empty
   bucket that **keeps its reach field**, so extended searches to records
   spilled *past* it still terminate correctly.  The bucket's former records
-  are recovered from the decoded mirror's last-good copy (rows written
-  since the last sync from their ECC check instead) and moved to a
+  are decoded from the same last-good rows and moved to a
   bounded **victim store**, which the group searches in parallel with
   every lookup through the same overlay as its overflow area (Section
   4.3) — a victim hit costs no extra AMAL access;
@@ -37,10 +38,11 @@ so differential parity tests keep passing under quarantine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 import numpy as np
 
+from repro.memory.mirror import records_from_words
 from repro.errors import (
     ConfigurationError,
     CorruptionError,
@@ -167,10 +169,10 @@ class ReliabilityManager:
     # Quarantine (row sparing + victim remap)
     # ------------------------------------------------------------------
 
-    def _harvest_bucket(self, bucket: int) -> Tuple[List["Record"], int]:
-        """Recover a failing bucket's records and reach, row by row.
+    def _harvest_bucket(self, bucket: int) -> List[int]:
+        """A failing bucket's last-good row values, in ``rows_of`` order.
 
-        A row comes from the decoded mirror when its decode is current:
+        A row's value is the decoded mirror's when its decode is current:
         the row was not written since the last sync, or the decode
         re-encodes to the checkword of the row's last write (a fault marks
         a row dirty without changing what it should hold, so the mirror
@@ -180,28 +182,18 @@ class ReliabilityManager:
         silently reverts a write the mirror has not seen.
         """
         group = self.group
-        geometry = group.geometry
-        layout = group._layout
-        row_bits = layout.row_bits
+        row_bits = group._layout.row_bits
         mirror = group._mirror
-        records: List["Record"] = []
-        reach = 0
-        for i, (array_index, row) in enumerate(geometry.rows_of(bucket)):
+        values: List[int] = []
+        for array_index, row in group.geometry.rows_of(bucket):
             checkword = self.guards[array_index].checkwords[row]
-            if mirror is not None and (
-                not mirror.row_dirty(array_index, row)
-                or checkword
-                == encode_row(mirror.row_value(array_index, row), row_bits)
-            ):
-                first = geometry.slot_offset(array_index)
-                slots = first + np.flatnonzero(
-                    mirror.valid[bucket, first : first + geometry.slots]
-                )
-                buckets = np.full(slots.size, bucket)
-                records.extend(mirror.records_at(buckets, slots))
-                if i == 0:
-                    reach = int(mirror.reach[bucket])
-                continue
+            if mirror is not None:
+                value = mirror.row_value(array_index, row)
+                if not mirror.row_dirty(array_index, row) or (
+                    checkword == encode_row(value, row_bits)
+                ):
+                    values.append(value)
+                    continue
             status, corrected, _ = check_row(
                 group._arrays[array_index]._data[row], checkword, row_bits
             )
@@ -213,12 +205,8 @@ class ReliabilityManager:
                     array_index=array_index,
                     row=row,
                 )
-            if i == 0:
-                reach = layout.read_aux(corrected)
-            for slot_valid, record in layout.read_all(corrected):
-                if slot_valid:
-                    records.append(record)
-        return records, reach
+            values.append(corrected)
+        return values
 
     def quarantine_bucket(self, bucket: int) -> int:
         """Spare a bucket: move its records to the victim store, rewrite
@@ -226,19 +214,23 @@ class ReliabilityManager:
 
         Returns the number of records remapped.
         """
-        records, reach = self._harvest_bucket(bucket)
+        group = self.group
+        reach, valid, *words = group._bucket_words(self._harvest_bucket(bucket))
+        key_bits = group._matcher.key_bits
+        records = records_from_words(*(w[valid] for w in words), key_bits)
         if len(self.victims) + len(records) > self.policy.victim_capacity:
             raise ReliabilityError(
                 f"victim store full: {len(self.victims)} + {len(records)} "
                 f"records exceed capacity {self.policy.victim_capacity}"
             )
-        group = self.group
-        for array_index, row in group.geometry.rows_of(bucket):
+        rows = group.geometry.rows_of(bucket)
+        for array_index, row in rows:
             self.guards[array_index].quarantine(row)
         # Rewrite the spared bucket: no records, but the reach field is
         # kept — records previously spilled *from* this home must remain
         # reachable by extended searches.
-        group._write_occupants(bucket, [], reach)
+        empty = [group._layout.write_aux(0, reach)] + [0] * (len(rows) - 1)
+        group._write_bucket(bucket, empty)
         self.victims.extend(records)
         self.quarantined_buckets.add(bucket)
         group._record_count -= len(records)
@@ -250,21 +242,15 @@ class ReliabilityManager:
         return len(records)
 
     def restore_bucket(self, bucket: int) -> bool:
-        """Rewrite a bucket in place from its last-good decode.
+        """Write a bucket's last-good row values back, unchanged.
 
-        Transient multi-bit errors persist in the cells but not in the
-        mirror's retained decode (or the per-row ECC recovery), so a
-        rewrite heals them without sacrificing the row.  After the
-        rewrite every constituent row is read back; a row that *still*
-        fails (a dead row's overlay reappears immediately) is a hard
-        fault and the restore reports failure — the caller quarantines.
+        A transient multi-bit error is healed without sacrificing the row,
+        and the bucket (a spared one too) comes back bit-identical to its
+        last-good image, holes included.  Every row is then read back; one
+        that *still* fails (a dead row) is a hard fault and the restore
+        reports failure — the caller quarantines.
         """
-        records, reach = self._harvest_bucket(bucket)
-        if bucket in self.quarantined_buckets:
-            # A spared bucket's content lives in the victim store; the
-            # rows themselves are kept empty.
-            records = []
-        self.group._write_occupants(bucket, records, reach)
+        self.group._write_bucket(bucket, self._harvest_bucket(bucket))
         self.restores += 1
         for array_index, row in self.group.geometry.rows_of(bucket):
             if self.guards[array_index].scrub_row(row) == ECC_DETECTED:
@@ -315,14 +301,14 @@ class ReliabilityManager:
                     ) from exc
         return result
 
-    def synced_mirror(self, provider):
-        """Sync the mirror, quarantining any row whose decode detects an
-        uncorrectable error (the batch-path retry loop)."""
+    def guarded_sync(self, mirror) -> int:
+        """Sync the mirror, repairing the bucket of any row whose decode
+        detects an uncorrectable error (the mirror readers' retry loop)."""
         geometry = self.group.geometry
         budget = geometry.rows * geometry.slices + self.policy.max_retries + 1
         for _ in range(budget):
             try:
-                return provider()
+                return mirror.sync()
             except CorruptionError as exc:
                 self.handle_corruption(exc)
         raise ReliabilityError(
@@ -337,18 +323,14 @@ class ReliabilityManager:
         """The victim matching ``value`` under don't-care ``mask``: the
         first one, or the highest-priority one with a slot priority."""
         matcher = self.group._matcher
-        slot_priority = self.group._slot_priority
-        best = None
-        best_priority = None
-        for record in self.victims:
-            if not matcher.match_slot(True, record, value, mask):
-                continue
-            if slot_priority is None:
-                return record
-            priority = slot_priority(record)
-            if best_priority is None or priority > best_priority:
-                best, best_priority = record, priority
-        return best
+        matches = [
+            record
+            for record in self.victims
+            if matcher.match_slot(True, record, value, mask)
+        ]
+        if len(matches) > 1 and self.group._slot_priority is not None:
+            return matches[int(np.argmax(self.group._priorities(matches)))]
+        return matches[0] if matches else None
 
     # ------------------------------------------------------------------
     # Batch-access fault fan-out
@@ -456,13 +438,6 @@ class ReliabilityManager:
         self.quarantined_buckets.clear()
         self.restore_counts.clear()
         self._since_scrub = 0
-
-    def drain_victims(self) -> List["Record"]:
-        """Hand back (and clear) the victim store — rebuild's re-insert
-        source, so quarantined records flow back into the main arrays."""
-        drained = self.victims
-        self.victims = []
-        return drained
 
     def as_dict(self) -> Dict[str, object]:
         """Structured export (the telemetry provider contract)."""

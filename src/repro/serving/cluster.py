@@ -57,6 +57,7 @@ from repro.errors import (
     ServiceOverloadError,
     ShardUnavailableError,
 )
+from repro.core.bucket import SlotPriority
 from repro.core.config import Arrangement, SliceConfig
 from repro.core.index import KeyInput
 from repro.core.record import RecordFormat
@@ -576,7 +577,7 @@ class CaramCluster:
         index_bits: int = 8,
         slots: int = 16,
         router: Optional[ShardRouter] = None,
-        slot_priority: Optional[Callable] = None,
+        slot_priority: Optional[SlotPriority] = None,
         key_bits: Optional[int] = None,
         data_bits: Optional[int] = None,
         ternary: bool = False,
@@ -592,7 +593,7 @@ class CaramCluster:
             slots: record slots per bucket.
             router: placement policy (default: consistent hashing).
             key_bits / data_bits / ternary / slot_priority: record-format
-                overrides for non-default workloads (e.g. LPM shards).
+                and :data:`~repro.core.bucket.SlotPriority` overrides.
             replication: replicas per shard.  Every replica of shard *s*
                 has the same geometry and hash, and (after
                 :meth:`load`) the same records in the same slots —

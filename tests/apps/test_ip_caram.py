@@ -7,6 +7,7 @@ from repro.apps.iplookup.baseline_tcam import build_lpm_tcam, lpm_lookup
 from repro.apps.iplookup.caram import (
     build_ip_caram,
     ip_hash_function,
+    ip_record_format,
     ip_slice_config,
     lpm_search,
     prefix_priority,
@@ -72,9 +73,11 @@ class TestConfigHelpers:
 
     def test_prefix_priority_is_length(self):
         from repro.core.record import Record
+        from repro.memory.mirror import records_to_words
 
         record = Record(key=Prefix.from_string("10.0.0.0/8").to_ternary_key())
-        assert prefix_priority(record) == 8.0
+        words = records_to_words([record], ip_record_format())
+        assert prefix_priority(*words)[0] == 8.0
 
 
 class TestLpmAgreement:

@@ -41,9 +41,9 @@ def make_config(index_bits, slots, ternary, aux_bits=8):
     )
 
 
-def value_priority(record):
+def value_priority(keys, masks, data):
     """A deliberately tie-heavy priority so sorted buckets are exercised."""
-    return float(record.key.value % 7)
+    return keys[:, 0] % 7
 
 
 def make_slice(index_bits, slots, ternary, bit_select, priority):

@@ -1,5 +1,6 @@
 """Unit tests for the CA-RAM slice behavioral model."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import SliceConfig
@@ -216,8 +217,8 @@ class TestTernary:
 class TestSlotPriority:
     def test_priority_orders_bucket(self):
         # Longer "prefix" (higher priority) must win the priority encoder.
-        def priority(record):
-            return 16 - record.key.dont_care_count
+        def priority(keys, masks, data):
+            return 16 - np.bitwise_count(masks).sum(axis=1)
 
         sl = make_slice(ternary=True, row_bits=512, slot_priority=priority)
         short = TernaryKey.from_prefix(0xA, 4, 16)

@@ -141,7 +141,7 @@ class TestSlotPriority:
     def test_sorted_bucket(self):
         # Two records with the same key: the priority encoder must return
         # the higher-priority one (lower slot after sorted insert).
-        group = make_group(slot_priority=lambda r: float(r.data))
+        group = make_group(slot_priority=lambda keys, masks, data: data[:, 0])
         group.insert(0, data=1)
         group.insert(0, data=9)
         result = group.search(0)

@@ -5,11 +5,15 @@ and checks the layer's one contract — detect or correct, never lie —
 plus the bookkeeping around it (victims, retries, rebuild, telemetry).
 """
 
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from repro.core.config import Arrangement, SliceConfig
 from repro.core.index import make_index_generator
-from repro.core.record import RecordFormat
+from repro.core.key import TernaryKey
+from repro.core.record import Record, RecordFormat
 from repro.core.slice import CARAMSlice
 from repro.core.subsystem import SliceGroup
 from repro.errors import CaRamError, ConfigurationError, ReliabilityError
@@ -51,6 +55,19 @@ def _build_group(arrangement=Arrangement.HORIZONTAL, slice_count=2):
         slice_count=slice_count,
         arrangement=arrangement,
         hash_function=ModuloHash(buckets),
+    )
+
+
+def _small_slice(slots, ternary=False, slot_priority=None):
+    """16-bit keys, 8-bit data, 8 rows of ``slots`` slots, key mod 8."""
+    fmt = RecordFormat(key_bits=16, data_bits=8, ternary=ternary)
+    config = SliceConfig(
+        index_bits=3, row_bits=8 + slots * fmt.slot_bits, record_format=fmt
+    )
+    return CARAMSlice(
+        config,
+        make_index_generator(ModuloHash(8)),
+        slot_priority=slot_priority,
     )
 
 
@@ -148,6 +165,83 @@ class TestRestore:
         assert slice_.search_batch([17])[0].data == 0x42
         assert slice_.search(17).data == 0x42
         assert len(list(slice_.records())) == slice_.record_count
+
+    def test_restore_writes_back_holes(self):
+        """A restore writes the last-good rows back as they were: it does
+        not close up the hole a delete left before a valid slot."""
+        slice_ = _small_slice(slots=4)
+        slice_.bulk_load([(k, k) for k in (1, 9, 17)])  # all in bucket 1
+        slice_.delete(1)  # slot 0 becomes a hole before 9 and 17
+        slice_.search_batch([9])  # the mirror decodes the holed row
+        manager = slice_.enable_reliability()
+        before = slice_.memory.snapshot()
+        manager.guards[0].inject_access_fault(1, 0b11)
+        assert slice_.search(17).data == 17
+        assert manager.restores == 1
+        assert slice_.memory.snapshot() == before
+
+    def test_restore_keeps_records_inserted_into_a_spared_bucket(self):
+        """A spared bucket stores new records; restoring it writes them
+        back instead of emptying it, which lost them silently."""
+        slice_ = _small_slice(slots=4)
+        slice_.bulk_load([(k, k) for k in (1, 2, 9)])
+        manager = slice_.enable_reliability()
+        assert manager.quarantine_bucket(1) == 2
+        slice_.insert(17, 17)  # bucket 1 is a healthy spare row now
+        slice_.search_batch([17])  # the mirror decodes it
+        manager.guards[0].inject_access_fault(1, 0b11)
+        assert slice_.search(17).data == 17
+        assert manager.restores == 1
+        assert len(list(slice_.records())) == slice_.record_count == 2
+
+    def test_write_paths_build_records_only_for_victims(self, monkeypatch):
+        """Deletes and restores work on words; a sorted insert builds the
+        one Record it was given, a quarantine one per victim."""
+        def longer_first(keys, masks, data):
+            return 16 - np.bitwise_count(masks).sum(axis=1)
+
+        slice_ = _small_slice(4, ternary=True, slot_priority=longer_first)
+        keys = {k: TernaryKey.exact(k, 16) for k in (1, 9, 17, 2, 10)}
+        slice_.bulk_load([(key, k) for k, key in keys.items()])
+        manager = slice_.enable_reliability()
+        built = Counter()
+        for cls in (Record, TernaryKey):
+            def counting(self, *args, _init=cls.__init__, **kwargs):
+                built[type(self).__name__] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        slice_.delete(keys[9])
+        assert built == Counter()
+        slice_.insert(keys[9], 9)
+        assert built == Counter(Record=1)
+        built.clear()
+        slice_._synced_mirror()  # the last-good image of bucket 1
+        manager.guards[0].inject_access_fault(1, 0b11)
+        assert manager.restore_bucket(1)
+        assert built == Counter()
+        assert manager.quarantine_bucket(1) == 3
+        assert built == Counter(Record=3, TernaryKey=3)
+
+
+class TestWholeDatabaseReads:
+    @pytest.mark.parametrize("first", ["records", "scan"])
+    def test_reads_repair_a_detected_fault(self, first):
+        """``records()`` and ``scan()`` sync the mirror under the repair
+        loop a lookup uses: a detected fault is restored, not raised."""
+        slice_ = _small_slice(slots=2)
+        slice_.bulk_load([(k, k) for k in (1, 2, 3, 9)])
+        slice_.search_batch([1])
+        manager = slice_.enable_reliability()
+        manager.guards[0].inject_access_fault(1, 0b11)
+        readers = {
+            "records": lambda: list(slice_.records()),
+            "scan": slice_.scan,
+        }
+        for name in (first, *(n for n in readers if n != first)):
+            stored = sorted((r.key.value, r.data) for *_, r in readers[name]())
+            assert stored == [(1, 1), (2, 2), (3, 3), (9, 9)]
+            assert manager.restores == 1
 
 
 class TestQuarantine:
