@@ -14,7 +14,8 @@ A batch lookup proceeds in three vectorized stages:
    don't-care bits touch hash positions are flagged for the scalar path;
 2. **home-row matching** — the home buckets are gathered from the decoded
    mirror's per-word key planes and compared word by word (Figure 4(b)
-   semantics, :meth:`DecodedMirror.match_rows`); the winning slot is
+   semantics, :meth:`DecodedMirror.match_rows`), with the batch's query
+   words cast once to the planes' width; the winning slot is
    priority-encoded and pipelined match passes are accounted exactly like
    :meth:`MatchProcessor.match_pipelined`;
 3. **probe walk** — keys whose home bucket misses with a nonzero reach
@@ -62,6 +63,7 @@ from repro.memory.mirror import (
     DecodedMirror,
     int_to_words,
     keys_to_words,
+    plane_dtype,
     words_for_bits,
     words_to_ints,
 )
@@ -78,13 +80,13 @@ DEFAULT_CHUNK_SIZE = 16384
 #: Lower bound — below this the per-chunk Python overhead dominates.
 MIN_CHUNK_SIZE = 256
 
-#: Element budget for the gathered per-chunk intermediates; the adaptive
-#: default keeps peak memory flat as rows get wider.
-_CHUNK_ELEMENT_BUDGET = 1 << 19
+#: Byte budget for the gathered per-chunk intermediates (4 MiB); the
+#: adaptive default keeps peak memory flat as rows get wider.
+_CHUNK_BYTE_BUDGET = 1 << 22
 
 #: Fixed per-key columnar output words (hit/row/slot/accesses
-#: columns), charged against the chunk element budget alongside the
-#: gathered match intermediates.
+#: columns, 8 bytes each), charged against the chunk byte budget
+#: alongside the gathered match intermediates.
 _COLUMNAR_FIELD_WORDS = 4
 
 
@@ -138,7 +140,9 @@ def query_words(
       per-key pass.
 
     Returns ``(words, mask_words)``; ``mask_words`` is None for an
-    all-binary batch without a search mask.
+    all-binary batch without a search mask.  Every word it returns fits
+    ``key_bits``: the match kernel's cast to narrower planes relies on
+    this one check per batch.
 
     Raises:
         KeyFormatError: on a word matrix of another dtype or word count,
@@ -244,29 +248,31 @@ def _per_key_words(
 
 def default_chunk_size(
     slots_per_bucket: int,
-    word_count: int,
+    key_bits: int,
     value_words: int = 0,
 ) -> int:
     """Chunk size scaled to the row geometry.
 
     Narrow-key configurations keep the full :data:`DEFAULT_CHUNK_SIZE`;
     wide rows shrink the chunk so the gathered intermediates — ``slots x
-    words`` stored-key words per key (e.g. the trigram study's 384-slot x
-    2-word horizontal buckets) — stay within a fixed element budget
-    instead of growing with the layout.
+    words`` stored-key words per key at the mirror's plane width
+    (:func:`~repro.memory.mirror.plane_dtype`; e.g. the trigram study's
+    384-slot x 2-word horizontal buckets of 8-byte words) — stay within a
+    fixed byte budget instead of growing with the layout.
 
     On top of the match intermediates every key also carries its columnar
     output row — the fixed result columns plus ``value_words`` packed
-    data words for wide-value record formats — so configurations with
-    wide payloads chunk smaller instead of blowing the cache with the
-    output alone.
+    data words for wide-value record formats, 8 bytes each — so
+    configurations with wide payloads chunk smaller instead of blowing the
+    cache with the output alone.
     """
-    per_key = max(1, slots_per_bucket * word_count)
-    per_key += _COLUMNAR_FIELD_WORDS + max(0, int(value_words))
+    plane_bytes = words_for_bits(key_bits) * plane_dtype(key_bits).itemsize
+    per_key = max(1, slots_per_bucket) * plane_bytes
+    per_key += (_COLUMNAR_FIELD_WORDS + max(0, int(value_words))) * 8
     return int(
         min(
             DEFAULT_CHUNK_SIZE,
-            max(MIN_CHUNK_SIZE, _CHUNK_ELEMENT_BUDGET // per_key),
+            max(MIN_CHUNK_SIZE, _CHUNK_BYTE_BUDGET // per_key),
         )
     )
 
@@ -339,9 +345,7 @@ class BatchSearchEngine:
         self._access_sink = access_sink
         if chunk_size is None:
             chunk_size = default_chunk_size(
-                slots_per_bucket,
-                words_for_bits(key_bits),
-                value_words=value_words,
+                slots_per_bucket, key_bits, value_words=value_words
             )
         self._chunk_size = max(1, chunk_size)
         #: Keys resolved through the columnar path (the telemetry counter
@@ -426,7 +430,12 @@ class BatchSearchEngine:
         search_mask: int,
         prep: PreparedBatch,
     ) -> BatchResultSet:
-        """Stages 2/3 plus the scalar fallback."""
+        """Stages 2/3 plus the scalar fallback.
+
+        The home match and the probe walk share one cast of the batch's
+        query words to the mirror's plane dtype, exact because
+        :func:`query_words` checked that every word fits ``key_bits``.
+        """
         with profile("batch.mirror_sync"):
             mirror = self._mirror_provider()
         rs = BatchResultSet(prep.total, mirror)
@@ -436,8 +445,8 @@ class BatchSearchEngine:
             rs,
             vectorized,
             prep.homes,
-            prep.words,
-            prep.mask_words,
+            mirror.plane_words(prep.words),
+            mirror.plane_words(prep.mask_words),
         )
         self._scalar_fallback(rs, keys, search_mask, prep)
         self.columnar_rows += prep.total

@@ -192,7 +192,9 @@ def priority_encode_batch(
     Reproduces :meth:`MatchProcessor.match_pipelined` exactly — including
     the pipelined-pass count and the fact that ``multiple_matches`` only
     sees the slots scanned before the pipeline stopped — but over a
-    ``(batch, slots)`` boolean match matrix at NumPy speed.
+    ``(batch, slots)`` boolean match matrix at NumPy speed.  As in §3.3,
+    the multiple-match flag comes from the match vector itself: at least
+    two matches among the scanned slots.
 
     Args:
         match: ``(batch, slots)`` bool match matrix, slot 0 first.
@@ -208,23 +210,30 @@ def priority_encode_batch(
     batch, slots = match.shape
     if processors is not None and processors <= 0:
         raise KeyFormatError(f"processors must be positive: {processors}")
-    rows = np.arange(batch)
     first = match.argmax(axis=1)
-    hit = match[rows, first]
+    hit = match[np.arange(batch), first]
     slot = np.where(hit, first, -1)
     chunk = slots if processors is None or processors >= slots else processors
     total_passes = -(-slots // chunk)
     passes = np.where(hit, first // chunk + 1, total_passes).astype(np.int64)
-    # Slots visible to the pipeline: every chunk up to and including the
-    # one that produced the first match (all of them on a miss).
-    scanned = np.minimum(np.where(hit, (first // chunk + 1) * chunk, slots), slots)
-    # A second match exists iff clearing the first still leaves one; it
-    # counts only if the pipeline scanned that far.
-    rest = match.copy()
-    rest[rows, first] = False
-    second = rest.argmax(axis=1)
-    multiple = rest[rows, second] & (second < scanned)
+    if chunk == slots:
+        # One pass scans the whole row.
+        multiple = _row_match_counts(match) > 1
+    else:
+        # Slots visible to the pipeline: every chunk up to and including
+        # the one that produced the first match (all of them on a miss).
+        scanned = np.minimum(passes * chunk, slots)
+        in_scan = np.arange(slots) < scanned[:, None]
+        multiple = np.count_nonzero(match & in_scan, axis=1) > 1
     return hit, slot, passes, multiple
+
+
+def _row_match_counts(match: np.ndarray) -> np.ndarray:
+    """Matches per row of a bool match matrix.  A contiguous matrix whose
+    rows are whole 8-byte words is counted eight slots per popcount."""
+    if match.flags.c_contiguous and match.shape[1] % 8 == 0:
+        return np.bitwise_count(match.view(np.uint64)).sum(axis=1)
+    return np.count_nonzero(match, axis=1)
 
 
 __all__ = ["MatchProcessor", "MatchResult", "priority_encode_batch"]

@@ -22,13 +22,17 @@ codec (:meth:`~repro.core.bucket.BucketLayout.decode_rows`), the inverse
 of the one the bulk build encodes with; the mirror only places its word
 matrices into the planes.
 
-Keys are held word-major: one contiguous ``(buckets, slots)`` uint64 plane
-per 64-bit word (word 0 = the low 64 bits), so a key wider than 64 bits
-(e.g. the trigram study's 128-bit keys) costs one more plane gather, not a
-wider temporary.  Ternary formats add a care plane per word (``~mask`` over
-the key's width); binary formats, whose masks are all zero, keep none.  The
-comparison is an exact word-wise rendering of Figure 4(b): a slot matches
-when, in every word, ``(stored ^ search) & care & ~search_mask`` is zero.
+Keys are held word-major: one contiguous ``(buckets, slots)`` plane per
+key word (word 0 = the low bits), so a key wider than 64 bits (e.g. the
+trigram study's 128-bit keys) costs one more plane gather, not a wider
+temporary.  The plane width follows the key width (:func:`plane_dtype`):
+keys of at most 32 bits get one uint32 plane, as the paper sizes each match
+processor to the key width N (§3.1); wider keys get 64-bit words.  Ternary
+formats add a care plane per word (``~mask`` over the key's width); binary
+formats, whose masks are all zero, keep none.  The comparison is an exact
+word-wise rendering of Figure 4(b): a slot matches when, in every word,
+``(stored ^ search) & care & ~search_mask`` is zero.  Outside the planes
+every word matrix is ``(n, W)`` uint64, as :func:`keys_to_words` packs it.
 
 Logical-bucket composition is the group's
 :class:`~repro.core.config.BucketGeometry`: each array's rows land in the
@@ -53,10 +57,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.record import RecordFormat
     from repro.memory.array import MemoryArray
 
-#: Width of one mirror storage word.
+#: Width of one word of the ``(n, W)`` uint64 key form.
 KEY_WORD_BITS = 64
 
 _WORD_MASK = (1 << KEY_WORD_BITS) - 1
+
+
+def plane_dtype(key_bits: int) -> np.dtype:
+    """The dtype of the mirror's key and care planes for ``key_bits``-wide
+    keys: uint32 for keys of at most 32 bits, uint64 words otherwise.  A
+    32-bit key then gathers four bytes per slot, not eight."""
+    return np.dtype(np.uint32 if key_bits <= 32 else np.uint64)
 
 
 def words_for_bits(bits: int) -> int:
@@ -261,13 +272,14 @@ class DecodedMirror:
 
     Attributes (all kept in sync by :meth:`sync`):
         valid: ``(buckets, slots)`` bool — slot occupancy.
-        key_planes: ``(words, buckets, slots)`` uint64 — stored key values,
-            one contiguous ``(buckets, slots)`` plane per 64-bit word (the
-            layout the match kernel gathers from; see :attr:`key_words`).
-        care_planes: ``(words, buckets, slots)`` uint64 — the stored keys'
-            care bits (``~mask`` over the key width; ``width`` in invalid
-            slots), or None for binary record formats, whose keys have no
-            don't-care bits to store.
+        key_planes: ``(words, buckets, slots)`` — stored key values, one
+            contiguous ``(buckets, slots)`` plane per key word (the layout
+            the match kernel gathers from; see :attr:`key_words`), of
+            :func:`plane_dtype` for the key width.
+        care_planes: ``(words, buckets, slots)``, same dtype — the stored
+            keys' care bits (``~mask`` over the key width; ``width`` in
+            invalid slots), or None for binary record formats, whose keys
+            have no don't-care bits to store.
         reach: ``(buckets,)`` int64 — the auxiliary spill-reach field.
         data_words: ``(buckets, slots, data_word_count)`` uint64 — stored
             data payloads as little-endian words (zero columns when the
@@ -314,14 +326,15 @@ class DecodedMirror:
         data_bits = layout.record_format.data_bits
         self._data_word_count = words_for_bits(data_bits) if data_bits else 0
         planes = (self._word_count, self.buckets, self.slots)
+        dtype = plane_dtype(key_bits)
         self.width_words = np.array(
-            int_to_words(mask_of(key_bits), self._word_count), dtype=np.uint64
+            int_to_words(mask_of(key_bits), self._word_count), dtype=dtype
         )
         self.valid = np.zeros((self.buckets, self.slots), dtype=bool)
-        self.key_planes = np.zeros(planes, dtype=np.uint64)
+        self.key_planes = np.zeros(planes, dtype=dtype)
         self.care_planes: Optional[np.ndarray] = None
         if layout.record_format.ternary:
-            self.care_planes = np.empty(planes, dtype=np.uint64)
+            self.care_planes = np.empty(planes, dtype=dtype)
             self.care_planes[...] = self.width_words[:, None, None]
         self.reach = np.zeros(self.buckets, dtype=np.int64)
         self._records = np.empty((self.buckets, self.slots), dtype=object)
@@ -359,19 +372,21 @@ class DecodedMirror:
 
     @property
     def key_words(self) -> np.ndarray:
-        """``(buckets, slots, words)`` view of :attr:`key_planes` (no copy)."""
+        """``(buckets, slots, words)`` view of :attr:`key_planes` (no copy,
+        so of the planes' dtype)."""
         return self.key_planes.transpose(1, 2, 0)
 
     @property
     def mask_words(self) -> np.ndarray:
-        """``(buckets, slots, words)`` stored don't-care masks, derived from
-        :attr:`care_planes` (zeros for binary formats); a read-only copy."""
+        """``(buckets, slots, words)`` uint64 stored don't-care masks,
+        derived from :attr:`care_planes` (zeros for binary formats); a
+        read-only copy."""
         if self.care_planes is None:
             masks = np.zeros(self.key_words.shape, dtype=np.uint64)
         else:
             masks = (
                 ~self.care_planes & self.width_words[:, None, None]
-            ).transpose(1, 2, 0)
+            ).transpose(1, 2, 0).astype(np.uint64, copy=False)
         masks.flags.writeable = False
         return masks
 
@@ -432,7 +447,9 @@ class DecodedMirror:
         read_reach: bool,
     ) -> None:
         """Place whole physical rows, decoded by the layout's vectorized
-        codec, into the planes; their memo entries are reset."""
+        codec, into the planes (the assignment narrows the codec's uint64
+        words to the plane dtype; they fit the key width); their memo
+        entries are reset."""
         reach, valid, keys, masks, data = self._layout.decode_rows(row_values)
         if read_reach:
             self.reach[buckets] = reach
@@ -461,9 +478,11 @@ class DecodedMirror:
         to serialize into the arrays; installing it here skips the O(rows x
         slots) big-int re-decode the invalidation listeners would otherwise
         schedule.  All dirty flags are cleared — the caller vouches that the
-        image matches the array content it just loaded.  ``records``, a
-        ``(buckets, slots)`` object grid of the image's ``Record`` s (None
-        in empty slots), seeds the :meth:`records_at` memo.
+        image matches the array content it just loaded.  ``key_words`` and
+        ``mask_words`` are narrowed to the plane dtype as they are placed.
+        ``records``, a ``(buckets, slots)`` object grid of the image's
+        ``Record`` s (None in empty slots), seeds the :meth:`records_at`
+        memo.
         """
         grid = self.valid.shape
         word_shape = grid + (self._word_count,)
@@ -515,6 +534,15 @@ class DecodedMirror:
     # Vectorized ternary matching (Figure 4(b), word-major)
     # ------------------------------------------------------------------
 
+    def plane_words(
+        self, words: Optional[np.ndarray]
+    ) -> Optional[np.ndarray]:
+        """Query words at the plane dtype; words already there (and None)
+        pass as they are.  Exact for words that fit ``key_bits``."""
+        if words is None or words.dtype == self.key_planes.dtype:
+            return words
+        return words.astype(self.key_planes.dtype)
+
     def _match(
         self,
         bucket_ids: Optional[np.ndarray],
@@ -524,15 +552,16 @@ class DecodedMirror:
         """The one per-word match formula behind :meth:`match_rows` and
         :meth:`match_all`.
 
-        For each 64-bit word: gather that plane's rows (every bucket when
+        For each key word: gather that plane's rows (every bucket when
         ``bucket_ids`` is None), XOR the query word in, keep only the
         cared-for bits (stored care plane for ternary formats, the query's
         ``~mask`` when one is given), and OR into one accumulator.  A slot
         matches when its accumulator is zero.  No ``& width`` term: stored
         words and batch queries (checked by
         :func:`~repro.core.batch.query_words`) both stay within
-        ``key_bits``.  ``query_words`` (and the mask) are ``(B, words)``,
-        or ``(1, words)`` to broadcast one query over every row.
+        ``key_bits``.  ``query_words`` (and the mask) are ``(B, words)`` at
+        the plane dtype, or ``(1, words)`` to broadcast one query over
+        every row.
         """
         care_planes = self.care_planes
         query_care = None if query_mask_words is None else ~query_mask_words
@@ -563,12 +592,19 @@ class DecodedMirror:
 
         Args:
             bucket_ids: ``(B,)`` bucket index per query.
-            query_words: ``(B, words)`` packed search keys.
+            query_words: ``(B, words)`` packed search keys, uint64 or
+                already at the plane dtype.
             query_mask_words: ``(B, words)`` packed search-key don't-care
                 masks, or None for all-binary searches.
 
         Returns:
             ``(B, slots)`` bool match matrix, slot 0 first.
+
+        Precondition: every query and mask word fits ``key_bits`` (as
+        :func:`~repro.core.batch.query_words` checks once per batch).
+        Words that arrive wider than the planes are cast to the plane
+        dtype, which is exact only then: a 32-bit plane would otherwise
+        drop a query's high bits and report a false match.
 
         Raises:
             ConfigurationError: on out-of-range bucket ids (negative ids
@@ -596,7 +632,11 @@ class DecodedMirror:
                 f"query mask matrix must be {query_words.shape}, "
                 f"got {query_mask_words.shape}"
             )
-        return self._match(ids, query_words, query_mask_words)
+        return self._match(
+            ids,
+            self.plane_words(query_words),
+            self.plane_words(query_mask_words),
+        )
 
     def match_all(
         self, query_words: np.ndarray, query_mask_words: np.ndarray
@@ -604,14 +644,17 @@ class DecodedMirror:
         """Match one ternary predicate against every bucket.
 
         Args:
-            query_words / query_mask_words: ``(words,)`` packed predicate.
+            query_words / query_mask_words: ``(words,)`` packed predicate
+                within ``key_bits``.
 
         Returns:
             ``(buckets, slots)`` bool match matrix.
         """
         shape = (1, self._word_count)
         return self._match(
-            None, query_words.reshape(shape), query_mask_words.reshape(shape)
+            None,
+            self.plane_words(query_words.reshape(shape)),
+            self.plane_words(query_mask_words.reshape(shape)),
         )
 
     def match_predicate(self, search_key: int, search_mask: int) -> np.ndarray:
@@ -645,13 +688,15 @@ class DecodedMirror:
         return gathered.tolist()
 
     def _fields_at(self, buckets, slots):
-        """``(keys, masks, data)`` words of the given slots, one row per
-        slot (``masks`` is None for binary formats)."""
+        """``(keys, masks, data)`` uint64 words of the given slots, one row
+        per slot (``masks`` is None for binary formats)."""
         keys = self.key_planes[:, buckets, slots].T
         masks = None
         if self.care_planes is not None:
             care = self.care_planes[:, buckets, slots]
             masks = (~care & self.width_words[:, None]).T
+            masks = masks.astype(np.uint64, copy=False)
+        keys = keys.astype(np.uint64, copy=False)
         return keys, masks, self.data_words[buckets, slots]
 
     def row_dirty(self, slice_id: int, row: int) -> bool:
@@ -691,6 +736,7 @@ class DecodedMirror:
 __all__ = [
     "DecodedMirror",
     "KEY_WORD_BITS",
+    "plane_dtype",
     "words_for_bits",
     "int_to_words",
     "keys_to_words",

@@ -440,12 +440,18 @@ class TestChunkSize:
         )
 
         # Narrow geometries keep the legacy chunk size.
-        assert default_chunk_size(4, 1) == DEFAULT_CHUNK_SIZE
+        assert default_chunk_size(4, 16) == DEFAULT_CHUNK_SIZE
+        # Design D's 128 slots of 32-bit keys (one 4-byte plane word each)
+        # fit a 4,096-address batch in one chunk.
+        assert default_chunk_size(128, 32, value_words=1) >= 4096
+        # Design A's 96 slots x 2 words of 128-bit keys: 4 MiB over
+        # (96 x 16 + 5 x 8) bytes per key.
+        assert default_chunk_size(96, 128, value_words=1) == 2661
         # The trigram study's horizontal bucket: 384 slots x 2 words.
-        wide = default_chunk_size(384, 2)
+        wide = default_chunk_size(384, 128)
         assert MIN_CHUNK_SIZE <= wide < DEFAULT_CHUNK_SIZE
         # Degenerate widths clamp at the floor.
-        assert default_chunk_size(1 << 20, 4) == MIN_CHUNK_SIZE
+        assert default_chunk_size(1 << 20, 256) == MIN_CHUNK_SIZE
 
 
 class TestSubsystemBatch:

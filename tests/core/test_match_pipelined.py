@@ -147,7 +147,10 @@ class TestPriorityEncodeBatchOracle:
     @given(data=st.data())
     def test_agrees_with_match_pipelined(self, data):
         rows = data.draw(st.integers(0, 12))
-        slots = data.draw(st.integers(1, 130))
+        # Whole 8-byte rows take the popcount path when contiguous.
+        slots = data.draw(
+            st.integers(1, 130) | st.sampled_from([8, 64, 96, 128])
+        )
         processors = data.draw(
             st.sampled_from([None, 1, 2, 3, 7, slots, slots + 3])
         )
@@ -156,7 +159,15 @@ class TestPriorityEncodeBatchOracle:
             min_size=rows,
             max_size=rows,
         ))
-        match = np.zeros((rows, slots), dtype=bool)
+        # Half the matrices are a column slice of a wider one, whose other
+        # columns all match: non-contiguous rows take the counting path.
+        offset = data.draw(st.none() | st.integers(0, 9))
+        if offset is None:
+            match = np.zeros((rows, slots), dtype=bool)
+        else:
+            wide = np.ones((rows, offset + slots + 7), dtype=bool)
+            match = wide[:, offset : offset + slots]
+            match[...] = False
         for row, matched in enumerate(hits):
             match[row, sorted(matched)] = True
         hit, slot, passes, multiple = priority_encode_batch(match, processors)

@@ -34,8 +34,14 @@ def snapshot(stats: SearchStats) -> SearchStats:
 
 @st.composite
 def word_path_cases(draw):
-    """A small group (8 buckets) with stored records, and a query batch."""
-    bits = draw(st.integers(min_value=8, max_value=130))
+    """A small group (8 buckets) with stored records, and a query batch.
+
+    Half the widths sit at a plane-width or word boundary."""
+    bits = draw(
+        st.sampled_from([31, 32, 33, 64, 65])
+        if draw(st.booleans())
+        else st.integers(min_value=8, max_value=130)
+    )
     top = (1 << bits) - 1
     key_values = st.integers(min_value=0, max_value=top)
     ternary = draw(st.booleans())
@@ -143,6 +149,18 @@ class TestKeyFormsAgree:
         )
 
 
+def assert_rejected(group, keys):
+    """``keys`` raise ``KeyFormatError`` before any counter moves."""
+    before = snapshot(group.stats)
+    fetches = group.physical_row_fetches
+    rows = group.batch_engine.columnar_rows
+    with pytest.raises(KeyFormatError):
+        group.search_batch_columnar(keys)
+    assert group.stats == before
+    assert group.physical_row_fetches == fetches
+    assert group.batch_engine.columnar_rows == rows
+
+
 class TestRejectedBatches:
     @pytest.fixture
     def group(self):
@@ -172,14 +190,38 @@ class TestRejectedBatches:
         ],
     )
     def test_rejected_before_any_counter_moves(self, group, keys):
-        before = snapshot(group.stats)
-        fetches = group.physical_row_fetches
-        rows = group.batch_engine.columnar_rows
-        with pytest.raises(KeyFormatError):
-            group.search_batch_columnar(keys)
-        assert group.stats == before
-        assert group.physical_row_fetches == fetches
-        assert group.batch_engine.columnar_rows == rows
+        assert_rejected(group, keys)
+
+    @pytest.fixture
+    def group32(self):
+        """32-bit keys, whose mirror planes are 32 bits wide: a query bit
+        above them, if it got past the check, would be cut off into a
+        false hit on the stored key 3 (or 0)."""
+        case = {
+            "bits": 32, "ternary": False, "positions": [0, 16, 31],
+            "step_positions": None, "slice_count": 1, "overflow": False,
+            "records": [(0, 1), (3, 2)],
+        }
+        group = build_group(case)
+        group.search_batch([3])  # build the engine and the mirror
+        return group
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            pytest.param(
+                np.array([[3], [(1 << 32) | 3]], dtype=np.uint64),
+                id="bit-32-word",
+            ),
+            pytest.param(
+                np.array([3, 1 << 32], dtype=np.uint64), id="bit-32-column"
+            ),
+        ],
+    )
+    def test_32_bit_keys_rejected_before_any_counter_moves(
+        self, group32, keys
+    ):
+        assert_rejected(group32, keys)
 
     def test_top_word_may_fill_to_the_width(self, group):
         words = keys_to_words([3, 1 << 90, (1 << 100) - 1], 100)

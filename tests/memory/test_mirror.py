@@ -314,6 +314,32 @@ class TestPlaneStorage:
         assert int(mirror.care_planes[0, 0, 1]) == 0xFFFF & ~0b11
         assert int(mirror.mask_words[0, 1, 0]) == 0b11
 
+    @pytest.mark.parametrize(
+        "key_bits, dtype", [(32, np.uint32), (33, np.uint64)]
+    )
+    def test_plane_width_follows_key_width(self, key_bits, dtype):
+        fmt = RecordFormat(key_bits=key_bits, data_bits=8, ternary=True)
+        layout = BucketLayout(
+            row_bits=8 + 4 * fmt.slot_bits, record_format=fmt
+        )
+        array = MemoryArray(ROWS, layout.row_bits)
+        top = 1 << (key_bits - 1)
+        stored = Record.make(TernaryKey(top | 0b100, 0b11, key_bits), 7, fmt)
+        array.write_row(2, layout.pack([None, stored], reach=1))
+        mirror = DecodedMirror([array], layout)
+        mirror.sync()
+        assert mirror.key_planes.dtype == dtype
+        assert mirror.care_planes.dtype == dtype
+        assert mirror.width_words.dtype == dtype
+        # Every read leaves the planes as exact uint64 words.
+        assert mirror.mask_words.dtype == np.uint64
+        assert int(mirror.mask_words[2, 1, 0]) == 0b11
+        assert mirror.records_at([2], [1]) == [stored]
+        assert mirror.row_value(0, 2) == array.peek_row(2)
+        queries = keys_to_words([top | 0b111, top, 0b100], key_bits)
+        match = mirror.match_rows(np.array([2, 2, 2]), queries)
+        assert match[:, 1].tolist() == [True, False, False]
+
     def test_clear_bucket_keeps_reach_and_bumps_version(self):
         array = make_array()
         array.write_row(3, pack([record(0x5, mask=0b1, data=9)], reach=2))
@@ -330,9 +356,9 @@ class TestPlaneStorage:
         assert not mirror.match_predicate(0, 0xFFFF)[3].any()
 
 
-#: Key widths of the oracle property: one word, word-aligned, and ragged
-#: top words.
-ORACLE_KEY_BITS = [8, 32, 64, 65, 100, 128, 130]
+#: Key widths of the oracle property: one word, either side of the
+#: 32-bit plane boundary, word-aligned, and ragged top words.
+ORACLE_KEY_BITS = [8, 31, 32, 33, 64, 65, 100, 128, 130]
 ORACLE_ROWS = 4
 ORACLE_SLOTS = 3
 
