@@ -33,7 +33,7 @@ from repro.core.record import RecordFormat
 from repro.core.subsystem import SliceGroup
 from repro.errors import KeyFormatError
 from repro.hashing.base import HashFunction
-from repro.hashing.djb import djb2_bytes, djb2_matrix
+from repro.hashing.djb import djb2_bytes, djb2_padded, row_chunks
 from repro.memory.mirror import keys_to_words, words_to_ints
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,6 +46,9 @@ BytesLike = Union[bytes, bytearray, str]
 
 _KEY_BYTES = TRIGRAM_KEY_BITS // 8
 _KEY_WORDS = _KEY_BYTES // 8
+#: The batch parse's string width: one byte past the key, so NumPy's
+#: truncating conversion leaves a nonzero last byte on an over-long key.
+_PARSE_DTYPE = f"S{_KEY_BYTES + 1}"
 
 
 class StringKeyCodec:
@@ -78,46 +81,48 @@ class StringKeyCodec:
     def encode_batch(keys: Sequence[BytesLike]) -> np.ndarray:
         """Vectorized :meth:`encode` of a whole string array, as words.
 
-        Builds one zero-padded byte matrix for all keys and returns it as
-        a ``(len(keys), 2)`` uint64 matrix of little-endian 64-bit words:
+        Parses every key in one NumPy conversion, to fixed-width strings
+        one byte wider than the key, and returns them as a
+        ``(len(keys), 2)`` uint64 matrix of little-endian 64-bit words:
         row ``i`` is :func:`~repro.memory.mirror.keys_to_words` of
         ``encode(keys[i])``, the form
         :meth:`SliceGroup.search_batch_columnar` takes, with no Python
-        int per string.  Validation is the scalar path's: over-long keys
-        and embedded NUL bytes raise :class:`~repro.errors.KeyFormatError`,
-        non-ASCII text raises ``UnicodeEncodeError``.  One divergence:
-        *trailing* NUL bytes fold into the padding here (NumPy's
+        int per string.  A nonzero last byte marks an over-long key.
+        Validation is the scalar path's: over-long keys and embedded NUL
+        bytes raise :class:`~repro.errors.KeyFormatError`, non-ASCII text
+        raises ``UnicodeEncodeError``.  One divergence: NUL bytes that end
+        a key's first 17 bytes fold into the padding here (NumPy's
         fixed-width byte storage cannot distinguish them), where the
-        scalar encoder rejects them.
+        scalar encoder rejects them.  So *trailing* NUL bytes are
+        accepted, and a NUL 17th byte hides the bytes after it.
         """
-        count = len(keys)
-        arr = np.asarray(list(keys), dtype=np.bytes_)
-        width = arr.dtype.itemsize
-        if width == 0:
-            return np.zeros((count, _KEY_WORDS), dtype=np.uint64)
-        matrix = np.frombuffer(arr.tobytes(), dtype=np.uint8).reshape(
-            count, width
-        )
-        if width > _KEY_BYTES:
-            overflow = matrix[:, _KEY_BYTES:].any(axis=1)
-            if overflow.any():
-                length = int(
-                    (matrix[int(np.argmax(overflow))] != 0).nonzero()[0][-1]
-                    + 1
-                )
-                raise KeyFormatError(
-                    f"string of {length} bytes exceeds the "
-                    f"{_KEY_BYTES}-byte key"
-                )
-            matrix = np.ascontiguousarray(matrix[:, :_KEY_BYTES])
-        elif width < _KEY_BYTES:
-            padded = np.zeros((count, _KEY_BYTES), dtype=np.uint8)
-            padded[:, :width] = matrix
-            matrix = padded
-        # An embedded NUL shows up as a zero byte followed by a nonzero
-        # byte; trailing zeros are the padding.
-        nonzero = matrix != 0
-        if ((~nonzero[:, :-1]) & nonzero[:, 1:]).any():
+        try:
+            strings = np.asarray(keys, dtype=_PARSE_DTYPE)
+        except ValueError:
+            strings = None
+        if strings is None or strings.ndim != 1:
+            # NumPy reads a bytearray as a sequence of ints: a batch of
+            # them comes out 2-D, or raises when lengths or kinds mix.
+            keys = [
+                bytes(key) if isinstance(key, bytearray) else key
+                for key in keys
+            ]
+            strings = np.asarray(keys, dtype=_PARSE_DTYPE)
+        # One row of bytes per string (the unit axis keeps a strided
+        # input array viewable).
+        rows = strings.reshape(-1, 1).view(np.uint8)
+        overlong = rows[:, _KEY_BYTES]
+        if overlong.any():
+            # The parse truncated the key; the caller's string (ASCII, if
+            # text) still has its length.
+            length = len(keys[int(np.argmax(overlong != 0))])
+            raise KeyFormatError(
+                f"string of {length} bytes exceeds the {_KEY_BYTES}-byte key"
+            )
+        matrix = rows[:, :_KEY_BYTES]
+        # An embedded NUL is a zero byte followed by a nonzero byte;
+        # trailing zeros are the padding.
+        if (matrix[:, :-1] < (matrix[:, 1:] != 0)).any():
             raise KeyFormatError("string keys must not contain NUL bytes")
         # Each row is one big-endian 128-bit key: its second 8 bytes are
         # the low word.
@@ -143,31 +148,31 @@ class PackedStringDJBHash(HashFunction):
         """Bucket mapping of keys already packed as little-endian 64-bit
         words (:func:`~repro.memory.mirror.keys_to_words` at 128 bits).
 
-        Views the words as one big-endian byte matrix, recovers each
-        string's length from its trailing padding, and runs the columnwise
-        DJB kernel — row for row equal to the scalar ``__call__``.
+        Reads each string straight from the words: their byte view holds
+        the zero-padded string last byte first, the order
+        :func:`~repro.hashing.djb.djb2_padded` takes, and a row's padding
+        is the trailing zero bytes of word 0, then of word 1 (the string
+        ends at its last nonzero byte, as ``__call__``'s decode strips
+        it).  Row for row equal to the scalar ``__call__``.
         """
         if words.shape[1] != _KEY_WORDS:
             raise KeyFormatError(
                 f"packed string keys are {TRIGRAM_KEY_BITS}-bit "
                 f"({_KEY_WORDS} words), got {words.shape[1]} words"
             )
-        if len(words) == 0:
-            return np.empty(0, dtype=np.int64)
-        matrix = (
-            words[:, ::-1].astype(">u8").view(np.uint8).reshape(-1, _KEY_BYTES)
-        )
-        nonzero = matrix != 0
-        lengths = np.where(
-            nonzero.any(axis=1),
-            _KEY_BYTES - nonzero[:, ::-1].argmax(axis=1),
-            0,
-        )
-        packed = np.zeros((matrix.shape[0], _KEY_BYTES + 1), dtype=np.uint8)
-        packed[:, :_KEY_BYTES] = matrix
-        packed[:, _KEY_BYTES] = lengths
-        hashes = djb2_matrix(packed)
-        return (hashes % np.uint64(self.bucket_count)).astype(np.int64)
+        words = np.ascontiguousarray(words, dtype="<u8")
+        buckets = np.empty(len(words), dtype=np.int64)
+        # uint64, so bucket counts past 32 bits stay exact.
+        divisor = np.uint64(self.bucket_count)
+        for rows in row_chunks(len(words)):
+            chunk = words[rows]
+            # Trailing zero bytes per word: (x & -x) - 1 sets exactly the
+            # trailing zero bits (all 64 for a zero word, so 8 bytes).
+            trailing = np.bitwise_count((chunk & -chunk) - np.uint64(1)) >> 3
+            padding = trailing[:, 0] + (trailing[:, 0] >> 3) * trailing[:, 1]
+            hashes = djb2_padded(chunk.view(np.uint8), padding)
+            np.remainder(hashes, divisor, out=buckets[rows])
+        return buckets
 
     def rebucketed(self, bucket_count: int) -> "PackedStringDJBHash":
         return PackedStringDJBHash(bucket_count)

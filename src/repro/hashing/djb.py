@@ -6,15 +6,16 @@ hash function.  The function looks like:
 also used in the software hashing technique in Sphinx."
 
 This module provides the scalar reference (:func:`djb2_bytes`), the
-:class:`DJBHash` bucket-mapping wrapper, and a vectorized kernel that hashes
-millions of variable-length strings via a padded byte matrix — the full-scale
-trigram database has 5.39M entries, far too many for a per-string Python
-loop in the analytics path.
+:class:`DJBHash` bucket-mapping wrapper, and one vectorized kernel,
+:func:`djb2_padded`, that hashes millions of strings in closed form from a
+zero-padded byte matrix — the full-scale trigram database has 5.39M
+entries, far too many for a per-string Python loop in the analytics path.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+import functools
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -22,7 +23,15 @@ from repro.errors import ConfigurationError
 from repro.hashing.base import HashFunction
 
 DJB_SEED = 5381
-_MASK32 = np.uint64(0xFFFF_FFFF)
+_MOD = 1 << 32
+#: 33 is odd, so it is a unit mod 2**32: a padding zero byte multiplies a
+#: hash by 33, and this inverse takes the factor back out.
+_INVERSE_33 = pow(33, -1, _MOD)
+
+#: Rows per pass of :func:`djb2_padded`'s callers.  It bounds the uint32
+#: widening of the byte matrix (4 MiB for a chunk of 16-byte keys) however
+#: many rows come in; the trigram build hashes 168,288 keys in one call.
+CHUNK_ROWS = 1 << 16
 
 BytesLike = Union[bytes, bytearray, str]
 
@@ -49,8 +58,7 @@ def pack_strings(keys: Sequence[BytesLike], max_length: int) -> np.ndarray:
     """Pack variable-length strings into a zero-padded (N, max_length) byte
     matrix, with an extra last column holding each string's length.
 
-    The padded layout lets :func:`djb2_matrix` process one character column
-    per iteration across all strings at once.
+    :func:`djb2_matrix` hashes this layout.
     """
     count = len(keys)
     packed = np.zeros((count, max_length + 1), dtype=np.uint8)
@@ -65,22 +73,65 @@ def pack_strings(keys: Sequence[BytesLike], max_length: int) -> np.ndarray:
     return packed
 
 
+@functools.lru_cache(maxsize=None)
+def _powers(base: int, count: int) -> np.ndarray:
+    """``base**j mod 2**32`` for ``j < count``, read-only uint32."""
+    powers = np.array(
+        [pow(base, j, _MOD) for j in range(count)], dtype=np.uint32
+    )
+    powers.setflags(write=False)
+    return powers
+
+
+def row_chunks(count: int) -> Iterator[slice]:
+    """Slices of at most :data:`CHUNK_ROWS` rows covering ``range(count)``."""
+    for start in range(0, count, CHUNK_ROWS):
+        yield slice(start, start + CHUNK_ROWS)
+
+
+def djb2_padded(
+    data: np.ndarray, padding: np.ndarray, seed: int = DJB_SEED
+) -> np.ndarray:
+    """DJB of zero-padded byte rows in closed form — the one DJB kernel.
+
+    Row ``r`` of the ``(n, W)`` byte matrix ``data`` is a string of
+    ``W - padding[r]`` bytes followed by ``padding[r]`` zero bytes, stored
+    last byte first: column ``j`` holds byte ``W - 1 - j`` of the padded
+    row (the order in which little-endian words hold a big-endian key).
+
+    Unrolled over the padded row, the recurrence is one dot product:
+    ``H_W = seed * 33**W + sum_j data[:, j] * 33**j (mod 2**32)``.  Each
+    padding byte only multiplied the hash by 33, and 33 is odd, hence
+    invertible mod 2**32, so the string's own hash is
+    ``H_W * (33**-1)**padding``.  uint32 arithmetic wraps mod 2**32 as DJB
+    does.  Returns uint32 hashes, row for row :func:`djb2_bytes`.
+    """
+    width = data.shape[1]
+    hashes = data.astype(np.uint32) @ _powers(33, width)
+    hashes += np.uint32(seed * pow(33, width, _MOD) % _MOD)
+    hashes *= _powers(_INVERSE_33, width + 1)[padding]
+    return hashes
+
+
 def djb2_matrix(packed: np.ndarray, seed: int = DJB_SEED) -> np.ndarray:
     """Vectorized DJB over a packed byte matrix from :func:`pack_strings`.
 
-    Strings shorter than the matrix width stop updating once their length is
-    exhausted, so the result equals :func:`djb2_bytes` per row.
+    A row's length column decides where its string ends; bytes past it
+    are ignored.  Returns uint64 hashes equal to :func:`djb2_bytes` per
+    row.
     """
     if packed.ndim != 2 or packed.shape[1] < 2:
         raise ConfigurationError("packed must be a (N, max_length+1) matrix")
-    max_length = packed.shape[1] - 1
-    lengths = packed[:, max_length].astype(np.uint64)
-    hashes = np.full(packed.shape[0], seed, dtype=np.uint64)
-    for col in range(max_length):
-        active = lengths > col
-        byte = packed[:, col].astype(np.uint64)
-        updated = ((hashes << np.uint64(5)) + hashes + byte) & _MASK32
-        hashes = np.where(active, updated, hashes)
+    width = packed.shape[1] - 1
+    # String position of each column of the reversed byte matrix.
+    positions = np.arange(width - 1, -1, -1)
+    hashes = np.empty(packed.shape[0], dtype=np.uint64)
+    for rows in row_chunks(packed.shape[0]):
+        lengths = np.minimum(packed[rows, width], width).astype(np.intp)
+        data = np.where(
+            positions < lengths[:, None], packed[rows, width - 1 :: -1], 0
+        )
+        hashes[rows] = djb2_padded(data, width - lengths, seed)
     return hashes
 
 
@@ -111,8 +162,9 @@ class DJBHash(HashFunction):
         return self._reduce(djb2_bytes(key, self._seed))
 
     def index_many(self, keys: Sequence[BytesLike]) -> np.ndarray:
-        max_length = max((len(_as_bytes(k)) for k in keys), default=1)
-        packed = pack_strings(keys, max_length)
+        # At least one byte column, so a batch of empty strings packs too.
+        max_length = max((len(_as_bytes(k)) for k in keys), default=0)
+        packed = pack_strings(keys, max(max_length, 1))
         return self.index_packed(packed)
 
     def index_packed(self, packed: np.ndarray) -> np.ndarray:
@@ -129,8 +181,11 @@ class DJBHash(HashFunction):
 
 __all__ = [
     "DJB_SEED",
+    "CHUNK_ROWS",
     "djb2_bytes",
     "pack_strings",
+    "row_chunks",
+    "djb2_padded",
     "djb2_matrix",
     "DJBHash",
 ]

@@ -1,13 +1,17 @@
 """Integration tests for the behavioral trigram CA-RAM."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.apps.trigram.caram as trigram_caram
 import repro.core.batch
 import repro.core.index
+import repro.hashing.djb as djb
 import repro.memory.mirror
 from repro.apps.trigram.caram import (
     PackedStringDJBHash,
@@ -47,9 +51,12 @@ class TestStringKeyCodec:
         assert StringKeyCodec.encode(b"ab") != StringKeyCodec.encode(b"ab ")
 
 
-#: Trigram text: printable ASCII (no NUL), up to the 16-byte key.
+#: Trigram text: bytes, bytearrays or ASCII text (no NUL), up to the
+#: 16-byte key.
+KEY_BYTES = st.binary(max_size=16).filter(lambda b: b"\x00" not in b)
 TEXTS = st.lists(
-    st.binary(max_size=16).filter(lambda b: b"\x00" not in b)
+    KEY_BYTES
+    | KEY_BYTES.map(bytearray)
     | st.text(st.characters(min_codepoint=1, max_codepoint=127), max_size=16),
     max_size=40,
 )
@@ -79,6 +86,49 @@ class TestEncodeBatch:
         with pytest.raises(error):
             StringKeyCodec.encode_batch(texts)
 
+    def test_one_byte_bytearrays(self):
+        """NumPy reads a bytearray as a sequence of ints; the codec must
+        read it as the bytes it holds."""
+        texts = [bytearray(b"a"), bytearray(b"b")]
+        expected = keys_to_words(
+            [StringKeyCodec.encode(text) for text in texts], 128
+        )
+        assert np.array_equal(StringKeyCodec.encode_batch(texts), expected)
+
+    @pytest.mark.parametrize("length", [17, 18, 40])
+    @pytest.mark.parametrize("kind", [bytes, bytearray, str])
+    def test_overlong_names_true_length(self, length, kind):
+        """The parse truncates at 17 bytes; the error still names the
+        caller's length."""
+        text = "x" * length if kind is str else kind(b"x" * length)
+        with pytest.raises(KeyFormatError, match=f"string of {length} bytes"):
+            StringKeyCodec.encode_batch([b"ok", text])
+
+    def test_numpy_string_arrays(self):
+        texts = [b"of the road", b"", b"x" * 16]
+        expected = StringKeyCodec.encode_batch(texts)
+        short = np.array(texts, dtype="S16")
+        assert np.array_equal(StringKeyCodec.encode_batch(short), expected)
+        strided = StringKeyCodec.encode_batch(short[::2])
+        assert np.array_equal(strided, expected[::2])
+        wide = np.array(texts + [b"y" * 18], dtype="S20")
+        assert np.array_equal(StringKeyCodec.encode_batch(wide[:3]), expected)
+        with pytest.raises(KeyFormatError, match="string of 18 bytes"):
+            StringKeyCodec.encode_batch(wide)
+
+    def test_empty_batch(self):
+        words = StringKeyCodec.encode_batch([])
+        assert words.dtype == np.uint64
+        assert words.shape == (0, 2)
+
+
+#: Any codec-accepted key: lengths 0-16, every byte value 1-255.
+CODEC_KEYS = st.lists(
+    st.binary(max_size=16).filter(lambda b: b"\x00" not in b), max_size=40
+)
+#: Bucket counts: powers of two and others, some past 32 bits.
+BUCKETS = st.integers(1, 1 << 34) | st.integers(0, 34).map(lambda b: 1 << b)
+
 
 class TestPackedStringDJBHash:
     def test_matches_scalar_djb(self):
@@ -86,6 +136,53 @@ class TestPackedStringDJBHash:
         for text in (b"hello there you", b"one two three"):
             key = StringKeyCodec.encode(text)
             assert h(key) == djb2_bytes(text) % (1 << 10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(CODEC_KEYS, BUCKETS)
+    def test_index_words_of_codec_output(self, texts, buckets):
+        h = PackedStringDJBHash(buckets)
+        homes = h.index_words(StringKeyCodec.encode_batch(texts))
+        assert homes.dtype == np.int64
+        assert homes.tolist() == [djb2_bytes(t) % buckets for t in texts]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, (1 << 64) - 1), st.integers(0, (1 << 64) - 1)
+            ),
+            max_size=30,
+        ),
+        BUCKETS,
+        st.integers(1, 8),
+    )
+    def test_index_words_of_raw_words(self, pairs, buckets, chunk_rows):
+        """Any word pair, interior zero bytes included, hashes as the
+        scalar ``__call__`` (which strips trailing zeros only), also when
+        the batch spans several chunks."""
+        words = np.array(pairs, dtype=np.uint64).reshape(-1, 2)
+        h = PackedStringDJBHash(buckets)
+        expected = [h(low | high << 64) for low, high in pairs]
+        with mock.patch.object(djb, "CHUNK_ROWS", chunk_rows):
+            assert h.index_words(words).tolist() == expected
+
+    def test_hashing_a_build_bounds_its_temporaries(self):
+        """The build hashes every key in one call (168,288 at perfbench's
+        1/32 scale).  The 16-column kernel peaked at 15.7 MiB there, an
+        unchunked widening of the byte view at ~24 MiB (uint64) or ~13 MiB
+        (uint32), and the chunked kernel at ~6 MiB."""
+        rng = np.random.default_rng(3)
+        texts = rng.integers(97, 123, (168_288, 16), dtype=np.uint8)
+        texts[rng.random(168_288) < 0.5, 13:] = 0
+        words = texts.view(">u8")[:, ::-1].astype(np.uint64)
+        h = PackedStringDJBHash(4093)
+        tracemalloc.start()
+        try:
+            h.index_words(words)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_rebucketed(self):
         assert PackedStringDJBHash(64).rebucketed(128).bucket_count == 128
@@ -149,6 +246,17 @@ class TestBehavioralCaram:
         texts = [text for text, _ in entries[:50]] + [b"zzz qqq jjj"]
         expected = [probability for _, probability in entries[:50]] + [None]
         assert trigram_lookup_batch(group, texts) == expected
+
+    def test_bytearray_strings(self, group, entries):
+        texts = [text for text, _ in entries[:20]]
+        expected = [probability for _, probability in entries[:20]]
+        as_bytearrays = [bytearray(text) for text in texts]
+        assert trigram_lookup_batch(group, as_bytearrays) == expected
+        rebuilt = build_trigram_caram(
+            [(bytearray(text), value) for text, value in entries[:20]],
+            SMALL_DESIGN,
+        )
+        assert trigram_lookup_batch(rebuilt, texts) == expected
 
     def test_load_factor(self, group, entries):
         expected = len(entries) / SMALL_DESIGN.capacity_records

@@ -1,10 +1,13 @@
 """Unit tests for the DJB string hash and its vectorized kernel."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.hashing.djb as djb
 from repro.errors import ConfigurationError
 from repro.hashing.djb import (
     DJB_SEED,
@@ -13,6 +16,23 @@ from repro.hashing.djb import (
     djb2_matrix,
     pack_strings,
 )
+
+
+@st.composite
+def packed_with_junk(draw):
+    """Strings (NUL bytes allowed) packed at a drawn width, with nonzero
+    bytes planted past each row's length: the length column alone must
+    decide where a string ends."""
+    max_length = draw(st.integers(1, 40))
+    strings = draw(
+        st.lists(st.binary(max_size=max_length), min_size=1, max_size=20)
+    )
+    packed = pack_strings(strings, max_length)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    junk = rng.integers(1, 256, packed.shape, dtype=np.uint8)
+    past_end = np.arange(max_length) >= packed[:, max_length, None]
+    packed[:, :max_length][past_end] = junk[:, :max_length][past_end]
+    return strings, packed
 
 
 class TestScalarDjb:
@@ -50,15 +70,23 @@ class TestPackStrings:
 
 
 class TestVectorizedDjb:
-    @given(st.lists(
-        st.binary(min_size=0, max_size=16).filter(lambda b: b"\x00" not in b),
-        min_size=1, max_size=20,
-    ))
-    def test_matrix_matches_scalar(self, strings):
-        packed = pack_strings(strings, max_length=16)
+    @settings(max_examples=200, deadline=None)
+    @given(packed_with_junk())
+    def test_matrix_matches_scalar(self, case):
+        strings, packed = case
         hashes = djb2_matrix(packed)
         expected = [djb2_bytes(s) for s in strings]
+        assert hashes.dtype == np.uint64
         assert hashes.tolist() == expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(packed_with_junk(), st.integers(1, 8))
+    def test_rows_across_chunks(self, case, chunk_rows):
+        """Batches longer than one chunk hash row for row as one chunk."""
+        strings, packed = case
+        with mock.patch.object(djb, "CHUNK_ROWS", chunk_rows):
+            hashes = djb2_matrix(packed)
+        assert hashes.tolist() == [djb2_bytes(s) for s in strings]
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -80,6 +108,23 @@ class TestDJBHash:
         h = DJBHash(4096)
         keys = [b"alpha beta", b"gamma", b"delta epsilon"]
         assert h.index_many(keys).tolist() == [h(k) for k in keys]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, (1 << 32) - 1),
+        st.one_of(
+            st.integers(0, 24).map(lambda bits: 1 << bits),
+            st.integers(1, 1 << 24),
+        ),
+        st.lists(st.binary(max_size=40), min_size=1, max_size=20),
+    )
+    def test_seeded_index_many_matches_scalar(self, seed, buckets, keys):
+        """A non-default seed reaches the kernel, under the mask and the
+        modulo reduction alike."""
+        h = DJBHash(buckets, seed=seed)
+        expected = [djb2_bytes(k, seed) % buckets for k in keys]
+        assert h.index_many(keys).tolist() == expected
+        assert [h(k) for k in keys] == expected
 
     def test_rebucketed(self):
         h = DJBHash(1024).rebucketed(2048)
