@@ -156,14 +156,15 @@ def bench_high_load_lookup(index_bits: int, slots: int, queries: int) -> dict:
     amal = group.stats.amal
 
     group.search_batch(query_keys[:1])  # warm the mirror + engine
-    engine = group.batch_engine
-    fallbacks_before = engine.scalar_fallbacks
+    fallbacks_before = group.stats.scalar_fallbacks
     start = time.perf_counter()
     batch_results = group.search_batch(query_keys)
     batch_seconds = time.perf_counter() - start
 
     assert batch_results == scalar_results, "batch/scalar result divergence"
-    fallback_fraction = (engine.scalar_fallbacks - fallbacks_before) / queries
+    fallback_fraction = (
+        group.stats.scalar_fallbacks - fallbacks_before
+    ) / queries
     assert fallback_fraction <= 0.01, (
         f"{fallback_fraction:.1%} of keys fell back to scalar search"
     )
@@ -175,7 +176,7 @@ def bench_high_load_lookup(index_bits: int, slots: int, queries: int) -> dict:
         "batch_keys_per_sec": round(queries / batch_seconds),
         "batch_speedup": round(scalar_seconds / batch_seconds, 2),
         "scalar_fallback_fraction": fallback_fraction,
-        "probe_walk_keys": engine.probe_walk_keys,
+        "probe_walk_keys": group.stats.probe_walk_keys,
     }
 
 

@@ -7,45 +7,42 @@ differ only in how logical buckets map to physical rows, and that
 difference is entirely absorbed by the
 :class:`~repro.memory.mirror.DecodedMirror` the group hands in.
 
-A batch lookup proceeds in three vectorized stages:
+A batch lookup is one walk, as in the scalar search (§2.1):
 
 1. **index generation** — the whole key array is hashed at once
    (:meth:`~repro.core.index.IndexGenerator.indices_batch`); keys whose
    don't-care bits touch hash positions are flagged for the scalar path;
-2. **home-row matching** — the home buckets are gathered from the decoded
-   mirror's per-word key planes and compared word by word (Figure 4(b)
-   semantics, :meth:`DecodedMirror.match_rows`), with the batch's query
-   words cast once to the planes' width; the winning slot is
-   priority-encoded and pipelined match passes are accounted exactly like
-   :meth:`MatchProcessor.match_pipelined`;
-3. **probe walk** — keys whose home bucket misses with a nonzero reach
-   field iterate the probe sequence *as arrays*: every attempt level probes
-   all still-unresolved keys at once against the mirror, so the extended
-   searches that multiply at high load factors stay vectorized.  Only keys
-   needing the Section-4 multi-bucket enumeration (don't-care bits over
-   hash positions) fall back to one scalar ``search`` each, counted in
-   :attr:`BatchSearchEngine.scalar_fallbacks`.
+2. **the probe walk** — attempt 0 is the home bucket and attempt ``a``
+   the probe sequence's ``a``-th bucket.  Each attempt gathers every
+   still-unresolved key's bucket from the decoded mirror's per-word key
+   planes and compares it word by word (Figure 4(b) semantics,
+   :meth:`DecodedMirror.match_rows`), with the batch's query words cast
+   once to the planes' width; the winning slot is priority-encoded and
+   pipelined match passes are accounted exactly like
+   :meth:`MatchProcessor.match_pipelined`.  A key leaves the walk on a
+   hit or when its home's reach field ends it, so the extended searches
+   that multiply at high load factors stay vectorized.  Only keys needing
+   the Section-4 multi-bucket enumeration (don't-care bits over hash
+   positions) fall back to one scalar ``search`` each, counted in
+   :attr:`SearchStats.scalar_fallbacks`.
 
-The engine's native product is **columnar**: :meth:`search_columnar`
-returns a :class:`~repro.core.results.BatchResultSet` whose struct-of-
-arrays columns (hit mask, winning row/slot, per-key access and match-pass
-counts) are written directly by the match kernel — zero per-key Python
-objects on the hot path.  :meth:`search` is a thin wrapper that lazily
-materializes the ``SearchResult`` list, **bit-identical** to calling the
-scalar ``search`` once per key, in key order — same hits, same winning
-records/rows/slots, same ``bucket_accesses``, ``multiple_matches``, and
-the same ``SearchStats`` counters (AMAL, hit rate, access histogram,
-match passes).  By default the physical
-:class:`~repro.memory.array.ArrayStats` read counters are not advanced by
-mirror-served accesses (the mirror replaces the row fetches); groups
-built with ``account_reads=True`` route every mirror-served access
-through an ``access_sink`` that charges the physical counters too,
-restoring exact parity with the scalar path.
+The engine's product is **columnar**: :meth:`search_columnar` returns a
+:class:`~repro.core.results.BatchResultSet` whose struct-of-arrays columns
+(hit mask, winning row/slot, per-key access and match-pass counts) are
+written directly by the match kernel — zero per-key Python objects on the
+hot path.  Its lazily materialized ``SearchResult`` list is
+**bit-identical** to calling the scalar ``search`` once per key, in key
+order — same hits, same winning records/rows/slots, same
+``bucket_accesses``, ``multiple_matches``, and the same ``SearchStats``
+counters (AMAL, hit rate, access histogram, match passes).  The physical
+:class:`~repro.memory.array.ArrayStats` read counters count real row
+reads only: the mirror replaces the row fetches, which the group counts
+in ``physical_row_fetches`` instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import count
 from time import perf_counter
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -277,21 +274,6 @@ def default_chunk_size(
     )
 
 
-@dataclass
-class PreparedBatch:
-    """Stage-0/1 product: key words and home buckets.
-
-    Produced by :meth:`BatchSearchEngine._prepare`; consumed by
-    :meth:`BatchSearchEngine._finish`.
-    """
-
-    total: int
-    words: np.ndarray                       # (total, W) uint64
-    mask_words: Optional[np.ndarray]        # (total, W) or None
-    homes: np.ndarray                       # (total,) int64
-    needs_scalar: np.ndarray                # (total,) bool
-
-
 class BatchSearchEngine:
     """Vectorized lookup of whole key arrays against one decoded mirror.
 
@@ -307,17 +289,13 @@ class BatchSearchEngine:
         stats: the :class:`SearchStats` to account into.
         scalar_search: the scalar ``search(key, search_mask)`` used for
             multi-home ternary keys.
-        probing: the overflow policy driving the vectorized probe walk.
-        access_sink: optional callback receiving the bucket-id array of
-            every batch of mirror-served accesses (home fetches and probe
-            extensions alike); slice groups use it to advance
-            ``physical_row_fetches``, and ``account_reads`` modes use it
-            to charge the physical read counters.
-        chunk_size: keys per vectorized chunk; None picks
-            :func:`default_chunk_size` from the row geometry.
+        probing: the overflow policy driving the probe walk.
+        access_sink: callback receiving the bucket-id array of every
+            attempt's mirror-served accesses; slice groups use it to
+            advance ``physical_row_fetches``.
         value_words: packed data-payload words per record
             (``words_for_bits(data_bits)``); sizes the columnar output
-            term of the chunk default.
+            term of the chunk (:func:`default_chunk_size`).
     """
 
     def __init__(
@@ -330,8 +308,7 @@ class BatchSearchEngine:
         stats: SearchStats,
         scalar_search: Callable[..., object],
         probing: ProbingPolicy,
-        access_sink: Optional[Callable[[np.ndarray], None]] = None,
-        chunk_size: Optional[int] = None,
+        access_sink: Callable[[np.ndarray], None],
         value_words: int = 0,
     ) -> None:
         self._index = index_generator
@@ -342,47 +319,18 @@ class BatchSearchEngine:
         self._stats = stats
         self._scalar_search = scalar_search
         self._probing = probing
+        # Key-dependent policies (double hashing) keep the generic
+        # ``probe_batch`` and probe with the key as an int.
+        self._probe_with_keys = (
+            type(probing).probe_batch is ProbingPolicy.probe_batch
+        )
         self._access_sink = access_sink
-        if chunk_size is None:
-            chunk_size = default_chunk_size(
-                slots_per_bucket, key_bits, value_words=value_words
-            )
-        self._chunk_size = max(1, chunk_size)
+        self._chunk_size = default_chunk_size(
+            slots_per_bucket, key_bits, value_words=value_words
+        )
         #: Keys resolved through the columnar path (the telemetry counter
         #: behind ``<prefix>.batch.columnar_rows``).
         self.columnar_rows = 0
-
-    @property
-    def chunk_size(self) -> int:
-        return self._chunk_size
-
-    @property
-    def stats(self) -> SearchStats:
-        return self._stats
-
-    # The engine-path counters are first-class ``SearchStats`` fields (so
-    # subsystem-level ``merge()`` aggregation keeps them); these properties
-    # preserve the original engine-attribute spelling.
-
-    @property
-    def scalar_fallbacks(self) -> int:
-        """Keys routed through the scalar ``search`` (multi-home ternary
-        keys only), as accounted in the engine's ``SearchStats``."""
-        return self._stats.scalar_fallbacks
-
-    @property
-    def probe_walk_keys(self) -> int:
-        """Keys resolved by the vectorized probe walk, as accounted in the
-        engine's ``SearchStats``."""
-        return self._stats.probe_walk_keys
-
-    def search(self, keys: BatchKeys, search_mask: int = 0) -> List:
-        """Look up every key; returns one ``SearchResult`` per key, in order.
-
-        A materializing wrapper over :meth:`search_columnar` — the list is
-        value-identical to the scalar path, built from the columnar form.
-        """
-        return self.search_columnar(keys, search_mask).results()
 
     def search_columnar(
         self, keys: BatchKeys, search_mask: int = 0
@@ -396,60 +344,47 @@ class BatchSearchEngine:
         ``(n, words)`` uint64 word matrix or a sequence of ints and
         ``TernaryKey`` s (see :func:`query_words`); a rejected batch
         raises before any ``SearchStats`` counter moves.
+
+        The walk casts the batch's query words to the mirror's plane dtype
+        once, exact because :func:`query_words` checked that every word
+        fits ``key_bits``.
         """
         if not 0 <= search_mask <= self._full_mask:
             raise KeyFormatError(
                 f"search mask {search_mask:#x} does not fit in "
                 f"{self._key_bits} bits"
             )
-        prep = self._prepare(keys, search_mask)
-        if prep.total == 0:
-            return BatchResultSet(0)
-        return self._finish(keys, search_mask, prep)
-
-    # ------------------------------------------------------------------
-    # Stages 0/1: keys to words, then hash the whole array at once.
-    # ------------------------------------------------------------------
-
-    def _prepare(self, keys: BatchKeys, search_mask: int) -> PreparedBatch:
-        """Pack and hash the whole key array (stage 0/1)."""
         with profile("batch.index"):
             words, mask_words = query_words(keys, search_mask, self._key_bits)
             homes, needs_scalar = self._index.indices_batch(words, mask_words)
-        return PreparedBatch(
-            total=len(words),
-            words=words,
-            mask_words=mask_words,
-            homes=homes,
-            needs_scalar=needs_scalar,
-        )
-
-    def _finish(
-        self,
-        keys: BatchKeys,
-        search_mask: int,
-        prep: PreparedBatch,
-    ) -> BatchResultSet:
-        """Stages 2/3 plus the scalar fallback.
-
-        The home match and the probe walk share one cast of the batch's
-        query words to the mirror's plane dtype, exact because
-        :func:`query_words` checked that every word fits ``key_bits``.
-        """
+        total = len(words)
+        if not total:
+            return BatchResultSet(0)
         with profile("batch.mirror_sync"):
             mirror = self._mirror_provider()
-        rs = BatchResultSet(prep.total, mirror)
-        vectorized = np.flatnonzero(~prep.needs_scalar)
-        self._run_vectorized(
-            mirror,
-            rs,
-            vectorized,
-            prep.homes,
-            mirror.plane_words(prep.words),
-            mirror.plane_words(prep.mask_words),
-        )
-        self._scalar_fallback(rs, keys, search_mask, prep)
-        self.columnar_rows += prep.total
+        rs = BatchResultSet(total, mirror)
+        planes = mirror.plane_words(words)
+        plane_masks = mirror.plane_words(mask_words)
+        # Opt-in per-chunk lookup-latency sketch: one observation per
+        # chunk walk, so serving-tier percentiles come from the real work
+        # quanta, not per-key guesses.
+        latency = self._stats.latency
+        vectorized = np.flatnonzero(~needs_scalar)
+        for start in range(0, vectorized.size, self._chunk_size):
+            chunk_started = perf_counter() if latency is not None else 0.0
+            chunk = vectorized[start : start + self._chunk_size]
+            self._walk(
+                mirror,
+                rs,
+                chunk,
+                homes[chunk],
+                planes[chunk],
+                plane_masks[chunk] if plane_masks is not None else None,
+            )
+            if latency is not None:
+                latency.observe(perf_counter() - chunk_started)
+        self._scalar_fallback(rs, keys, search_mask, words, needs_scalar)
+        self.columnar_rows += total
         return rs
 
     def _scalar_fallback(
@@ -457,14 +392,15 @@ class BatchSearchEngine:
         rs: BatchResultSet,
         keys: BatchKeys,
         search_mask: int,
-        prep: PreparedBatch,
+        words: np.ndarray,
+        needs_scalar: np.ndarray,
     ) -> None:
         """Resolve multi-home ternary keys through the scalar search.
 
         A ternary key is passed on as given; any other key as the Python
         int its words hold (the scalar search takes no word rows).
         """
-        scalar_keys: List[int] = np.flatnonzero(prep.needs_scalar).tolist()
+        scalar_keys: List[int] = np.flatnonzero(needs_scalar).tolist()
         if not scalar_keys:
             return
         self._stats.record_scalar_fallbacks(len(scalar_keys))
@@ -472,166 +408,78 @@ class BatchSearchEngine:
             for out_i in scalar_keys:
                 key = keys[out_i]
                 if not isinstance(key, TernaryKey):
-                    key = words_to_ints(prep.words[out_i, None])[0]
+                    key = words_to_ints(words[out_i, None])[0]
                 rs.set_override(
                     out_i, self._scalar_search(key, search_mask)
                 )
 
-    # ------------------------------------------------------------------
-    # Stage 2: home-row matching, chunked to bound peak memory.
-    # ------------------------------------------------------------------
-
-    def _run_vectorized(
+    def _walk(
         self,
         mirror: DecodedMirror,
         rs: BatchResultSet,
-        positions: np.ndarray,
+        keys: np.ndarray,
         homes: np.ndarray,
         words: np.ndarray,
         mask_words: Optional[np.ndarray],
     ) -> None:
-        """Resolve the listed key positions into the result columns.
+        """Resolve one chunk's keys along their probe sequences (§2.1).
 
-        ``positions`` indexes into the batch-length arrays
-        (``homes``/``words``/...); every outcome is scattered into ``rs``
-        at its global key position.
+        Attempt ``a`` matches every unresolved key at its attempt-``a``
+        bucket, the home itself when ``a`` is 0, in one gathered mirror
+        match: the array-ops analogue of the scalar extended search, with
+        identical per-key access counts and match-pass accounting.  A key
+        resolves on a hit or when its home's reach field is ``a``; the
+        others go on to attempt ``a + 1``.  ``keys`` are the chunk's
+        positions in ``rs``, row for row with the other arrays.
         """
-        # Opt-in per-chunk lookup-latency sketch: one observation per
-        # vectorized chunk (home match + probe walk), so serving-tier
-        # percentiles come from the real work quanta, not per-key guesses.
-        latency = self._stats.latency
-        for start in range(0, positions.size, self._chunk_size):
-            chunk_started = perf_counter() if latency is not None else 0.0
-            with profile("batch.home_match"):
-                chunk = positions[start : start + self._chunk_size]
-                chunk_homes = homes[chunk]
-                match = mirror.match_rows(
-                    chunk_homes,
-                    words[chunk],
-                    mask_words[chunk] if mask_words is not None else None,
-                )
+        reach = mirror.reach[homes]
+        tracer = self._stats.tracer
+        rows = homes
+        for attempt in count():
+            with profile("batch.probe_walk" if attempt else "batch.home_match"):
+                if attempt:
+                    probe_keys = (
+                        words_to_ints(words) if self._probe_with_keys else None
+                    )
+                    rows = self._probing.probe_batch(
+                        homes, attempt, mirror.buckets, probe_keys
+                    )
+                    if tracer is not None:
+                        tracer.emit(
+                            "probe_step", attempt=attempt, keys=int(keys.size)
+                        )
+                match = mirror.match_rows(rows, words, mask_words)
                 hit, slot, passes, multiple = priority_encode_batch(
                     match, self._processors
                 )
-                # Every chunk key fetched its home bucket — the probe walk
-                # only adds the extension accesses on top.
                 self._stats.record_match_passes(int(passes.sum()))
-                if self._access_sink is not None:
-                    self._access_sink(chunk_homes)
-                # Stage 3 trigger: a home miss with nonzero reach means
-                # records may have spilled along the probe sequence.
-                probe_needed = ~hit & (mirror.reach[chunk_homes] > 0)
-                resolved = ~probe_needed
-                resolved_count = int(resolved.sum())
-                if resolved_count:
-                    self._stats.record_lookup_batch(
-                        resolved_count, int(hit.sum())
-                    )
-
-                hit_positions = np.flatnonzero(hit)
-                if hit_positions.size:
-                    out = chunk[hit_positions]
-                    rs.hit[out] = True
-                    rs.row[out] = chunk_homes[hit_positions]
-                    rs.slot[out] = slot[hit_positions]
-                    rs.multiple_matches[out] = multiple[hit_positions]
-                # Home-row misses with reach 0 keep the column defaults
-                # (hit=False, bucket_accesses=1) — nothing to write.
-
-                # ------------------------------------------------------
-                # Stage 3: vectorized probe walk over this chunk's spills.
-                # ------------------------------------------------------
-                pending = chunk[np.flatnonzero(probe_needed)]
-            if pending.size:
-                with profile("batch.probe_walk"):
-                    self._probe_walk(
-                        mirror,
-                        rs,
-                        pending,
-                        homes[pending],
-                        words[pending],
-                        mask_words[pending]
-                        if mask_words is not None
-                        else None,
-                    )
-            if latency is not None:
-                latency.observe(perf_counter() - chunk_started)
-
-    def _probe_walk(
-        self,
-        mirror: DecodedMirror,
-        rs: BatchResultSet,
-        key_idx: np.ndarray,
-        homes: np.ndarray,
-        query_words: np.ndarray,
-        query_mask_words: Optional[np.ndarray],
-    ) -> None:
-        """Resolve home-miss/nonzero-reach keys attempt level by level.
-
-        Each iteration probes *all* still-unresolved keys at their next
-        probe row in one gathered mirror match — the array-ops analogue of
-        the scalar extended search, with identical per-key access counts
-        (home fetch + attempts walked) and match-pass accounting.
-        """
-        reach = mirror.reach[homes]
-        buckets = mirror.buckets
-        generic_probe = (
-            type(self._probing).probe_batch is ProbingPolicy.probe_batch
-        )
-        self._stats.record_probe_walk(int(key_idx.size))
-        tracer = self._stats.tracer
-        alive = np.arange(key_idx.size)
-        attempt = 0
-        while alive.size:
-            attempt += 1
-            homes_alive = homes[alive]
-            if generic_probe:
-                # Key-dependent policies (double hashing) probe with the
-                # key as an int; vectorized policies ignore the key.
-                rows = self._probing.probe_batch(
-                    homes_alive,
-                    attempt,
-                    buckets,
-                    words_to_ints(query_words[alive]),
-                )
-            else:
-                rows = self._probing.probe_batch(homes_alive, attempt, buckets)
-            if tracer is not None:
-                tracer.emit(
-                    "probe_step", attempt=attempt, keys=int(alive.size)
-                )
-            match = mirror.match_rows(
-                rows,
-                query_words[alive],
-                query_mask_words[alive]
-                if query_mask_words is not None
-                else None,
-            )
-            hit, slot, passes, multiple = priority_encode_batch(
-                match, self._processors
-            )
-            self._stats.record_match_passes(int(passes.sum()))
-            if self._access_sink is not None:
                 self._access_sink(rows)
-            accesses = attempt + 1  # the home fetch plus this walk
-            hit_positions = np.flatnonzero(hit)
-            if hit_positions.size:
-                out = key_idx[alive[hit_positions]]
-                rs.hit[out] = True
-                rs.row[out] = rows[hit_positions]
-                rs.slot[out] = slot[hit_positions]
-                rs.bucket_accesses[out] = accesses
-                rs.multiple_matches[out] = multiple[hit_positions]
-            exhausted = ~hit & (reach[alive] == attempt)
-            miss_positions = np.flatnonzero(exhausted)
-            if miss_positions.size:
-                rs.bucket_accesses[key_idx[alive[miss_positions]]] = accesses
-            done = int(hit_positions.size + miss_positions.size)
-            if done:
+                hits = np.flatnonzero(hit)
+                if hits.size:
+                    out = keys[hits]
+                    rs.hit[out] = True
+                    rs.row[out] = rows[hits]
+                    rs.slot[out] = slot[hits]
+                    rs.multiple_matches[out] = multiple[hits]
+                # Hits and exhausted misses resolve here; the access
+                # column's default already holds attempt 0's one access.
+                walking = ~hit & (reach > attempt)
+                left = int(np.count_nonzero(walking))
+                if attempt:
+                    rs.bucket_accesses[keys[~walking]] = attempt + 1
                 self._stats.record_lookup_batch(
-                    done, int(hit_positions.size), accesses
+                    keys.size - left, int(hits.size), attempt + 1
                 )
-            alive = alive[~hit & (reach[alive] > attempt)]
+                if not attempt:
+                    self._stats.record_probe_walk(left)
+                if not left:
+                    return
+                keys, homes, words, reach = (
+                    keys[walking], homes[walking], words[walking],
+                    reach[walking],
+                )
+                if mask_words is not None:
+                    mask_words = mask_words[walking]
 
 
 __all__ = [
@@ -639,7 +487,6 @@ __all__ = [
     "BatchSearchEngine",
     "DEFAULT_CHUNK_SIZE",
     "MIN_CHUNK_SIZE",
-    "PreparedBatch",
     "check_query",
     "default_chunk_size",
     "query_words",

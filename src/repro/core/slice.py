@@ -40,7 +40,6 @@ class CARAMSlice(SliceGroup):
         slot_priority: optional :data:`~repro.core.bucket.SlotPriority`;
             when given, bucket slots are kept sorted descending so the
             priority encoder returns the highest-priority match (LPM).
-        account_reads, batch_chunk_size: as for :class:`SliceGroup`.
     """
 
     def __init__(
@@ -49,8 +48,6 @@ class CARAMSlice(SliceGroup):
         index_generator: IndexGenerator,
         probing: Optional[ProbingPolicy] = None,
         slot_priority: Optional[SlotPriority] = None,
-        account_reads: bool = False,
-        batch_chunk_size: Optional[int] = None,
     ) -> None:
         super().__init__(
             config,
@@ -60,8 +57,6 @@ class CARAMSlice(SliceGroup):
             probing=probing,
             slot_priority=slot_priority,
             name="slice",
-            account_reads=account_reads,
-            batch_chunk_size=batch_chunk_size,
         )
         self._index = index_generator
 

@@ -24,9 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Union
-
-from repro.errors import ConfigurationError
+from typing import TYPE_CHECKING, Dict, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.histogram import LatencyHistogram
@@ -120,10 +118,7 @@ class SearchStats:
         ``accesses_per_lookup`` accesses.
 
         Equivalent to ``count`` calls to :meth:`record_lookup` with
-        ``accesses_per_lookup`` accesses, ``hits`` of them hitting.  When
-        per-lookup access counts differ, use
-        :meth:`record_lookup_batch_varied`, which keeps the histogram
-        exact.
+        ``accesses_per_lookup`` accesses, ``hits`` of them hitting.
         """
         if count <= 0:
             return
@@ -137,46 +132,6 @@ class SearchStats:
                 count=count,
                 hits=hits,
                 accesses=accesses_per_lookup,
-            )
-
-    def record_lookup_batch_varied(
-        self,
-        accesses: Sequence[int],
-        hits: Union[int, Sequence[bool]],
-    ) -> None:
-        """Account a batch whose lookups touched *differing* bucket counts.
-
-        Args:
-            accesses: per-lookup bucket-access counts (any int sequence or
-                array), one entry per lookup.
-            hits: either the total hit count, or a per-lookup hit flag
-                sequence of the same length as ``accesses``.
-
-        Equivalent to ``len(accesses)`` calls to :meth:`record_lookup` —
-        including the exact per-count access histogram, which
-        :meth:`record_lookup_batch` cannot represent when attempts differ.
-        """
-        counts = Counter(int(a) for a in accesses)
-        n = sum(counts.values())
-        if not n:
-            return
-        if not isinstance(hits, int):
-            hits = sum(1 for h in hits if h)
-        if not 0 <= hits <= n:
-            raise ConfigurationError(
-                f"hit count {hits} outside [0, {n}] for a {n}-lookup batch"
-            )
-        self.lookups += n
-        self.hits += hits
-        self.total_bucket_accesses += sum(
-            count * times for count, times in counts.items()
-        )
-        self.access_histogram.update(counts)
-        if self.tracer is not None:
-            self.tracer.emit(
-                "lookup_batch_varied",
-                histogram={str(k): v for k, v in sorted(counts.items())},
-                hits=hits,
             )
 
     @property

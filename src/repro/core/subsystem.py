@@ -110,13 +110,6 @@ class SliceGroup:
         probing: overflow policy over the *bucket* space.
         slot_priority: optional :data:`~repro.core.bucket.SlotPriority` (LPM).
         name: label used in subsystem routing and reports.
-        account_reads: when True, batch lookups served from the decoded
-            mirror also charge each slice's physical :class:`ArrayStats`
-            read counters, restoring exact parity with the scalar path.
-        batch_chunk_size: keys per vectorized batch-lookup chunk; None
-            derives a width-aware default
-            (:func:`repro.core.batch.default_chunk_size`), which shrinks
-            the chunk for wide-bucket groups like the trigram study.
     """
 
     def __init__(
@@ -128,8 +121,6 @@ class SliceGroup:
         probing: Optional[ProbingPolicy] = None,
         slot_priority: Optional[SlotPriority] = None,
         name: str = "db",
-        account_reads: bool = False,
-        batch_chunk_size: Optional[int] = None,
     ) -> None:
         self._config = config
         self._geometry = BucketGeometry(
@@ -154,8 +145,6 @@ class SliceGroup:
         self._mirror: Optional["DecodedMirror"] = None
         self._batch_engine = None
         self._last_bulk_plan: Optional["BulkTotals"] = None
-        self._batch_chunk_size = batch_chunk_size
-        self.account_reads = account_reads
         self.stats = SearchStats()
         self.physical_row_fetches = 0
         self._reliability: Optional["ReliabilityManager"] = None
@@ -405,40 +394,26 @@ class SliceGroup:
         )
 
     def _search_once(self, key: KeyInput, search_mask: int = 0) -> SearchResult:
-        """One un-retried pass of the scalar group search."""
+        """One un-retried pass of the scalar group search: each home's
+        probe walk, from attempt 0 (the home itself) to the home's reach."""
         search_value = key.value if isinstance(key, TernaryKey) else int(key)
         if isinstance(key, TernaryKey):
             search_mask |= key.mask
-        homes = self._index.indices_for_search(key, search_mask)
-
+        tracer = self.stats.tracer
         accesses = 0
-        for home in homes:
-            candidates, reach = self._read_bucket(home)
-            accesses += 1
-            result, passes = self._matcher.match_pipelined(
-                candidates, search_value, search_mask,
-                processors=self._config.match_processors,
-            )
-            self.stats.record_match_passes(passes)
-            if result.hit:
-                self.stats.record_lookup(accesses, hit=True)
-                return SearchResult(
-                    hit=True,
-                    record=result.record,
-                    row=home,
-                    slot=result.matched_slot,
-                    bucket_accesses=accesses,
-                    multiple_matches=result.multiple_matches,
-                )
-            for attempt in range(1, reach + 1):
+        for home in self._index.indices_for_search(key, search_mask):
+            attempt = reach = 0
+            while attempt <= reach:
                 bucket = self._probing.probe(
                     home, attempt, self.bucket_count, search_value
                 )
-                if self.stats.tracer is not None:
-                    self.stats.tracer.emit(
+                if attempt and tracer is not None:
+                    tracer.emit(
                         "probe_step", attempt=attempt, row=bucket, keys=1
                     )
-                candidates, _ = self._read_bucket(bucket)
+                candidates, row_reach = self._read_bucket(bucket)
+                if not attempt:
+                    reach = row_reach  # the home row's reach bounds the walk
                 accesses += 1
                 result, passes = self._matcher.match_pipelined(
                     candidates, search_value, search_mask,
@@ -455,6 +430,7 @@ class SliceGroup:
                         bucket_accesses=accesses,
                         multiple_matches=result.multiple_matches,
                     )
+                attempt += 1
         self.stats.record_lookup(max(accesses, 1), hit=False)
         return SearchResult(
             hit=False, record=None, row=None, slot=None,
@@ -617,24 +593,15 @@ class SliceGroup:
         return self._mirror
 
     def _mirror_access_sink(self, buckets) -> None:
-        """Account a batch of mirror-served logical bucket fetches.
-
-        Always advances :attr:`physical_row_fetches` (one logical access is
-        ``rows_fetched_per_access`` physical fetches); with
-        ``account_reads`` it also charges each slice the rows
-        :meth:`BucketGeometry.rows_by_slice` says it served.  With
-        reliability enabled, each served fetch also samples access-time
-        soft errors into the physical rows.
+        """Account a batch of mirror-served logical bucket fetches in
+        :attr:`physical_row_fetches` (one logical access is
+        ``rows_fetched_per_access`` physical fetches).  With reliability
+        enabled, each served fetch also samples access-time soft errors
+        into the physical rows.
         """
         if self._reliability is not None:
             self._reliability.on_batch_access(buckets)
         self.physical_row_fetches += len(buckets) * self._geometry.rows_fetched
-        if self.account_reads:
-            for array, rows in zip(
-                self._arrays, self._geometry.rows_by_slice(buckets)
-            ):
-                if len(rows):
-                    array.charge_reads(len(rows))
 
     @property
     def batch_engine(self) -> Optional["BatchSearchEngine"]:
@@ -655,7 +622,6 @@ class SliceGroup:
             scalar_search=self._search_guarded,
             probing=self._probing,
             access_sink=self._mirror_access_sink,
-            chunk_size=self._batch_chunk_size,
             value_words=(
                 words_for_bits(record_format.data_bits)
                 if record_format.data_bits

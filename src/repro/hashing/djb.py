@@ -54,11 +54,17 @@ def djb2_bytes(key: BytesLike, seed: int = DJB_SEED) -> int:
     return h
 
 
+#: Longest string :func:`pack_strings` takes: its length column is a byte.
+MAX_PACKED_LENGTH = 255
+
+
 def pack_strings(keys: Sequence[BytesLike], max_length: int) -> np.ndarray:
     """Pack variable-length strings into a zero-padded (N, max_length) byte
     matrix, with an extra last column holding each string's length.
 
-    :func:`djb2_matrix` hashes this layout.
+    :func:`djb2_matrix` hashes this layout.  The length column is uint8,
+    so a string longer than :data:`MAX_PACKED_LENGTH` bytes raises
+    :class:`~repro.errors.ConfigurationError`.
     """
     count = len(keys)
     packed = np.zeros((count, max_length + 1), dtype=np.uint8)
@@ -68,14 +74,21 @@ def pack_strings(keys: Sequence[BytesLike], max_length: int) -> np.ndarray:
             raise ConfigurationError(
                 f"key of length {len(data)} exceeds max_length {max_length}"
             )
+        if len(data) > MAX_PACKED_LENGTH:
+            raise ConfigurationError(
+                f"key of length {len(data)} exceeds the "
+                f"{MAX_PACKED_LENGTH}-byte limit of the packed length column"
+            )
         packed[i, : len(data)] = np.frombuffer(data, dtype=np.uint8)
         packed[i, max_length] = len(data)
     return packed
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def _powers(base: int, count: int) -> np.ndarray:
-    """``base**j mod 2**32`` for ``j < count``, read-only uint32."""
+    """``base**j mod 2**32`` for ``j < count``, read-only uint32.  Cached
+    per row width; bounded, since ``index_many`` takes strings of any
+    length."""
     powers = np.array(
         [pow(base, j, _MOD) for j in range(count)], dtype=np.uint32
     )
@@ -162,15 +175,31 @@ class DJBHash(HashFunction):
         return self._reduce(djb2_bytes(key, self._seed))
 
     def index_many(self, keys: Sequence[BytesLike]) -> np.ndarray:
-        # At least one byte column, so a batch of empty strings packs too.
-        max_length = max((len(_as_bytes(k)) for k in keys), default=0)
-        packed = pack_strings(keys, max(max_length, 1))
-        return self.index_packed(packed)
+        """Bucket indices of strings of any length: each one, zero-padded
+        to the longest and reversed, goes to :func:`djb2_padded` with its
+        padding."""
+        strings = [_as_bytes(k) for k in keys]
+        lengths = np.fromiter(map(len, strings), np.intp, len(strings))
+        # At least one byte column, so a batch of empty strings hashes too.
+        width = max(int(lengths.max(initial=0)), 1)
+        data = np.frombuffer(
+            b"".join(s.ljust(width, b"\0")[::-1] for s in strings),
+            dtype=np.uint8,
+        ).reshape(len(strings), width)
+        hashes = np.empty(len(strings), dtype=np.uint64)
+        for rows in row_chunks(len(strings)):
+            hashes[rows] = djb2_padded(
+                data[rows], width - lengths[rows], self._seed
+            )
+        return self._reduce_many(hashes)
 
     def index_packed(self, packed: np.ndarray) -> np.ndarray:
         """Bucket indices for a pre-packed byte matrix (the fast path the
         trigram generator uses, skipping re-packing)."""
-        hashes = djb2_matrix(packed, self._seed)
+        return self._reduce_many(djb2_matrix(packed, self._seed))
+
+    def _reduce_many(self, hashes: np.ndarray) -> np.ndarray:
+        """:meth:`_reduce` over a uint64 hash array, as int64 indices."""
         if self._mask is not None:
             return (hashes & np.uint64(self._mask)).astype(np.int64)
         return (hashes % np.uint64(self.bucket_count)).astype(np.int64)

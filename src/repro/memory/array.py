@@ -215,20 +215,6 @@ class MemoryArray:
         self._check_row(row)
         return self._data[row]
 
-    def charge_reads(self, count: int) -> None:
-        """Account ``count`` row fetches served on this array's behalf.
-
-        The decoded mirror answers batch lookups without touching row
-        content; callers that opt into physical-counter parity
-        (``account_reads``) charge the equivalent fetches here so
-        :class:`ArrayStats` matches the scalar path exactly.
-        """
-        if count < 0:
-            raise ConfigurationError(f"count must be >= 0, got {count}")
-        self.stats.reads += count
-        if self.tracer is not None and count:
-            self.tracer.emit("bucket_read", count=count, mirror_served=True)
-
     def fill(self, value: int = 0) -> None:
         """Initialize every row to ``value`` without counting accesses."""
         if value < 0 or value > mask_of(self._row_bits):

@@ -5,8 +5,8 @@ counters moved: one typed event per interesting step of a run.  Event kinds
 emitted by the stack:
 
 ``bucket_read``
-    A bucket/row fetch (scalar ``read_row`` or a batch of mirror-served
-    fetches with a ``count``).
+    A row fetch (``read_row``); the batch path's mirror-served fetches
+    are counted in ``physical_row_fetches``, not traced.
 ``probe_step``
     One attempt of an extended search along the probe sequence.
 ``spill``
@@ -22,7 +22,7 @@ emitted by the stack:
     totals).
 ``dma_burst``
     A DMA-style bulk row load into a memory array.
-``lookup`` / ``lookup_batch`` / ``lookup_batch_varied`` / ``insert`` /
+``lookup`` / ``lookup_batch`` / ``insert`` /
 ``insert_batch`` / ``delete`` / ``probe_walk`` / ``scalar_fallback`` /
 ``fault_inject`` / ``ecc_correct`` / ``corruption_detect`` /
 ``quarantine`` / ``victim_hit`` / ``lookup_retry``
@@ -226,7 +226,6 @@ STATS_EVENT_KINDS = frozenset(
     {
         "lookup",
         "lookup_batch",
-        "lookup_batch_varied",
         "match_pass",
         "insert",
         "insert_batch",
@@ -264,16 +263,6 @@ def replay_search_stats(events: Iterable[TraceEvent]):
                 int(payload["hits"]),
                 int(payload["accesses"]),
             )
-        elif kind == "lookup_batch_varied":
-            histogram = {
-                int(accesses): int(count)
-                for accesses, count in payload["histogram"].items()
-            }
-            for accesses, count in sorted(histogram.items()):
-                stats.lookups += count
-                stats.total_bucket_accesses += accesses * count
-                stats.access_histogram[accesses] += count
-            stats.hits += int(payload["hits"])
         elif kind == "match_pass":
             stats.record_match_passes(int(payload["passes"]))
         elif kind == "insert":

@@ -335,9 +335,8 @@ class TestProbeWalkVectorized:
         stored = fill_to(slice_, rng, 0.9)
         assert slice_.load_factor >= 0.85
         results = assert_differential(slice_, mixed_queries(rng, stored, 400))
-        engine = slice_.batch_engine
-        assert engine.scalar_fallbacks == 0
-        assert engine.probe_walk_keys > 0
+        assert slice_.stats.scalar_fallbacks == 0
+        assert slice_.stats.probe_walk_keys > 0
         assert any(r.bucket_accesses > 1 for r in results)
 
     @pytest.mark.parametrize(
@@ -350,8 +349,8 @@ class TestProbeWalkVectorized:
         assert_differential(
             group, mixed_queries(rng, stored, 400), check_fetches=True
         )
-        assert group.batch_engine.scalar_fallbacks == 0
-        assert group.batch_engine.probe_walk_keys > 0
+        assert group.stats.scalar_fallbacks == 0
+        assert group.stats.probe_walk_keys > 0
 
     def test_only_multi_home_keys_fall_back(self):
         """Ternary queries masked over hash bits are the one scalar case."""
@@ -367,29 +366,10 @@ class TestProbeWalkVectorized:
             for _ in range(5)
         ]
         assert_differential(slice_, queries + multi)
-        assert slice_.batch_engine.scalar_fallbacks == len(multi)
+        assert slice_.stats.scalar_fallbacks == len(multi)
 
 
 class TestAccountReads:
-    def test_slice_read_counter_parity(self):
-        rng = random.Random(91)
-        slice_ = make_slice(
-            index_bits=3, slots=2, bit_select=False, account_reads=True
-        )
-        stored = fill_to(slice_, rng, 0.9)
-        queries = mixed_queries(rng, stored, 200)
-
-        slice_.stats.reset()
-        slice_.memory.stats.reset()
-        scalar = [slice_.search(q) for q in queries]
-        scalar_reads = slice_.memory.stats.reads
-
-        slice_.stats.reset()
-        slice_.memory.stats.reset()
-        batch = slice_.search_batch(queries)
-        assert batch == scalar
-        assert slice_.memory.stats.reads == scalar_reads
-
     def test_slice_mirror_reads_uncounted_by_default(self):
         slice_ = make_slice(index_bits=3, slots=2, bit_select=False)
         slice_.insert(5, 1)
@@ -397,40 +377,21 @@ class TestAccountReads:
         slice_.search_batch([5, 6])
         assert slice_.memory.stats.reads == 0
 
-    @pytest.mark.parametrize(
-        "arrangement", [Arrangement.VERTICAL, Arrangement.HORIZONTAL]
-    )
-    def test_group_read_counter_parity(self, arrangement):
-        rng = random.Random(92)
-        group = make_group(arrangement, account_reads=True)
-        stored = fill_to(group, rng, 0.9)
-        queries = mixed_queries(rng, stored, 300)
-
-        group.stats.reset()
-        for array in group._arrays:
-            array.stats.reset()
-        scalar = [group.search(q) for q in queries]
-        scalar_reads = [array.stats.reads for array in group._arrays]
-
-        group.stats.reset()
-        for array in group._arrays:
-            array.stats.reset()
-        batch = group.search_batch(queries)
-        assert batch == scalar
-        assert [a.stats.reads for a in group._arrays] == scalar_reads
-
 
 class TestChunkSize:
-    def test_small_chunks_differential(self):
+    def test_small_chunks_differential(self, monkeypatch):
         """A chunk size forcing many chunks must not change anything."""
+        import repro.core.batch as batch
+
+        monkeypatch.setattr(batch, "DEFAULT_CHUNK_SIZE", 16)
+        monkeypatch.setattr(batch, "MIN_CHUNK_SIZE", 16)
         rng = random.Random(93)
-        slice_ = make_slice(
-            index_bits=3, slots=2, bit_select=False, batch_chunk_size=16
-        )
+        slice_ = make_slice(index_bits=3, slots=2, bit_select=False)
         stored = fill_to(slice_, rng, 0.9)
-        slice_.search_batch([stored[0]])
-        assert slice_.batch_engine.chunk_size == 16
+        slice_.enable_latency_tracking()
         assert_differential(slice_, mixed_queries(rng, stored, 200))
+        # One latency observation per chunk walk: 200 keys, 13 chunks.
+        assert slice_.stats.latency.count == 13
 
     def test_default_chunk_scales_with_row_width(self):
         from repro.core.batch import (

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.stats import SearchStats
-from repro.utils.rng import make_rng
 
 
 class TestRecording:
@@ -107,57 +106,3 @@ class TestEngineCounters:
         exported = stats.as_dict()
         assert exported["scalar_fallbacks"] == 2
         assert exported["probe_walk_keys"] == 6
-
-
-class TestLookupBatchVaried:
-    def test_differential_vs_scalar_recording(self):
-        rng = make_rng(7)
-        accesses = [int(a) for a in rng.integers(1, 5, size=200)]
-        hit_flags = [bool(h) for h in rng.integers(0, 2, size=200)]
-
-        scalar = SearchStats()
-        for a, h in zip(accesses, hit_flags):
-            scalar.record_lookup(a, h)
-
-        batched = SearchStats()
-        batched.record_lookup_batch_varied(accesses, hit_flags)
-        assert batched == scalar
-        assert batched.access_histogram == scalar.access_histogram
-        assert batched.amal == pytest.approx(scalar.amal)
-
-    def test_hits_as_total_count(self):
-        stats = SearchStats()
-        stats.record_lookup_batch_varied([1, 2, 3], hits=2)
-        assert stats.lookups == 3
-        assert stats.hits == 2
-        assert stats.total_bucket_accesses == 6
-
-    def test_accepts_numpy_arrays(self):
-        import numpy as np
-
-        stats = SearchStats()
-        stats.record_lookup_batch_varied(
-            np.array([1, 1, 2]), np.array([True, False, True])
-        )
-        assert stats.lookups == 3
-        assert stats.hits == 2
-        assert stats.access_histogram == {1: 2, 2: 1}
-
-    def test_empty_batch_is_noop(self):
-        stats = SearchStats()
-        stats.record_lookup_batch_varied([], hits=0)
-        assert stats == SearchStats()
-
-    def test_hit_count_out_of_range_rejected(self):
-        stats = SearchStats()
-        with pytest.raises(ValueError):
-            stats.record_lookup_batch_varied([1, 1], hits=3)
-        with pytest.raises(ValueError):
-            stats.record_lookup_batch_varied([1, 1], hits=-1)
-
-    def test_equivalent_to_uniform_batch(self):
-        uniform = SearchStats()
-        uniform.record_lookup_batch(4, hits=2, accesses_per_lookup=3)
-        varied = SearchStats()
-        varied.record_lookup_batch_varied([3, 3, 3, 3], hits=2)
-        assert varied == uniform

@@ -9,13 +9,13 @@ with :class:`KeyFormatError` before any counter moves.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cam.tcam import TCAM
 from repro.core.config import Arrangement, SliceConfig
 from repro.core.key import TernaryKey
-from repro.core.probing import DoubleHashing
+from repro.core.probing import DoubleHashing, QuadraticProbing
 from repro.core.record import RecordFormat
 from repro.core.stats import SearchStats
 from repro.core.subsystem import SliceGroup
@@ -36,7 +36,9 @@ def snapshot(stats: SearchStats) -> SearchStats:
 def word_path_cases(draw):
     """A small group (8 buckets) with stored records, and a query batch.
 
-    Half the widths sit at a plane-width or word boundary."""
+    Half the widths sit at a plane-width or word boundary.  The probing
+    policy is linear, quadratic or double hashing: the batch walk's three
+    ``probe_batch`` forms."""
     bits = draw(
         st.sampled_from([31, 32, 33, 64, 65])
         if draw(st.booleans())
@@ -49,7 +51,13 @@ def word_path_cases(draw):
         st.integers(0, bits - 1), min_size=3, max_size=3, unique=True
     )
     positions = draw(three_positions)
-    step_positions = draw(st.none() | three_positions)
+    probing = draw(
+        st.none()
+        | st.just(QuadraticProbing())
+        | three_positions.map(
+            lambda step: DoubleHashing(BitSelectHash(bits, step))
+        )
+    )
     records = []
     for value in draw(st.lists(key_values, max_size=14)):
         mask = draw(st.just(0) | key_values) if ternary else 0
@@ -66,7 +74,7 @@ def word_path_cases(draw):
         "bits": bits,
         "ternary": ternary,
         "positions": positions,
-        "step_positions": step_positions,
+        "probing": probing,
         "slice_count": draw(st.sampled_from([1, 2])),
         "overflow": draw(st.booleans()),
         "records": records,
@@ -86,13 +94,12 @@ def build_group(case) -> SliceGroup:
         record_format=record_format,
         aux_bits=8,
     )
-    step = case["step_positions"]
     group = SliceGroup(
         config,
         case["slice_count"],
         Arrangement.HORIZONTAL,
         BitSelectHash(bits, case["positions"]),
-        probing=DoubleHashing(BitSelectHash(bits, step)) if step else None,
+        probing=case["probing"],
     )
     if case["overflow"]:
         group.attach_overflow(TCAM(4, bits))
@@ -107,6 +114,16 @@ def build_group(case) -> SliceGroup:
 class TestKeyFormsAgree:
     @settings(max_examples=150, deadline=None)
     @given(word_path_cases())
+    @example(
+        # Eight keys crowd one home: quadratic probing stores them at
+        # attempts 0-3, where its rows part from linear probing's.
+        {
+            "bits": 32, "ternary": False, "positions": [0, 1, 2],
+            "probing": QuadraticProbing(), "slice_count": 1,
+            "overflow": False, "records": [(k, k) for k in range(8)],
+            "queries": list(range(10)), "search_mask": 0,
+        }
+    )
     def test_words_ints_and_scalar_agree(self, case):
         group = build_group(case)
         queries, mask = case["queries"], case["search_mask"]
@@ -136,7 +153,7 @@ class TestKeyFormsAgree:
     def test_uint64_column_and_int_list_agree(self):
         case = {
             "bits": 32, "ternary": False, "positions": [20, 21, 22],
-            "step_positions": None, "slice_count": 1, "overflow": False,
+            "probing": None, "slice_count": 1, "overflow": False,
             "records": [(k * 4099, k) for k in range(12)],
         }
         group = build_group(case)
@@ -166,7 +183,7 @@ class TestRejectedBatches:
     def group(self):
         case = {
             "bits": 100, "ternary": False, "positions": [0, 50, 99],
-            "step_positions": None, "slice_count": 1, "overflow": False,
+            "probing": None, "slice_count": 1, "overflow": False,
             "records": [(3, 1), (1 << 90, 2)],
         }
         group = build_group(case)
@@ -199,7 +216,7 @@ class TestRejectedBatches:
         false hit on the stored key 3 (or 0)."""
         case = {
             "bits": 32, "ternary": False, "positions": [0, 16, 31],
-            "step_positions": None, "slice_count": 1, "overflow": False,
+            "probing": None, "slice_count": 1, "overflow": False,
             "records": [(0, 1), (3, 2)],
         }
         group = build_group(case)

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.hashing.djb as djb
@@ -67,6 +67,9 @@ class TestPackStrings:
     def test_too_long_rejected(self):
         with pytest.raises(ConfigurationError):
             pack_strings([b"abcde"], max_length=4)
+        # A length the uint8 column cannot hold is refused by name.
+        with pytest.raises(ConfigurationError, match="255-byte limit"):
+            pack_strings([b"x" * 256], max_length=300)
 
 
 class TestVectorizedDjb:
@@ -116,11 +119,21 @@ class TestDJBHash:
             st.integers(0, 24).map(lambda bits: 1 << bits),
             st.integers(1, 1 << 24),
         ),
-        st.lists(st.binary(max_size=40), min_size=1, max_size=20),
+        st.lists(
+            st.binary(max_size=40) | st.binary(min_size=250, max_size=300),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    @example(seed=DJB_SEED, buckets=1024, keys=[b"x" * 256])
+    @example(seed=DJB_SEED, buckets=1024, keys=[b"x" * 300])
+    @example(
+        seed=7, buckets=1000, keys=[b"ab", bytes(range(256)), b"", b"q" * 300]
     )
     def test_seeded_index_many_matches_scalar(self, seed, buckets, keys):
         """A non-default seed reaches the kernel, under the mask and the
-        modulo reduction alike."""
+        modulo reduction alike; keys longer than 255 bytes, alone or
+        among short ones, hash as the scalar path hashes them."""
         h = DJBHash(buckets, seed=seed)
         expected = [djb2_bytes(k, seed) % buckets for k in keys]
         assert h.index_many(keys).tolist() == expected

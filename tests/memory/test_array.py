@@ -61,6 +61,11 @@ class TestRowAccess:
         assert array.stats.writes == 1
         assert array.stats.reads == 2
         assert array.stats.total_accesses == 3
+        assert array.stats.as_dict() == {
+            "reads": 2,
+            "writes": 1,
+            "total_accesses": 3,
+        }
 
     def test_peek_does_not_count(self):
         array = MemoryArray(rows=4, row_bits=8)
@@ -148,7 +153,6 @@ class TestInvalidationListeners:
         array.subscribe_invalidation(lambda s, n: calls.append((s, n)))
         array.read_row(0)
         array.peek_row(1)
-        array.charge_reads(5)
         assert calls == []
 
     def test_late_subscriber_sees_only_later_mutations(self):
@@ -158,30 +162,6 @@ class TestInvalidationListeners:
         array.subscribe_invalidation(lambda s, n: calls.append((s, n)))
         array.write_row(1, 1)
         assert calls == [(1, 1)]
-
-
-class TestChargeReads:
-    def test_charge_reads_advances_counter(self):
-        array = MemoryArray(rows=4, row_bits=8)
-        array.read_row(0)
-        array.charge_reads(10)
-        assert array.stats.reads == 11
-        assert array.stats.total_accesses == 11
-
-    def test_negative_count_rejected(self):
-        array = MemoryArray(rows=4, row_bits=8)
-        with pytest.raises(ConfigurationError):
-            array.charge_reads(-1)
-
-    def test_as_dict_export(self):
-        array = MemoryArray(rows=4, row_bits=8)
-        array.write_row(0, 1)
-        array.charge_reads(3)
-        assert array.stats.as_dict() == {
-            "reads": 3,
-            "writes": 1,
-            "total_accesses": 4,
-        }
 
 
 class TestTracerHooks:
@@ -194,14 +174,9 @@ class TestTracerHooks:
         array = MemoryArray(rows=4, row_bits=8)
         array.tracer = Tracer()
         array.read_row(2)
-        array.charge_reads(5)
-        array.charge_reads(0)  # zero-count charges stay silent
         events = array.tracer.events("bucket_read")
-        assert [e.payload for e in events] == [
-            {"row": 2},
-            {"count": 5, "mirror_served": True},
-        ]
-        assert array.stats.reads == 6
+        assert [e.payload for e in events] == [{"row": 2}]
+        assert array.stats.reads == 1
 
     def test_mutations_emit_invalidate_and_dma(self):
         from repro.telemetry.trace import Tracer

@@ -135,7 +135,6 @@ class TestReplay:
         live.tracer = tracer
         live.record_lookup(2, hit=True)
         live.record_lookup_batch(10, hits=3, accesses_per_lookup=1)
-        live.record_lookup_batch_varied([1, 2, 2, 3], hits=2)
         live.record_match_passes(4)
         live.record_insert(2)
         live.record_insert_batch(5, probes=7)
@@ -164,7 +163,6 @@ class TestReplay:
         stats.tracer = tracer
         stats.record_lookup(1, hit=False)
         stats.record_lookup_batch(2, hits=1)
-        stats.record_lookup_batch_varied([1, 2], hits=1)
         stats.record_match_passes(1)
         stats.record_insert(1)
         stats.record_insert_batch(1, probes=1)
