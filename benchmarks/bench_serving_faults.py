@@ -2,8 +2,8 @@
 
 The claim is that replication turns shard failure from an outage into a
 latency blip: with R bit-identical replicas per shard behind each
-shard's failover loop (deadlines, retry-with-backoff onto an untried
-replica, hedging, circuit-breaker membership), killing a replica
+shard's failover loop (deadlines, attempt timeouts, retry-with-backoff
+onto an untried replica, circuit-breaker membership), killing a replica
 mid-stream must cost throughput, never correctness.  Three legs:
 
 * **baseline** — R=2 fault-free closed loop through
@@ -19,7 +19,9 @@ mid-stream must cost throughput, never correctness.  Three legs:
   (crash, hang, transient errors, and ECC-guarded bit corruption via
   the reliability stack).  Gate: zero wrong answers — every
   admitted request returns the bit-identical correct answer or a typed
-  error, never silent corruption.
+  error, never silent corruption — with the faults shown to fire: bit
+  faults injected, retries taken, and the hung replica's calls cut off
+  by the attempt timeout.
 
 Every leg verifies each answer against the precomputed expected value.
 Results land in ``BENCH_serving_faults.json`` with the replication
@@ -87,7 +89,6 @@ MAX_DELAY = 0.002
 POLICY = FailoverPolicy(
     deadline=2.0,
     attempt_timeout=0.05,
-    max_attempts=3,
     evict_after=2,
     probation_after=0.05,   # recovered replicas rejoin within the run
     seed=SEED,
@@ -127,15 +128,8 @@ def build_cluster(scale: dict) -> CaramCluster:
 
 
 def failover_counters(cluster: CaramCluster) -> dict:
-    counters = {}
-    for stat in (
-        "retries", "timeouts", "hedges", "hedge_wins",
-        "evictions", "probations", "readmissions", "exhausted",
-    ):
-        counters[stat] = sum(
-            getattr(shard.failover, stat) for shard in cluster.shards
-        )
-    return counters
+    totals = [shard.failover.as_dict() for shard in cluster.shards]
+    return {stat: sum(t[stat] for t in totals) for stat in totals[0]}
 
 
 def corruption_counters(cluster: CaramCluster) -> dict:
@@ -289,7 +283,6 @@ def run_benchmark(profile: str = "full") -> dict:
         "replication": REPLICATION,
         "router": "ConsistentHashRouter",
         "front_end": "asyncio+thread-executor",
-        "balancer": POLICY.balancer,
         "max_batch_size": MAX_BATCH_SIZE,
         "max_delay_s": MAX_DELAY,
         "deadline_s": POLICY.deadline,
@@ -337,6 +330,9 @@ def check_gates(result: dict) -> None:
     soak = result["chaos_soak"]
     assert soak["corruption"]["faults_injected"] > 0, soak["corruption"]
     assert soak["failover"]["retries"] > 0, soak["failover"]
+    # The hung replica must outlive its attempt timeout: a timer that
+    # never fires would pass the zero-wrong gate too.
+    assert soak["failover"]["timeouts"] > 0, soak["failover"]
     assert result["metadata"]["topology"]["replication"] >= 2, result
 
 

@@ -674,13 +674,8 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         "chaos": bool(args.chaos),
         "membership": membership,
     }
-    for stat in (
-        "retries", "timeouts", "hedges", "hedge_wins",
-        "evictions", "probations", "readmissions", "exhausted",
-    ):
-        failover[stat] = sum(
-            getattr(shard.failover, stat) for shard in cluster.shards
-        )
+    totals = [shard.failover.as_dict() for shard in cluster.shards]
+    failover.update({stat: sum(t[stat] for t in totals) for stat in totals[0]})
     reports["failover"] = failover
     print("failover:")
     for stat in (

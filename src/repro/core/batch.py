@@ -319,11 +319,6 @@ class BatchSearchEngine:
         self._stats = stats
         self._scalar_search = scalar_search
         self._probing = probing
-        # Key-dependent policies (double hashing) keep the generic
-        # ``probe_batch`` and probe with the key as an int.
-        self._probe_with_keys = (
-            type(probing).probe_batch is ProbingPolicy.probe_batch
-        )
         self._access_sink = access_sink
         self._chunk_size = default_chunk_size(
             slots_per_bucket, key_bits, value_words=value_words
@@ -438,11 +433,8 @@ class BatchSearchEngine:
         for attempt in count():
             with profile("batch.probe_walk" if attempt else "batch.home_match"):
                 if attempt:
-                    probe_keys = (
-                        words_to_ints(words) if self._probe_with_keys else None
-                    )
                     rows = self._probing.probe_batch(
-                        homes, attempt, mirror.buckets, probe_keys
+                        homes, attempt, mirror.buckets, words
                     )
                     if tracer is not None:
                         tracer.emit(

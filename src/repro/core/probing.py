@@ -6,17 +6,19 @@ record slot is found.  Instead of this linear probing method, one can apply
 a second, alternative hash function to find a bucket with empty space."
 
 Both options are provided.  A policy maps (home row, attempt number, key)
-to the next row to try; attempt 0 is always the home row itself.
+to the next row to try; attempt 0 is always the home row itself.  Every
+policy answers one key (:meth:`ProbingPolicy.probe`) and a whole attempt
+level of a batch in array ops (:meth:`ProbingPolicy.probe_batch`).
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.core.index import make_index_generator
 from repro.hashing.base import HashFunction
 
 
@@ -27,33 +29,22 @@ class ProbingPolicy(abc.ABC):
     def probe(self, home_row: int, attempt: int, rows: int, key: object) -> int:
         """Row to inspect on the given attempt (attempt 0 = home row)."""
 
+    @abc.abstractmethod
     def probe_batch(
         self,
         home_rows: np.ndarray,
         attempt: int,
         rows: int,
-        keys: Optional[Sequence[object]] = None,
+        key_words: np.ndarray,
     ) -> np.ndarray:
-        """Row to inspect per home for one shared attempt level.
+        """Row to inspect per home for one shared attempt level: what
+        :meth:`probe` answers key by key, in array ops.
 
-        The generic implementation loops over :meth:`probe`; key-independent
-        policies override it with a closed-form array expression.  ``keys``
-        is required only by key-dependent policies (e.g. double hashing).
+        ``key_words`` holds the keys as ``(n, W)`` words
+        (:func:`repro.memory.mirror.keys_to_words`, possibly cast to the
+        mirror's plane dtype), row for row with ``home_rows``; only
+        key-dependent policies read it.
         """
-        if keys is None:
-            keys = [None] * len(home_rows)
-        return np.fromiter(
-            (
-                self.probe(int(home), attempt, rows, key)
-                for home, key in zip(home_rows.tolist(), keys)
-            ),
-            dtype=np.int64,
-            count=len(home_rows),
-        )
-
-    def max_attempts(self, rows: int) -> int:
-        """Upper bound on distinct rows the sequence can visit."""
-        return rows
 
 
 class LinearProbing(ProbingPolicy):
@@ -69,7 +60,7 @@ class LinearProbing(ProbingPolicy):
         home_rows: np.ndarray,
         attempt: int,
         rows: int,
-        keys: Optional[Sequence[object]] = None,
+        key_words: np.ndarray,
     ) -> np.ndarray:
         if attempt < 0:
             raise ConfigurationError(f"attempt must be >= 0, got {attempt}")
@@ -89,6 +80,7 @@ class DoubleHashing(ProbingPolicy):
 
     def __init__(self, step_hash: HashFunction) -> None:
         self._step_hash = step_hash
+        self._step_index = make_index_generator(step_hash)
 
     def probe(self, home_row: int, attempt: int, rows: int, key: object) -> int:
         if attempt < 0:
@@ -97,6 +89,24 @@ class DoubleHashing(ProbingPolicy):
             return home_row % rows
         step = (self._step_hash(key) | 1) % rows or 1
         return (home_row + attempt * step) % rows
+
+    def probe_batch(
+        self,
+        home_rows: np.ndarray,
+        attempt: int,
+        rows: int,
+        key_words: np.ndarray,
+    ) -> np.ndarray:
+        """The step hash runs over the whole key matrix through its
+        vectorized entry (:meth:`IndexGenerator.indices_batch`)."""
+        if attempt < 0:
+            raise ConfigurationError(f"attempt must be >= 0, got {attempt}")
+        home_rows = np.asarray(home_rows, dtype=np.int64)
+        if attempt == 0:
+            return home_rows % rows
+        hashed, _ = self._step_index.indices_batch(key_words)
+        step = np.maximum((hashed | 1) % rows, 1)
+        return (home_rows + attempt * step) % rows
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DoubleHashing(step_hash={self._step_hash!r})"
@@ -119,7 +129,7 @@ class QuadraticProbing(ProbingPolicy):
         home_rows: np.ndarray,
         attempt: int,
         rows: int,
-        keys: Optional[Sequence[object]] = None,
+        key_words: np.ndarray,
     ) -> np.ndarray:
         if attempt < 0:
             raise ConfigurationError(f"attempt must be >= 0, got {attempt}")

@@ -143,7 +143,7 @@ class ShardUnavailableError(CaRamError):
     (:meth:`~repro.serving.cluster.CaramShard.resolve`, behind
     :class:`~repro.serving.service.ShardedService` and
     ``CaramCluster.search_batch``) when every replica of the owning shard
-    is evicted, crashed, timed out, or errored through the retry/hedge
+    is evicted, crashed, timed out, or errored through the retry
     budget — the whole shard is down, not just one copy; the last replica
     error is its ``__cause__``.  A failure that another replica absorbs
     never surfaces this error; it fails over.

@@ -21,8 +21,8 @@ Layers (each its own module, composable separately):
   :class:`~repro.errors.ServiceOverloadError` load shedding), graceful
   drain.  Every flushed sub-batch goes through its shard's failover
   loop: with ``offload=True`` (default) each replica call runs on the
-  loop's executor under the policy's deadline, attempt timeout, retry
-  with backoff and hedge, and a shard that cannot answer fails typed
+  loop's executor under the policy's deadline, attempt timeout and
+  retry with backoff, and a shard that cannot answer fails typed
   with :class:`~repro.errors.ShardUnavailableError`; with
   ``offload=False`` the loop runs inline, with no deadlines.
 * :mod:`repro.serving.loadgen` — closed/open-loop load generation with

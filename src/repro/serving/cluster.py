@@ -70,12 +70,16 @@ from repro.serving.replication import (
     CORRUPT,
     CRASH,
     EVICTED,
+    MAX_ATTEMPTS,
     PROBATION,
+    PROBE_INTERVAL,
+    READMIT_AFTER,
     ChaosSpec,
     FailoverPolicy,
     FailoverStats,
     Replica,
     ShardChaos,
+    backoff_delay,
 )
 from repro.serving.router import ConsistentHashRouter, ShardRouter
 from repro.utils.rng import make_rng
@@ -97,7 +101,7 @@ _CALLER_ERRORS = (KeyFormatError, ServiceOverloadError)
 class CaramShard:
     """One logical shard: R replicas, a circuit breaker, a failover loop.
 
-    Read balancing is round-robin or least-inflight.  Consecutive
+    Reads go round-robin over the live replicas.  Consecutive
     failures **evict** a replica, evicted replicas re-enter on
     **probation** after a cooldown, probation replicas serve trickle
     probes and are **re-admitted** after enough successes (one probation
@@ -212,22 +216,18 @@ class CaramShard:
                     "replica.probation", replica_id=replica.replica_id
                 )
 
-    def pick(
-        self, exclude: Sequence[Replica] = (), retry_tried: bool = True
-    ) -> Optional[Replica]:
+    def pick(self, exclude: Sequence[Replica] = ()) -> Optional[Replica]:
         """Choose a replica for the next call, or None if none remain.
 
-        Active replicas are balanced per policy; probation replicas get
-        every ``probe_interval``-th pick (so they can earn re-admission)
-        and the whole pool when no active replica remains.
+        Active replicas take reads round-robin; probation replicas get
+        every :data:`PROBE_INTERVAL`-th pick (so they can earn
+        re-admission) and the whole pool when no active replica remains.
 
         ``exclude`` holds the replicas this request already consumed —
         retries prefer an untried replica.  When every live replica has
-        been tried and ``retry_tried`` is set, the pick falls back to an
-        idle one anyway: a second attempt on a replica that merely timed
-        out beats declaring the shard exhausted while members are still
-        serving.  Hedges pass ``retry_tried=False`` — hedging the call
-        already in flight is pure waste.
+        been tried, the pick falls back to an idle one anyway: a second
+        attempt on a replica that merely timed out beats declaring the
+        shard exhausted while members are still serving.
         """
         self._promote_cooled()
         self._picks += 1
@@ -243,18 +243,16 @@ class CaramShard:
         ]
         pool = active
         if probation and (
-            not active or self._picks % self.policy.probe_interval == 0
+            not active or self._picks % PROBE_INTERVAL == 0
         ):
             pool = probation
-        if not pool and retry_tried:
+        if not pool:
             idle = [r for r in self.replicas if not r.inflight]
             pool = [r for r in idle if r.state == ACTIVE] or [
                 r for r in idle if r.state == PROBATION
             ]
         if not pool:
             return None
-        if self.policy.balancer == "least-inflight":
-            return min(pool, key=lambda r: (r.inflight, r.replica_id))
         self._rr = (self._rr + 1) % len(self.replicas)
         return pool[self._rr % len(pool)]
 
@@ -263,7 +261,7 @@ class CaramShard:
         replica.consecutive_failures = 0
         if replica.state == PROBATION:
             replica.probation_successes += 1
-            if replica.probation_successes >= self.policy.readmit_after:
+            if replica.probation_successes >= READMIT_AFTER:
                 replica.state = ACTIVE
                 replica.readmissions += 1
                 self.failover.readmissions += 1
@@ -330,10 +328,9 @@ class CaramShard:
         """Answer one sub-batch: pick a replica, call it, fail over.
 
         With ``loop``, every replica call runs on that loop's default
-        executor under the policy's deadline and attempt timeout, a
-        retry first sleeps its jittered backoff, and a slow call may be
-        hedged.  Without it the calls run back to back in the caller's
-        thread, with none of those.
+        executor under the policy's deadline and attempt timeout, and a
+        retry first sleeps its jittered backoff.  Without it the calls
+        run back to back in the caller's thread, with none of those.
 
         A replica still running an abandoned call gets no new work (see
         :meth:`_pick_idle`), so a hung replica holds at most one
@@ -345,21 +342,20 @@ class CaramShard:
             KeyFormatError / ServiceOverloadError: a replica rejected
                 the request itself — raised at once, never retried.
         """
-        policy = self.policy
         deadline_at = None
-        if loop is not None and policy.deadline is not None:
-            deadline_at = loop.time() + policy.deadline
+        if loop is not None and self.policy.deadline is not None:
+            deadline_at = loop.time() + self.policy.deadline
         tried: List[Replica] = []
         last_error: Optional[CaRamError] = None
         timed_out = False
-        for attempt in range(policy.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             if attempt:
                 self.failover.retries += 1
                 self._emit(
                     "replica.retry", attempt=attempt, keys=len(keys)
                 )
                 if loop is not None:
-                    delay = policy.backoff_delay(attempt, self._rng)
+                    delay = backoff_delay(attempt, self._rng)
                     if deadline_at is not None:
                         delay = min(
                             delay, max(0.0, deadline_at - loop.time())
@@ -370,12 +366,8 @@ class CaramShard:
             if replica is None:
                 break  # nothing left to pick from
             try:
-                if loop is None:
-                    return self._settle(
-                        replica, lambda: replica.call(keys, search_mask)
-                    )
-                return await self._race(
-                    replica, keys, search_mask, tried, deadline_at, loop
+                return await self._attempt(
+                    replica, keys, search_mask, deadline_at, loop
                 )
             except asyncio.TimeoutError:
                 timed_out = True
@@ -401,143 +393,85 @@ class CaramShard:
         ) from last_error
 
     def _pick_idle(
-        self, tried: List[Replica], offloaded: bool, hedge: bool = False
+        self, tried: List[Replica], offloaded: bool
     ) -> Optional[Replica]:
         """Pick the next replica for this sub-batch, adding it to
         ``tried``.
 
         Offloaded, a replica whose abandoned call is still running
-        (``inflight``) gets no new work: a primary pick that lands on it
-        records a timeout against it, a hedge pick just skips it, and
-        both move on to the next replica.  Inline calls are never
-        abandoned, so there a busy replica is only busy with another
-        caller's call, and the new call queues behind it.
+        (``inflight``) gets no new work: a pick that lands on it records
+        a timeout against it and moves on to the next replica.  Inline
+        calls are never abandoned, so there a busy replica is only busy
+        with another caller's call, and the new call queues behind it.
         """
         while True:
-            replica = self.pick(exclude=tried, retry_tried=not hedge)
+            replica = self.pick(exclude=tried)
             if replica is None:
                 return None
             tried.append(replica)
             if not (offloaded and replica.inflight):
                 return replica
-            if not hedge:
-                self.record_failure(replica, "timeout")
+            self.record_failure(replica, "timeout")
 
-    def _settle(
-        self, replica: Replica, outcome: Callable[[], List[SearchResult]]
+    async def _attempt(
+        self,
+        replica: Replica,
+        keys: Sequence[KeyInput],
+        mask: int,
+        deadline_at: Optional[float],
+        loop: Optional[asyncio.AbstractEventLoop],
     ) -> List[SearchResult]:
-        """Run ``outcome`` (a replica call, or a finished call's
-        ``result``) and fold it into the replica's breaker state."""
+        """One call to ``replica``, folded into its breaker state.
+
+        Without ``loop`` the call runs in the caller's thread.  With it,
+        the call runs on the loop's default executor and its future is
+        awaited directly, under one timer set for the earlier of
+        ``deadline_at`` and the attempt timeout.  The timer cancels the
+        future: the executor thread may keep running (a hang cannot be
+        preempted), but its result is dropped, the replica is charged
+        one timeout, and ``asyncio.TimeoutError`` is raised.  A call
+        whose cutoff has already passed is charged the same way and
+        never submitted.  A cancellation from outside propagates and
+        charges nothing.
+        """
+        timer = None
+        expired = False
         try:
-            results = outcome()
+            if loop is None:
+                results = replica.call(keys, mask)
+            else:
+                cutoff = deadline_at
+                if self.policy.attempt_timeout is not None:
+                    attempt_cutoff = loop.time() + self.policy.attempt_timeout
+                    if cutoff is None or attempt_cutoff < cutoff:
+                        cutoff = attempt_cutoff
+                if cutoff is not None and cutoff <= loop.time():
+                    self.record_failure(replica, "timeout")
+                    raise asyncio.TimeoutError
+                future = loop.run_in_executor(None, replica.call, keys, mask)
+                if cutoff is not None:
+
+                    def expire() -> None:
+                        nonlocal expired
+                        expired = future.cancel()
+
+                    timer = loop.call_at(cutoff, expire)
+                results = await future
+        except asyncio.CancelledError:
+            if not expired:
+                raise
+            self.record_failure(replica, "timeout")
+            raise asyncio.TimeoutError from None
         except _CALLER_ERRORS:
             raise
         except CaRamError:
             self.record_failure(replica, "error")
             raise
+        finally:
+            if timer is not None:
+                timer.cancel()
         self.record_success(replica)
         return results
-
-    async def _race(
-        self,
-        primary: Replica,
-        keys: Sequence[KeyInput],
-        mask: int,
-        tried: List[Replica],
-        deadline_at: Optional[float],
-        loop: asyncio.AbstractEventLoop,
-    ) -> List[SearchResult]:
-        """One executor call to ``primary``, optionally hedged; the
-        first success wins.  Raises ``asyncio.TimeoutError`` when the
-        deadline or the attempt timeout runs out first."""
-        policy = self.policy
-        attempt_deadline = (
-            None
-            if policy.attempt_timeout is None
-            else loop.time() + policy.attempt_timeout
-        )
-        calls: Dict[asyncio.Future, Replica] = {
-            loop.run_in_executor(None, primary.call, keys, mask): primary
-        }
-        hedge_armed = policy.hedge_delay is not None
-        last_error: Optional[CaRamError] = None
-        while calls:
-            remaining = None
-            for cutoff in (deadline_at, attempt_deadline):
-                if cutoff is None:
-                    continue
-                budget = cutoff - loop.time()
-                if budget <= 0:
-                    self._abandon(calls, timed_out=True)
-                    raise asyncio.TimeoutError
-                remaining = (
-                    budget if remaining is None else min(remaining, budget)
-                )
-            wait_timeout = remaining
-            if hedge_armed:
-                wait_timeout = (
-                    policy.hedge_delay
-                    if remaining is None
-                    else min(policy.hedge_delay, remaining)
-                )
-            done, _ = await asyncio.wait(
-                set(calls),
-                timeout=wait_timeout,
-                return_when=asyncio.FIRST_COMPLETED,
-            )
-            if not done:
-                if hedge_armed:
-                    hedge_armed = False
-                    hedge = self._pick_idle(tried, offloaded=True, hedge=True)
-                    if hedge is not None:
-                        self.failover.hedges += 1
-                        self._emit(
-                            "replica.hedge",
-                            replica_id=hedge.replica_id,
-                            keys=len(keys),
-                        )
-                        future = loop.run_in_executor(
-                            None, hedge.call, keys, mask
-                        )
-                        calls[future] = hedge
-                continue
-            for future in done:
-                replica = calls.pop(future)
-                try:
-                    results = self._settle(replica, future.result)
-                except _CALLER_ERRORS:
-                    self._abandon(calls, timed_out=False)
-                    raise
-                except CaRamError as error:
-                    last_error = error
-                    continue
-                if replica is not primary:
-                    self.failover.hedge_wins += 1
-                    self._emit(
-                        "replica.hedge_won",
-                        replica_id=replica.replica_id,
-                    )
-                self._abandon(calls, timed_out=False)
-                return results
-        if last_error is not None:
-            raise last_error
-        raise asyncio.TimeoutError  # pragma: no cover - defensive
-
-    def _abandon(
-        self, calls: Dict[asyncio.Future, Replica], timed_out: bool
-    ) -> None:
-        """Walk away from still-inflight calls.
-
-        The executor threads may keep running (a hang cannot be
-        preempted), but their results are dropped: cancelling the
-        asyncio wrapper makes a late set_result/exception a no-op, so
-        nothing leaks and nothing warns.
-        """
-        for future, replica in calls.items():
-            if timed_out:
-                self.record_failure(replica, "timeout")
-            future.cancel()
-        calls.clear()
 
 
 class CaramCluster:
@@ -854,7 +788,6 @@ class CaramCluster:
                 "shard_count": len(self.shards),
                 "replication": len(self.shards[0].replicas),
                 "router": type(self.router).__name__,
-                "balancer": self.shards[0].policy.balancer,
             },
         )
 

@@ -9,10 +9,13 @@ that loop is made of:
 * :class:`Replica` — one physical copy: its own ``SliceGroup``, the
   breaker state the loop reads and writes (ACTIVE / EVICTED /
   PROBATION, failure streaks, counters), and the lock that keeps a retry
-  or hedge from re-entering an engine an abandoned call still runs in.
-* :class:`FailoverPolicy` — deadline, per-attempt timeout, retry budget
-  and jittered exponential backoff, hedging, breaker thresholds, and the
-  balancer (round-robin or least-inflight).
+  from re-entering an engine an abandoned call still runs in.
+* :class:`FailoverPolicy` — the five settable values: deadline,
+  per-attempt timeout, the breaker's eviction streak and cooldown, and
+  the jitter seed.  The retry budget (:data:`MAX_ATTEMPTS`), the
+  jittered exponential backoff (:func:`backoff_delay`), the re-admission
+  count (:data:`READMIT_AFTER`) and the probe interval
+  (:data:`PROBE_INTERVAL`) are constants.
 * :class:`ShardChaos` — a deterministic, seedable per-replica fault
   layer: **crash** (every call raises), **hang** (calls sleep a
   configured latency), **error** (calls raise transiently at a
@@ -55,11 +58,15 @@ __all__ = [
     "ACTIVE",
     "EVICTED",
     "PROBATION",
+    "MAX_ATTEMPTS",
+    "READMIT_AFTER",
+    "PROBE_INTERVAL",
     "ChaosSpec",
     "ShardChaos",
     "FailoverPolicy",
     "FailoverStats",
     "Replica",
+    "backoff_delay",
 ]
 
 # Chaos modes.
@@ -68,6 +75,19 @@ _CHAOS_MODES = (CRASH, HANG, ERROR, CORRUPT)
 
 # Circuit-breaker membership states.
 ACTIVE, EVICTED, PROBATION = "active", "evicted", "probation"
+
+#: Replica attempts per sub-batch.
+MAX_ATTEMPTS = 3
+#: Backoff before retry ``a`` is ``BACKOFF_BASE * 2**(a - 1)`` seconds,
+#: capped at ``BACKOFF_CAP`` and varied uniformly within
+#: ``+/-BACKOFF_JITTER`` of itself.
+BACKOFF_BASE, BACKOFF_CAP, BACKOFF_JITTER = 0.001, 0.05, 0.5
+#: Probation successes that re-admit a replica (one probation failure
+#: re-evicts it).
+READMIT_AFTER = 2
+#: While active replicas exist, every Nth pick goes to a probation
+#: replica so it can earn re-admission.
+PROBE_INTERVAL = 8
 
 
 # ----------------------------------------------------------------------
@@ -193,12 +213,15 @@ class ShardChaos:
 
 @dataclass(frozen=True)
 class FailoverPolicy:
-    """Knobs of the failover loop and circuit breaker.
+    """The failover loop's time bounds and breaker thresholds.
 
-    Deadlines, attempt timeouts, hedges and backoff sleeps apply to
-    executor calls only (``ShardedService(offload=True)``, the default);
-    the inline loop (``offload=False`` and the cluster's synchronous
-    ``search_batch``) retries back to back with none of them.
+    Deadlines, attempt timeouts and backoff sleeps apply to executor
+    calls only (``ShardedService(offload=True)``, the default); the
+    inline loop (``offload=False`` and the cluster's synchronous
+    ``search_batch``) retries back to back with none of them.  The
+    retry budget, backoff, re-admission count and probe interval are
+    module constants (:data:`MAX_ATTEMPTS`, :func:`backoff_delay`,
+    :data:`READMIT_AFTER`, :data:`PROBE_INTERVAL`).
 
     Args:
         deadline: total per-sub-batch budget in seconds (``None`` = no
@@ -209,91 +232,39 @@ class FailoverPolicy:
             overall deadline bounds a call — set this when hangs are in
             the threat model, otherwise one hung replica can eat the
             whole deadline.
-        max_attempts: primary replica attempts per sub-batch (hedges do
-            not count).
-        backoff_base / backoff_multiplier / backoff_cap: jittered
-            exponential backoff between attempts, in seconds.
-        jitter: +/- fraction applied to each backoff delay (0.5 = the
-            delay varies uniformly within +/-50%), drawn from a seeded
-            generator for reproducibility.
-        hedge_delay: if a call has not answered after this many seconds,
-            fire the same sub-batch at a second replica and take the
-            first success (``None`` disables hedging).
         evict_after: consecutive failures that evict a replica.
         probation_after: seconds an evicted replica waits before
             re-entering on probation.
-        readmit_after: probation successes required for re-admission
-            (one probation failure re-evicts immediately).
-        probe_interval: while healthy replicas exist, every Nth pick is
-            routed to a probation replica so it can earn re-admission.
-        balancer: ``round-robin`` or ``least-inflight``.
         seed: seeds the backoff jitter stream.
     """
 
     deadline: Optional[float] = 0.25
     attempt_timeout: Optional[float] = None
-    max_attempts: int = 3
-    backoff_base: float = 0.001
-    backoff_multiplier: float = 2.0
-    backoff_cap: float = 0.05
-    jitter: float = 0.5
-    hedge_delay: Optional[float] = None
     evict_after: int = 3
     probation_after: float = 0.25
-    readmit_after: int = 2
-    probe_interval: int = 8
-    balancer: str = "round-robin"
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("deadline", "attempt_timeout", "hedge_delay"):
+        for name in ("deadline", "attempt_timeout"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ConfigurationError(
                     f"{name} must be positive or None: {value}"
                 )
-        if self.max_attempts < 1:
+        if self.evict_after < 1:
             raise ConfigurationError(
-                f"max_attempts must be >= 1: {self.max_attempts}"
-            )
-        if self.backoff_base < 0 or self.backoff_cap < 0:
-            raise ConfigurationError("backoff must be >= 0")
-        if self.backoff_multiplier < 1:
-            raise ConfigurationError(
-                f"backoff_multiplier must be >= 1: "
-                f"{self.backoff_multiplier}"
-            )
-        if not 0 <= self.jitter < 1:
-            raise ConfigurationError(
-                f"jitter must be in [0, 1): {self.jitter}"
-            )
-        if self.evict_after < 1 or self.readmit_after < 1:
-            raise ConfigurationError(
-                "evict_after and readmit_after must be >= 1"
+                f"evict_after must be >= 1: {self.evict_after}"
             )
         if self.probation_after < 0:
             raise ConfigurationError(
                 f"probation_after must be >= 0: {self.probation_after}"
             )
-        if self.probe_interval < 1:
-            raise ConfigurationError(
-                f"probe_interval must be >= 1: {self.probe_interval}"
-            )
-        if self.balancer not in ("round-robin", "least-inflight"):
-            raise ConfigurationError(
-                f"balancer must be round-robin or least-inflight: "
-                f"{self.balancer!r}"
-            )
 
-    def backoff_delay(self, attempt: int, rng) -> float:
-        """Jittered exponential delay before retry ``attempt`` (>= 1)."""
-        delay = min(
-            self.backoff_cap,
-            self.backoff_base * self.backoff_multiplier ** (attempt - 1),
-        )
-        if self.jitter and delay > 0:
-            delay *= 1.0 + self.jitter * float(rng.uniform(-1.0, 1.0))
-        return delay
+
+def backoff_delay(attempt: int, rng) -> float:
+    """Jittered exponential delay before retry ``attempt`` (>= 1)."""
+    delay = min(BACKOFF_CAP, BACKOFF_BASE * 2 ** (attempt - 1))
+    return delay * (1.0 + BACKOFF_JITTER * float(rng.uniform(-1.0, 1.0)))
 
 
 class FailoverStats:
@@ -302,8 +273,6 @@ class FailoverStats:
     __slots__ = (
         "retries",
         "timeouts",
-        "hedges",
-        "hedge_wins",
         "evictions",
         "probations",
         "readmissions",
@@ -364,9 +333,9 @@ class Replica:
         self.evictions = 0
         self.readmissions = 0
         self.health_warnings = 0
-        # Serializes batch calls into this replica's engine: a retry or
-        # hedge must never re-enter a slice whose abandoned call is
-        # still running in another executor thread.
+        # Serializes batch calls into this replica's engine: a retry
+        # must never re-enter a slice whose abandoned call is still
+        # running in another executor thread.
         self._lock = threading.Lock()
         # ``inflight`` changes in executor threads and decides whether
         # the failover loop may call this replica: no lost update.
@@ -384,10 +353,9 @@ class Replica:
         search_batch_columnar`.
 
         ``inflight`` is bumped *before* the lock so callers queued
-        behind a slow/hung replica count toward its load — exactly the
-        signal the least-inflight balancer needs to route around it, and
-        the one the failover loop reads to leave a replica alone while
-        an abandoned call still runs in it.
+        behind a slow/hung replica count toward its load — the signal
+        the failover loop reads to leave a replica alone while an
+        abandoned call still runs in it.
         """
         with self._inflight_lock:
             self.inflight += 1

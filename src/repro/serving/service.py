@@ -36,10 +36,10 @@ Batch execution runs on the loop's default thread-pool executor by
 default (NumPy kernels release the GIL for the heavy ops), keeping the
 event loop free to accept and coalesce the next window while a shard
 computes; there the shard's failover policy bounds every call (deadline,
-attempt timeout, retry with backoff, hedge).  With ``offload=False`` the
-same loop runs inline on the event loop, with no deadlines.  Per-shard
-lanes serialize their own batches, so a replica's engine is only
-re-entered by a retry or hedge after its call was abandoned.
+attempt timeout, retry with backoff).  With ``offload=False`` the same
+loop runs inline on the event loop, with no deadlines.  Per-shard lanes
+serialize their own batches, so a replica's engine is only re-entered
+by a retry after its call was abandoned.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ class ShardedService:
         offload: run every replica call on the loop's default executor
             under the shards' failover deadlines (default); ``False``
             runs the failover loop inline on the event loop, without
-            deadlines, attempt timeouts, hedges or backoff sleeps.
+            deadlines, attempt timeouts or backoff sleeps.
 
     Use as an async context manager, or call :meth:`aclose` explicitly —
     a garbage-collected service cancels its lane tasks but cannot await

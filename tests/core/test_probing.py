@@ -2,9 +2,17 @@
 
 import pytest
 
+from repro.core.config import SliceConfig
+from repro.core.index import make_index_generator
 from repro.core.probing import DoubleHashing, LinearProbing, QuadraticProbing
+from repro.core.record import RecordFormat
+from repro.core.slice import CARAMSlice
 from repro.errors import ConfigurationError
 from repro.hashing.base import ModuloHash
+from repro.hashing.bit_select import BitSelectHash
+from repro.hashing.universal import MultiplicativeHash
+from repro.memory.mirror import keys_to_words
+from repro.utils.rng import make_rng
 
 
 class TestLinearProbing:
@@ -53,3 +61,71 @@ class TestQuadraticProbing:
         policy = QuadraticProbing()
         visited = {policy.probe(0, a, 16, None) for a in range(16)}
         assert visited == set(range(16))
+
+
+class TestProbeBatch:
+    """``probe_batch`` answers a whole attempt level in array ops, equal
+    per key to ``probe``."""
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            LinearProbing(),
+            QuadraticProbing(),
+            DoubleHashing(ModuloHash(48)),
+            DoubleHashing(BitSelectHash(32, (1, 7, 12, 20, 31))),
+            DoubleHashing(MultiplicativeHash(64)),
+        ],
+        ids=["linear", "quadratic", "double-modulo", "double-bitselect",
+             "double-multiplicative"],
+    )
+    @pytest.mark.parametrize("rows", [1, 48, 64])
+    def test_matches_per_key_probe(self, policy, rows):
+        rng = make_rng(5)
+        keys = [int(k) for k in rng.integers(0, 1 << 32, size=200)]
+        homes = rng.integers(0, rows, size=len(keys))
+        words = keys_to_words(keys, 32)
+        for attempt in range(6):
+            expected = [
+                policy.probe(int(home), attempt, rows, key)
+                for home, key in zip(homes.tolist(), keys)
+            ]
+            got = policy.probe_batch(homes, attempt, rows, words)
+            assert got.tolist() == expected
+
+    def test_double_hashing_batch_walk_makes_no_per_key_probe(
+        self, monkeypatch
+    ):
+        """At load 0.9 many keys walk past their home; the batch walk
+        must hash every step in array ops, never through ``probe``."""
+        fmt = RecordFormat(key_bits=32, data_bits=8)
+        config = SliceConfig(
+            index_bits=6,
+            row_bits=8 + 8 * fmt.slot_bits,
+            record_format=fmt,
+            aux_bits=8,
+        )
+        slice_ = CARAMSlice(
+            config,
+            make_index_generator(ModuloHash(config.rows)),
+            probing=DoubleHashing(MultiplicativeHash(config.rows)),
+        )
+        rng = make_rng(9)
+        keys = [
+            int(k)
+            for k in rng.choice(
+                1 << 32, size=int(0.9 * config.capacity_records), replace=False
+            )
+        ]
+        for key in keys:
+            slice_.insert(key, data=key & 0xFF)
+        queries = keys + [key ^ 1 for key in keys[:64]]
+        expected = [slice_.search(key) for key in queries]
+        assert max(r.bucket_accesses for r in expected) > 1
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-key probe in the batch walk")
+
+        monkeypatch.setattr(DoubleHashing, "probe", refuse)
+        assert slice_.search_batch(queries) == expected
+        assert slice_.stats.scalar_fallbacks == 0

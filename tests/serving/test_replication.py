@@ -7,6 +7,7 @@ either returns the **bit-identical correct answer** or a **typed**
 """
 
 import asyncio
+import dataclasses
 import itertools
 import sys
 import threading
@@ -98,13 +99,20 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ChaosSpec(mode="error", error_rate=1.5)
         with pytest.raises(ConfigurationError):
-            FailoverPolicy(max_attempts=0)
-        with pytest.raises(ConfigurationError):
             FailoverPolicy(deadline=-0.1)
         with pytest.raises(ConfigurationError):
-            FailoverPolicy(balancer="random")
-        with pytest.raises(ConfigurationError):
             CaramCluster.build(2, replication=0)
+
+    def test_policy_sets_five_values(self):
+        """The retry budget, backoff, re-admission count and probe
+        interval are constants; a caller sets only these."""
+        assert [f.name for f in dataclasses.fields(FailoverPolicy)] == [
+            "deadline",
+            "attempt_timeout",
+            "evict_after",
+            "probation_after",
+            "seed",
+        ]
 
 
 class TestReplicatedCluster:
@@ -166,20 +174,6 @@ class TestReplicatedCluster:
         assert not any(thread.is_alive() for thread in threads)
         assert [r.inflight for r in shard.replicas] == [0, 0]
         assert sum(r.calls for r in shard.replicas) == 8 * 40
-        cluster.close()
-
-    def test_least_inflight_picks_idle_replica(self):
-        cluster = build_replicated(
-            shard_count=1,
-            replication=3,
-            policy=FailoverPolicy(balancer="least-inflight"),
-        )
-        rset = cluster.shards[0]
-        rset.replicas[0].inflight = 5
-        rset.replicas[1].inflight = 2
-        assert rset.pick().replica_id == 2
-        rset.replicas[2].inflight = 9
-        assert rset.pick().replica_id == 1
         cluster.close()
 
     def test_telemetry_mounts(self):
@@ -274,14 +268,10 @@ class TestChaosModes:
 
 
 class TestCircuitBreaker:
-    def test_evict_probation_readmit_cycle(self):
+    def test_evict_probation_readmit_cycle(self, monkeypatch):
+        monkeypatch.setattr("repro.serving.cluster.PROBE_INTERVAL", 1)
         clock = FakeClock()
-        policy = FailoverPolicy(
-            evict_after=2,
-            probation_after=5.0,
-            readmit_after=2,
-            probe_interval=1,
-        )
+        policy = FailoverPolicy(evict_after=2, probation_after=5.0)
         cluster = build_replicated(
             shard_count=1, policy=policy, clock=clock
         )
@@ -457,32 +447,6 @@ class TestFaultTolerantService:
             assert shard.replicas[0].timeouts >= 1
             assert shard.replicas[0].calls <= 4  # one 1 s hang at a time
 
-    def test_hedged_read_wins_over_slow_replica(self):
-        cluster = build_replicated(
-            shard_count=1,
-            records=self.RECORDS,
-            policy=FailoverPolicy(
-                deadline=5.0,
-                hedge_delay=0.01,
-                evict_after=100,  # keep the slow replica in rotation
-            ),
-        )
-        reference = build_reference(shard_count=1, records=self.RECORDS)
-        # Round-robin picks replica 1 first: hang that one so the
-        # primary call stalls and the hedge (on replica 0) wins.
-        cluster.inject_chaos(
-            0, 1, ChaosSpec(mode="hang", hang_seconds=0.15)
-        )
-        keys = [key for key, _ in self.RECORDS[:30]]
-        outcomes, _ = self.run_service(
-            cluster, keys, max_batch_size=30, max_delay=0.05
-        )
-        assert outcomes == reference.search_batch(keys)
-        rset = cluster.shards[0]
-        assert rset.failover.hedges >= 1
-        assert rset.failover.hedge_wins >= 1
-        reference.close()
-
     def test_whole_set_down_fails_typed_and_sheds_nothing_silently(self):
         cluster = build_replicated(
             shard_count=1,
@@ -536,6 +500,85 @@ class TestFaultTolerantService:
         assert stats.shed == 0
         assert stats.requests == stats.completed + stats.shed + stats.failed
         assert service.stats.as_dict()["failed"] == len(dead)
+
+
+class TestAttemptTimer:
+    """The offloaded call's one timer, driven through ``resolve``."""
+
+    RECORDS = make_records(count=60, seed=41)
+
+    def test_expiry_charges_one_timeout_and_fails_over(self):
+        cluster = build_replicated(
+            shard_count=1,
+            records=self.RECORDS,
+            policy=FailoverPolicy(deadline=2.0, attempt_timeout=0.03),
+        )
+        reference = build_reference(shard_count=1, records=self.RECORDS)
+        shard = cluster.shards[0]
+        # Round-robin picks replica 1 first: its one call hangs.
+        cluster.inject_chaos(
+            0, 1, ChaosSpec(mode="hang", hang_seconds=0.2, duration_calls=1)
+        )
+        keys = [key for key, _ in self.RECORDS]
+
+        async def run():
+            return await shard.resolve(keys, 0, asyncio.get_running_loop())
+
+        assert asyncio.run(run()) == reference.search_batch(keys)
+        hung, healthy = shard.replicas[1], shard.replicas[0]
+        assert (hung.timeouts, hung.errors) == (1, 0)
+        assert (healthy.timeouts, healthy.successes) == (0, 1)
+        assert shard.failover.timeouts == 1
+        assert shard.failover.retries == 1
+        assert [r.inflight for r in shard.replicas] == [0, 0]
+        cluster.close()
+        reference.close()
+
+    def test_call_past_its_cutoff_is_charged_and_never_submitted(self):
+        cluster = build_replicated(shard_count=1, records=self.RECORDS)
+        shard = cluster.shards[0]
+        replica = shard.replicas[0]
+        keys = [key for key, _ in self.RECORDS[:4]]
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            await shard._attempt(replica, keys, 0, loop.time() - 1.0, loop)
+
+        with pytest.raises(asyncio.TimeoutError):
+            asyncio.run(run())
+        assert (replica.timeouts, replica.calls) == (1, 0)
+        cluster.close()
+
+    def test_outside_cancellation_charges_nothing(self):
+        cluster = build_replicated(
+            shard_count=1,
+            records=self.RECORDS,
+            policy=FailoverPolicy(deadline=2.0, attempt_timeout=0.1),
+        )
+        shard = cluster.shards[0]
+        for replica_id in range(2):
+            cluster.inject_chaos(
+                0, replica_id, ChaosSpec(mode="hang", hang_seconds=0.2)
+            )
+        keys = [key for key, _ in self.RECORDS[:8]]
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            task = loop.create_task(shard.resolve(keys, 0, loop))
+            await asyncio.sleep(0.03)
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+
+        # asyncio.run returns once the executor's hung calls have ended.
+        asyncio.run(run())
+        for replica in shard.replicas:
+            assert (replica.timeouts, replica.errors) == (0, 0)
+            assert replica.inflight == 0
+        assert shard.failover.as_dict() == dict.fromkeys(
+            shard.failover.as_dict(), 0
+        )
+        cluster.close()
 
 
 class TestFaultScheduleProperty:
