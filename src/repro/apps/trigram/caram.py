@@ -34,7 +34,7 @@ from repro.core.subsystem import SliceGroup
 from repro.errors import KeyFormatError
 from repro.hashing.base import HashFunction
 from repro.hashing.djb import djb2_bytes, djb2_padded, row_chunks
-from repro.memory.mirror import keys_to_words, words_to_ints
+from repro.memory.mirror import keys_to_words
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.reliability.faults import FaultConfig
@@ -236,9 +236,10 @@ def build_trigram_caram(
     if registry is not None:
         group.register_telemetry(registry)
     pairs = list(entries)
-    texts = [text for text, _ in pairs]
-    keys = words_to_ints(StringKeyCodec.encode_batch(texts))
-    group.bulk_load(zip(keys, (probability for _, probability in pairs)))
+    group.bulk_load(
+        StringKeyCodec.encode_batch([text for text, _ in pairs]),
+        [probability for _, probability in pairs],
+    )
     if reliability is not None or faults is not None:
         group.enable_reliability(reliability, faults)
     return group

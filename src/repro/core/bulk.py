@@ -5,7 +5,10 @@ Sequential construction replays the hardware insert path once per record:
 hash, walk the probe sequence, unpack and repack a whole big-int row.  For
 the paper-scale databases (Tables 2–3: 186,760 prefixes, 5.39M trigrams)
 that is the dominant cost of every behavioral experiment.  This module
-computes the *same final state* in four vectorized stages:
+parses the input once into ``(keys, masks, data)`` uint64 word columns
+(:func:`bulk_columns`, through the batch lookups' key parser), the one
+key form of every later stage, and computes the *same final state* in
+four vectorized stages:
 
 1. **hash** every key at once (`IndexGenerator.indices_batch`), expanding
    ternary keys whose don't-care bits touch hash positions into their
@@ -18,8 +21,10 @@ computes the *same final state* in four vectorized stages:
    final content of the scalar sorted-insert splice;
 4. **encode** each array's row image with the layout's vectorized codec
    (:meth:`~repro.core.bucket.BucketLayout.encode_rows`, the inverse of the
-   mirror's re-decode) and emit the decoded mirror matrices, plus the
-   build's ``Record`` s as the first entries of the mirror's Record memo.
+   mirror's re-decode).  The planned copies' coordinates and words are
+   what the decoded mirror installs
+   (:meth:`~repro.memory.mirror.DecodedMirror.install`); no stage builds a
+   ``Record``.
 
 The resulting memory image, reach fields, record counts, and
 ``SearchStats`` are bit-identical to the sequential insert loop — the
@@ -32,24 +37,19 @@ insertion for other policies.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import CapacityError
+from repro.errors import CapacityError, KeyFormatError
+from repro.core.batch import query_words
 from repro.core.bucket import BucketLayout, SlotPriority
 from repro.core.config import BucketGeometry
 from repro.core.index import IndexGenerator
-from repro.core.record import KeyLike, Record, RecordFormat
+from repro.core.key import TernaryKey
+from repro.core.record import RecordFormat
 from repro.hashing.analysis import simulate_linear_probing
-from repro.memory.mirror import keys_to_words
+from repro.memory.mirror import keys_to_words, words_to_ints
 from repro.telemetry.profiling import profile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -83,39 +83,66 @@ class BulkTotals:
 class BulkPlan:
     """Complete placement of a record set, before any row is written.
 
-    ``copy_*`` arrays have one entry per *stored copy* (ternary keys with
-    don't-care bits over hash positions store several copies); ``records``
-    and the word matrices are per input record.
+    Every array has one entry per *stored copy* (ternary keys with
+    don't-care bits over hash positions store several copies, in record
+    order and sorted-home order).
     """
 
-    records: List[Record]
-    key_words: np.ndarray                 # (n_records, W) uint64
-    mask_words: Optional[np.ndarray]      # (n_records, W) or None (binary)
-    data_words: np.ndarray                # (n_records, Wd) uint64
-    copy_record: np.ndarray               # (copies,) record index per copy
+    copy_keys: np.ndarray                 # (copies, W) uint64
+    copy_masks: Optional[np.ndarray]      # (copies, W) or None (binary)
+    copy_data: np.ndarray                 # (copies, Wd) uint64
     copy_bucket: np.ndarray               # (copies,) final bucket per copy
     copy_slot: np.ndarray                 # (copies,) slot within the bucket
     reach: np.ndarray                     # (bucket_count,) aux-field image
     totals: BulkTotals
 
 
-@dataclass
-class BulkImage:
-    """A planned build rendered into physical rows + decoded mirror state."""
+def bulk_columns(
+    keys, data, record_format: RecordFormat
+) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
+    """A build's input as ``(keys, masks, data)`` uint64 word columns:
+    ``keys`` in any form the batch parser
+    (:func:`~repro.core.batch.query_words`) takes, one ``data`` payload
+    per key.  ``masks`` is None for a binary format.
 
-    plan: BulkPlan
-    array_rows: List[List[int]]           # full row image per slice array
-    mirror_valid: np.ndarray              # (buckets, slots) bool
-    mirror_key_words: np.ndarray          # (buckets, slots, W) uint64
-    mirror_mask_words: np.ndarray         # (buckets, slots, W) uint64
-    mirror_reach: np.ndarray              # (buckets,) int64
-    mirror_data_words: np.ndarray         # (buckets, slots, Wd) uint64
-    mirror_records: np.ndarray            # (buckets, slots) object
+    Raises:
+        KeyFormatError: on what ``Record.make`` rejects (a negative or
+            too-wide key, a ``TernaryKey`` of another width, don't-care
+            bits in a binary format, negative or too-wide data, nonzero
+            data without a data field), or a data count other than the
+            key count.
+    """
+    key_bits, data_bits = record_format.key_bits, record_format.data_bits
+    key_words, mask_words = query_words(keys, 0, key_bits)
+    count = key_words.shape[0]
+    if mask_words is not None and not record_format.ternary:
+        raise KeyFormatError("don't-care bits require a ternary record format")
+    if mask_words is None and record_format.ternary:
+        mask_words = np.zeros_like(key_words)
+    column = np.asarray(data)
+    if column.shape != (count,):
+        raise KeyFormatError(f"data of shape {column.shape} for {count} keys")
+    # NumPy wraps negative ints silently on the uint64 conversion.
+    if count and column.dtype.kind in "iO" and column.min() < 0:
+        raise KeyFormatError(f"data {column.min()} is negative")
+    if not data_bits:
+        if np.count_nonzero(column):
+            raise KeyFormatError(
+                "data must be 0 in a format without a data field"
+            )
+        return key_words, mask_words, np.zeros((count, 0), dtype=np.uint64)
+    try:
+        data_words = keys_to_words(column, data_bits)
+    except KeyFormatError as exc:
+        raise KeyFormatError(f"data does not fit in {data_bits} bits") from exc
+    return key_words, mask_words, data_words
 
 
 def plan_bulk_build(
-    pairs: Iterable[Tuple[KeyLike, int]],
-    record_format: RecordFormat,
+    key_words: np.ndarray,
+    mask_words: Optional[np.ndarray],
+    data_words: np.ndarray,
+    key_bits: int,
     index_generator: IndexGenerator,
     bucket_count: int,
     slots_per_bucket: int,
@@ -125,60 +152,38 @@ def plan_bulk_build(
 ) -> BulkPlan:
     """Resolve the final placement of a record set without writing rows.
 
-    Raises :class:`~repro.errors.CapacityError` before any mutation when a
+    Takes the build's word columns as :func:`bulk_columns` returns them.
+    Only a key flagged for Section 4.1 multi-home duplication becomes a
+    ``TernaryKey`` here, to enumerate its homes.  Raises
+    :class:`~repro.errors.CapacityError` before any mutation when a
     copy would need a displacement beyond ``reach_limit`` — the condition
     under which sequential insertion would have failed mid-build.  With a
     ``tracer``, one ``bulk_plan`` event carrying the placement totals is
     emitted once the plan resolves.
     """
-    records: List[Record] = []
-    values: List[int] = []
-    masks: Optional[List[int]] = [] if record_format.ternary else None
-    data: List[int] = []
-    for key, datum in pairs:
-        record = Record.make(key, datum, record_format)
-        records.append(record)
-        values.append(record.key.value)
-        data.append(record.data)
-        if masks is not None:
-            masks.append(record.key.mask)
-    n = len(records)
+    n = key_words.shape[0]
+    homes, needs_multi = index_generator.indices_batch(key_words, mask_words)
 
-    key_words = keys_to_words(values, record_format.key_bits)
-    mask_words = (
-        keys_to_words(masks, record_format.key_bits)
-        if masks is not None
-        else None
-    )
-    data_words = (
-        keys_to_words(data, record_format.data_bits)
-        if record_format.data_bits
-        else np.zeros((n, 0), dtype=np.uint64)
-    )
-    homes, needs_multi = index_generator.indices_batch(
-        key_words, mask_words, values
-    )
-
+    keys, masks, data = key_words, mask_words, data_words
+    copy_home = homes
     if masks is not None and bool(needs_multi.any()):
         # Ternary keys masked over hash positions duplicate into every
         # matching bucket; the copy stream keeps (record order, sorted-home
         # order), matching the sequential duplication loop.
-        copy_record_list: List[int] = []
-        copy_home_list: List[int] = []
-        homes_list = homes.tolist()
-        for i, flagged in enumerate(needs_multi.tolist()):
-            if flagged:
-                for home in index_generator.indices_for_stored(records[i].key):
-                    copy_record_list.append(i)
-                    copy_home_list.append(home)
-            else:
-                copy_record_list.append(i)
-                copy_home_list.append(homes_list[i])
-        copy_record = np.asarray(copy_record_list, dtype=np.int64)
-        copy_home = np.asarray(copy_home_list, dtype=np.int64)
-    else:
-        copy_record = np.arange(n, dtype=np.int64)
-        copy_home = homes
+        flagged = np.flatnonzero(needs_multi)
+        stored = zip(
+            words_to_ints(keys[flagged]), words_to_ints(masks[flagged])
+        )
+        expanded = [
+            index_generator.indices_for_stored(TernaryKey(v, m, key_bits))
+            for v, m in stored
+        ]
+        counts = np.ones(n, dtype=np.int64)
+        counts[flagged] = [len(rows) for rows in expanded]
+        copy_record = np.repeat(np.arange(n, dtype=np.int64), counts)
+        copy_home = homes[copy_record]
+        copy_home[needs_multi[copy_record]] = np.concatenate(expanded)
+        keys, masks, data = (c[copy_record] for c in (keys, masks, data))
 
     sim = simulate_linear_probing(copy_home, bucket_count, slots_per_bucket)
     if sim.displacements.size and int(sim.displacements.max()) > reach_limit:
@@ -190,7 +195,7 @@ def plan_bulk_build(
             f"{sim.record_count / (bucket_count * slots_per_bucket):.2f})"
         )
 
-    copies = int(copy_record.size)
+    copies = int(copy_home.size)
     arrival = np.arange(copies, dtype=np.int64)
     if slot_priority is None:
         # FCFS bucket content: copies appear in arrival order.
@@ -200,10 +205,10 @@ def plan_bulk_build(
         # first strictly-lower-priority occupant, so the final content is
         # the stable sort of arrival-ordered occupants by descending
         # priority — exactly this lexsort.
-        zeros = np.zeros_like(key_words)  # binary keys: no stored masks
-        stored = (key_words, zeros if mask_words is None else mask_words)
-        columns = [c[copy_record] for c in (*stored, data_words)]
-        priority = np.asarray(slot_priority(*columns), dtype=np.float64)
+        stored = np.zeros_like(keys) if masks is None else masks
+        priority = np.asarray(
+            slot_priority(keys, stored, data), dtype=np.float64
+        )
         order = np.lexsort((arrival, -priority, sim.placed_bucket))
     sorted_bucket = sim.placed_bucket[order]
     # In a sorted array, searchsorted-left of each element is the first
@@ -217,11 +222,9 @@ def plan_bulk_build(
         int(sim.displacements.max()) if sim.displacements.size else 0
     )
     plan = BulkPlan(
-        records=records,
-        key_words=key_words,
-        mask_words=mask_words,
-        data_words=data_words,
-        copy_record=copy_record,
+        copy_keys=keys,
+        copy_masks=masks,
+        copy_data=data,
         copy_bucket=sim.placed_bucket,
         copy_slot=copy_slot,
         reach=sim.reach,
@@ -245,7 +248,9 @@ def plan_bulk_build(
 
 
 def build_bulk_image(
-    pairs: Iterable[Tuple[KeyLike, int]],
+    key_words: np.ndarray,
+    mask_words: Optional[np.ndarray],
+    data_words: np.ndarray,
     *,
     layout: BucketLayout,
     geometry: BucketGeometry,
@@ -253,37 +258,33 @@ def build_bulk_image(
     reach_limit: int,
     slot_priority: Optional[SlotPriority] = None,
     tracer: Optional["Tracer"] = None,
-) -> BulkImage:
-    """Plan and encode a whole database build in one vectorized pass.
+) -> Tuple[BulkPlan, List[List[int]]]:
+    """Plan and encode a whole database build in one vectorized pass:
+    the plan, and the full row image of each slice array.
 
     Args:
+        key_words / mask_words / data_words: the build's word columns
+            (:func:`bulk_columns`).
         layout: one slice row's bit layout (and the record format).
         geometry: where each logical bucket lives; only rows that
             :meth:`~repro.core.config.BucketGeometry.holds_reach` get the
             reach field, as in the group's bucket writes.
         tracer: optional structured-event tracer (the ``bulk_plan`` event).
     """
-    record_format = layout.record_format
-    bucket_count = geometry.bucket_count
-    slots_per_bucket = geometry.slots_per_bucket
     with profile("bulk.plan"):
         plan = plan_bulk_build(
-            pairs,
-            record_format,
+            key_words,
+            mask_words,
+            data_words,
+            layout.record_format.key_bits,
             index_generator,
-            bucket_count,
-            slots_per_bucket,
+            geometry.bucket_count,
+            geometry.slots_per_bucket,
             reach_limit,
             slot_priority,
             tracer,
         )
     with profile("bulk.encode"):
-        copy_keys = plan.key_words[plan.copy_record]
-        copy_masks = (
-            None if plan.mask_words is None
-            else plan.mask_words[plan.copy_record]
-        )
-        copy_data = plan.data_words[plan.copy_record]
         array_id, phys_row, phys_slot = geometry.place(
             plan.copy_bucket, plan.copy_slot
         )
@@ -299,44 +300,20 @@ def build_bulk_image(
                     else None,
                     phys_row[selected],
                     phys_slot[selected],
-                    copy_keys[selected],
-                    None if copy_masks is None else copy_masks[selected],
-                    copy_data[selected],
+                    plan.copy_keys[selected],
+                    None
+                    if plan.copy_masks is None
+                    else plan.copy_masks[selected],
+                    plan.copy_data[selected],
                 )
             )
-
-        shape = (bucket_count, slots_per_bucket)
-        b, s = plan.copy_bucket, plan.copy_slot
-        valid = np.zeros(shape, dtype=bool)
-        valid[b, s] = True
-        key_words = np.zeros(shape + copy_keys.shape[1:], dtype=np.uint64)
-        key_words[b, s] = copy_keys
-        mask_words = np.zeros_like(key_words)
-        if copy_masks is not None:
-            mask_words[b, s] = copy_masks
-        data_grid = np.zeros(shape + copy_data.shape[1:], dtype=np.uint64)
-        data_grid[b, s] = copy_data
-        record_column = np.empty(len(plan.records), dtype=object)
-        record_column[:] = plan.records
-        records_grid = np.empty(shape, dtype=object)
-        records_grid[b, s] = record_column[plan.copy_record]
-
-    return BulkImage(
-        plan=plan,
-        array_rows=array_rows,
-        mirror_valid=valid,
-        mirror_key_words=key_words,
-        mirror_mask_words=mask_words,
-        mirror_reach=plan.reach.astype(np.int64, copy=True),
-        mirror_data_words=data_grid,
-        mirror_records=records_grid,
-    )
+    return plan, array_rows
 
 
 __all__ = [
     "BulkTotals",
     "BulkPlan",
-    "BulkImage",
+    "bulk_columns",
     "plan_bulk_build",
     "build_bulk_image",
 ]

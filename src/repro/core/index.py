@@ -22,7 +22,7 @@ is rejected, mirroring the real design constraint.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -128,7 +128,6 @@ class IndexGenerator:
         self,
         words: np.ndarray,
         mask_words: Optional[np.ndarray] = None,
-        values: Optional[Sequence[int]] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized home-row generation for a whole key array.
 
@@ -145,8 +144,9 @@ class IndexGenerator:
                 zeroed.
             mask_words: don't-care masks in the same form, or None when the
                 whole batch is binary.
-            values: the keys as Python ints, for a hash without an
-                ``index_words`` kernel; derived from ``words`` when omitted.
+
+        A hash without an ``index_words`` kernel, or whose kernel refuses
+        the key width with ``OverflowError``, gets Python ints instead.
 
         Returns:
             ``(homes, needs_scalar)``: int64 home row per key (meaningless
@@ -165,9 +165,13 @@ class IndexGenerator:
             needs_scalar = mask_words.any(axis=1)
         index_words = getattr(self._hash, "index_words", None)
         if index_words is not None:
-            return np.asarray(index_words(words), dtype=np.int64), needs_scalar
-        if values is None:
-            values = words_to_ints(words)
+            try:
+                homes = index_words(words)
+            except OverflowError:
+                pass
+            else:
+                return np.asarray(homes, dtype=np.int64), needs_scalar
+        values = words_to_ints(words)
         try:
             homes = self._hash.index_many(values)
         except OverflowError:

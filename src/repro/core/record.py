@@ -89,15 +89,13 @@ class Record:
 
     @classmethod
     def make(cls, key: KeyLike, data: int, record_format: RecordFormat) -> "Record":
-        """Build a record validated against ``record_format``."""
+        """Build a record validated against ``record_format`` (a format
+        without a data field takes data 0 only)."""
         normalized = record_format.normalize_key(key)
-        if data < 0 or data > mask_of(max(record_format.data_bits, 1)):
-            if record_format.data_bits == 0 and data == 0:
-                pass
-            else:
-                raise KeyFormatError(
-                    f"data {data} does not fit in {record_format.data_bits} bits"
-                )
+        if not 0 <= data <= mask_of(record_format.data_bits):
+            raise KeyFormatError(
+                f"data {data} does not fit in {record_format.data_bits} bits"
+            )
         return cls(key=normalized, data=data)
 
 

@@ -676,21 +676,34 @@ class SliceGroup:
         """
         return self.search_batch_columnar(keys, search_mask).results()
 
-    def bulk_load(self, records) -> int:
-        """Insert many ``(key, data)`` pairs at once; returns stored copies.
+    def bulk_load(self, records, data=None) -> int:
+        """Insert many records at once; returns stored copies.
 
-        Semantically identical to calling :meth:`insert` per pair in order —
-        same final per-slice memory images bit for bit, same record count,
-        same ``SearchStats`` — but built as one vectorized pipeline
-        (Section 3.2's DMA-style database construction).  The fast path
-        requires an empty group, linear probing and no overflow area;
-        otherwise the pairs are inserted sequentially.  Unlike the
-        sequential loop, the fast path is all-or-nothing: a
-        :class:`~repro.errors.CapacityError` is raised before any row is
-        written, leaving the group untouched.
+        ``records`` holds ``(key, data)`` pairs or, given ``data`` (one
+        payload per key), the keys alone in any form
+        :meth:`search_batch_columnar` takes.  Either is parsed once into
+        word columns (:func:`~repro.core.bulk.bulk_columns`), which raise
+        :class:`~repro.errors.KeyFormatError` on what :meth:`insert`
+        rejects before anything is written.
+
+        Semantically identical to calling :meth:`insert` per record in
+        order — same final per-slice memory images bit for bit, same record
+        count, same ``SearchStats`` — but built as one vectorized pipeline
+        (Section 3.2's DMA-style database construction) that makes no
+        ``Record``.  The fast path requires an empty group, linear probing
+        and no overflow area; otherwise the records are inserted
+        sequentially.  Unlike the sequential loop, the fast path is
+        all-or-nothing: a :class:`~repro.errors.CapacityError` is raised
+        before any row is written, leaving the group untouched.
         """
-        pairs = list(records)
-        if not pairs:
+        from repro.core.bulk import build_bulk_image, bulk_columns
+
+        if data is None:
+            pairs = list(records)
+            records = [key for key, _ in pairs]
+            data = [datum for _, datum in pairs]
+        columns = bulk_columns(records, data, self._config.record_format)
+        if not len(columns[0]):
             return 0
         fast = (
             self._record_count == 0
@@ -698,12 +711,12 @@ class SliceGroup:
             and type(self._probing) is LinearProbing
         )
         if not fast:
-            return sum(self.insert(key, data) for key, data in pairs)
-        from repro.core.bulk import build_bulk_image
-
+            if isinstance(records, np.ndarray) and records.ndim == 2:
+                records = words_to_ints(columns[0])
+            return sum(map(self.insert, records, np.asarray(data).tolist()))
         max_reach = self._layout.max_reach if self._layout.aux_bits else 0
-        image = build_bulk_image(
-            pairs,
+        plan, array_rows = build_bulk_image(
+            *columns,
             layout=self._layout,
             geometry=self._geometry,
             index_generator=self._index,
@@ -711,12 +724,12 @@ class SliceGroup:
             slot_priority=self._slot_priority,
             tracer=self.stats.tracer,
         )
-        totals = self._last_bulk_plan = image.plan.totals
+        totals = self._last_bulk_plan = plan.totals
         with profile("bulk.install"):
             # The group's full-image install, whatever a subclass's
             # ``dma_load`` means.
             SliceGroup.dma_load(
-                self, image.array_rows, record_count=totals.copy_count
+                self, array_rows, record_count=totals.copy_count
             )
             self.stats.record_insert_batch(
                 totals.record_count, totals.copy_count
@@ -724,12 +737,12 @@ class SliceGroup:
             if self._mirror is None:
                 self._mirror = self._make_mirror()
             self._mirror.install(
-                image.mirror_valid,
-                image.mirror_key_words,
-                image.mirror_mask_words,
-                image.mirror_reach,
-                image.mirror_data_words,
-                records=image.mirror_records,
+                plan.copy_bucket,
+                plan.copy_slot,
+                plan.copy_keys,
+                plan.copy_masks,
+                plan.copy_data,
+                plan.reach,
             )
         return totals.copy_count
 

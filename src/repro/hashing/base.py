@@ -80,6 +80,14 @@ class ModuloHash(HashFunction):
         arr = np.asarray(keys, dtype=np.uint64)
         return (arr % np.uint64(self.bucket_count)).astype(np.int64)
 
+    def index_words(self, words: np.ndarray) -> np.ndarray:
+        """:meth:`index_many` over a ``(n, 1)`` uint64 word matrix of
+        one-word keys; wider matrices raise ``OverflowError``, as
+        :meth:`index_many` does for keys past 64 bits."""
+        if words.shape[1] != 1:
+            raise OverflowError("ModuloHash hashes one-word keys as words")
+        return self.index_many(words[:, 0])
+
     def rebucketed(self, bucket_count: int) -> "ModuloHash":
         return ModuloHash(bucket_count)
 

@@ -85,6 +85,16 @@ class MultiplicativeHash(HashFunction):
         product = arr * np.uint64(self._multiplier)  # wraps mod 2**64
         return (product >> np.uint64(self._shift)).astype(np.int64)
 
+    def index_words(self, words: np.ndarray) -> np.ndarray:
+        """:meth:`index_many` over a ``(n, 1)`` uint64 word matrix of
+        one-word keys; wider matrices raise ``OverflowError``, as
+        :meth:`index_many` does for keys past 64 bits."""
+        if words.shape[1] != 1:
+            raise OverflowError(
+                "MultiplicativeHash hashes one-word keys as words"
+            )
+        return self.index_many(words[:, 0])
+
     def rebucketed(self, bucket_count: int) -> "MultiplicativeHash":
         return MultiplicativeHash(bucket_count, self._multiplier)
 

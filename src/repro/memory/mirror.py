@@ -286,7 +286,7 @@ class DecodedMirror:
             record format carries no data), the numeric source the columnar
             result set gathers values from without building a ``Record``.
         version: monotonically increasing content stamp, bumped whenever a
-            sync re-decodes rows or a bulk image is installed — the
+            sync re-decodes rows or a bulk build is installed — the
             coherence token a :class:`~repro.core.results.BatchResultSet`
             checks before materializing its coordinates.
     """
@@ -338,6 +338,7 @@ class DecodedMirror:
             self.care_planes[...] = self.width_words[:, None, None]
         self.reach = np.zeros(self.buckets, dtype=np.int64)
         self._records = np.empty((self.buckets, self.slots), dtype=object)
+        self._fill_memo = False
         self.data_words = np.zeros(
             (self.buckets, self.slots, self._data_word_count), dtype=np.uint64
         )
@@ -465,48 +466,48 @@ class DecodedMirror:
 
     def install(
         self,
-        valid: np.ndarray,
-        key_words: np.ndarray,
-        mask_words: np.ndarray,
+        buckets: np.ndarray,
+        slots: np.ndarray,
+        keys: np.ndarray,
+        masks: Optional[np.ndarray],
+        data: np.ndarray,
         reach: np.ndarray,
-        data_words: np.ndarray,
-        records: Optional[np.ndarray] = None,
     ) -> None:
-        """Adopt a complete decoded image wholesale (encode direction).
+        """Adopt a bulk build's planned copies as the whole content.
 
-        The bulk-build pipeline already holds the decoded view it is about
-        to serialize into the arrays; installing it here skips the O(rows x
-        slots) big-int re-decode the invalidation listeners would otherwise
-        schedule.  All dirty flags are cleared — the caller vouches that the
-        image matches the array content it just loaded.  ``key_words`` and
-        ``mask_words`` are narrowed to the plane dtype as they are placed.
-        ``records``, a ``(buckets, slots)`` object grid of the image's
-        ``Record`` s (None in empty slots), seeds the :meth:`records_at`
-        memo.
+        ``buckets`` / ``slots`` are each copy's ``(copies,)`` logical
+        coordinates and ``keys`` / ``masks`` / ``data`` its ``(copies, W)``
+        uint64 words (``masks`` is read only for ternary formats).  Every
+        slot is emptied, each copy placed (narrowed to the plane dtype),
+        the reach column replaced and all dirty flags cleared: the caller
+        vouches that the copies are what it just loaded into the arrays,
+        which skips the O(rows x slots) big-int re-decode.  The Record memo
+        is left empty, for the next :meth:`records_at` to fill.
         """
-        grid = self.valid.shape
-        word_shape = grid + (self._word_count,)
+        copies = (len(buckets), self._word_count)
         for name, array, shape in (
-            ("valid", valid, grid),
-            ("key-word", key_words, word_shape),
-            ("mask-word", mask_words, word_shape),
+            ("slot", slots, copies[:1]),
+            ("key-word", keys, copies),
+            ("mask-word", keys if masks is None else masks, copies),
+            ("data-word", data, copies[:1] + (self._data_word_count,)),
             ("reach", reach, self.reach.shape),
-            ("data-word", data_words, self.data_words.shape),
-            ("record", valid if records is None else records, grid),
         ):
             if array.shape != shape:
                 raise ConfigurationError(
                     f"{name} shape {array.shape} != {shape}"
                 )
-        self.valid[...] = valid
-        self.key_planes[...] = key_words.transpose(2, 0, 1)
+        self.valid[...] = False
+        self.valid[buckets, slots] = True
+        self.key_planes[...] = 0
+        self.key_planes[:, buckets, slots] = keys.T
         if self.care_planes is not None:
-            self.care_planes[...] = (
-                ~mask_words & self.width_words
-            ).transpose(2, 0, 1)
+            self.care_planes[...] = self.width_words[:, None, None]
+            self.care_planes[:, buckets, slots] = (~masks & self.width_words).T
+        self.data_words[...] = 0
+        self.data_words[buckets, slots] = data
         self.reach[...] = reach
-        self.data_words[...] = data_words
-        self._records[...] = records
+        self._records[...] = None
+        self._fill_memo = True
         for dirty in self._dirty:
             dirty[:] = False
         self._any_dirty = False
@@ -673,14 +674,20 @@ class DecodedMirror:
         slot is empty.
 
         A Record is built from the planes the first time it is asked for
-        and kept until its row is re-decoded, installed or cleared; a bulk
-        build seeds the memo with the Records it was built from.
+        and kept until its row is re-decoded, installed or cleared.  The
+        first call after an :meth:`install` that misses the memo builds
+        the Record of every valid slot in one pass, so the lookups after a
+        build find theirs present; re-decoded rows refill slot by slot.
         """
         gathered = self._records[buckets, slots]
         if np.count_nonzero(gathered) < gathered.size:
-            buckets, slots = np.asarray(buckets), np.asarray(slots)
-            missing = ~gathered.astype(bool) & self.valid[buckets, slots]
-            b, s = buckets[missing], slots[missing]
+            if self._fill_memo:
+                self._fill_memo = False
+                b, s = np.nonzero(self.valid)
+            else:
+                buckets, slots = np.asarray(buckets), np.asarray(slots)
+                missing = ~gathered.astype(bool) & self.valid[buckets, slots]
+                b, s = buckets[missing], slots[missing]
             built = np.empty(b.size, dtype=object)
             built[:] = records_from_words(*self._fields_at(b, s), self._key_bits)
             self._records[b, s] = built

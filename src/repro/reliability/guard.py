@@ -9,7 +9,7 @@ A :class:`RowGuard` hangs off one :class:`~repro.memory.array.MemoryArray`
 * **reads** first let the injector sample transient flips (persisted into
   the array, as real soft errors persist until rewritten), then check the
   value against the stored checkword: clean values pass through, single-bit
-  errors are corrected (and optionally written back), and uncorrectable
+  errors are corrected (and written back), and uncorrectable
   errors raise :class:`~repro.errors.CorruptionError` — the read **never**
   returns silently wrong data;
 * **bulk loads** (the DMA path) encode all checkwords in one vectorized
@@ -78,8 +78,9 @@ class RowGuard:
             array (pure ECC).
         ecc: when False, faults are injected but rows are not checked —
             the chaos mode used to demonstrate silent corruption.
-        correct_writeback: repair corrected rows in place on read, so
-            correctable errors do not accumulate into uncorrectable ones.
+
+    A checked read that corrects a row writes the corrected value back, so
+    correctable errors do not accumulate into uncorrectable ones.
     """
 
     def __init__(
@@ -88,13 +89,11 @@ class RowGuard:
         array_index: int = 0,
         injector: Optional[FaultInjector] = None,
         ecc: bool = True,
-        correct_writeback: bool = True,
     ) -> None:
         self._array = array
         self.array_index = array_index
         self.injector = injector
         self.ecc = ecc
-        self.correct_writeback = correct_writeback
         self._row_bits = array.row_bits
         # Out-of-band check-bit columns: one checkword (a tuple of
         # per-segment SECDED words) per row, encoded over the current
@@ -179,24 +178,7 @@ class RowGuard:
                 array_index=self.array_index,
                 row=row,
             )
-        status, corrected, _ = check_row(
-            value, self.checkwords[row], self._row_bits
-        )
-        if status == ECC_CLEAN:
-            return value
-        if status == ECC_CORRECTED:
-            self._count_correction()
-            self.corrected_counts[row] = self.corrected_counts.get(row, 0) + 1
-            if self.correct_writeback:
-                self._persist(row, corrected)
-            return corrected
-        self._count_detection()
-        raise CorruptionError(
-            f"uncorrectable multi-bit error in row {row} "
-            f"(array {self.array_index})",
-            array_index=self.array_index,
-            row=row,
-        )
+        return self._checked(row, value)
 
     def verified_peek(self, row: int) -> int:
         """Uncounted ECC-verified read (the mirror's decode source).
@@ -218,6 +200,13 @@ class RowGuard:
             return value ^ injector.read_overlay(row)
         if not self.ecc:
             return value
+        return self._checked(row, value)
+
+    def _checked(self, row: int, value: int) -> int:
+        """``value`` as read from ``row``, through the SECDED check: a
+        clean value passes, a correctable one is counted, written back and
+        returned corrected, an uncorrectable one is counted and raises
+        :class:`CorruptionError`."""
         status, corrected, _ = check_row(
             value, self.checkwords[row], self._row_bits
         )
@@ -226,8 +215,7 @@ class RowGuard:
         if status == ECC_CORRECTED:
             self._count_correction()
             self.corrected_counts[row] = self.corrected_counts.get(row, 0) + 1
-            if self.correct_writeback:
-                self._persist(row, corrected)
+            self._persist(row, corrected)
             return corrected
         self._count_detection()
         raise CorruptionError(

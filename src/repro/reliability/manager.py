@@ -22,7 +22,7 @@ detect-or-correct primitive:
   4.3) — a victim hit costs no extra AMAL access;
 * **scrubbing** — a background pass that rewrites correctable rows before
   errors accumulate, quarantines rows whose correctable-error count
-  exceeds the policy threshold, and applies the write-read-back test that
+  exceeds the quarantine threshold, and applies the write-read-back test that
   flushes out dead rows pure batch workloads would never touch;
 * **fault fan-out for batch lookups** — the mirror answers batches from
   its last ECC-verified decode, so per-access soft errors are injected
@@ -63,6 +63,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.subsystem import SliceGroup
 
 
+#: Correctable errors one row may accumulate (with its repair not
+#: holding) before scrub spares it.
+QUARANTINE_THRESHOLD = 3
+
+#: In-place restores (rewrite from the last-good decode) a bucket may
+#: consume before a detected corruption escalates straight to quarantine.
+#: Transient multi-bit errors are healed by a rewrite; only buckets that
+#: keep failing, or fail the post-restore read-back, are spared.
+RESTORE_ATTEMPTS = 8
+
+
 @dataclass(frozen=True)
 class ReliabilityPolicy:
     """Knobs of the graceful-degradation layer.
@@ -70,49 +81,29 @@ class ReliabilityPolicy:
     Attributes:
         ecc: protect rows with SECDED checkwords (off = chaos mode: faults
             are injected but nothing detects them).
-        correct_writeback: repair corrected rows in place on read.
-        quarantine_threshold: correctable errors one row may accumulate
-            before scrub spares it.
-        scrub_interval: row accesses between automatic scrub passes
-            (0 = scrub only when :meth:`ReliabilityManager.scrub` is
-            called).
         victim_capacity: record capacity of the victim store.
         max_retries: lookup retries after detected corruption before the
             error is surfaced.
-        restore_attempts: in-place restores (rewrite from the last-good
-            decode) a bucket may consume before a detected corruption
-            escalates straight to quarantine.  Transient multi-bit
-            errors are healed by a rewrite; only buckets that keep
-            failing — or fail the post-restore read-back — are spared.
-            0 restores the quarantine-on-first-detect behavior.
+
+    The rest is fixed: corrected rows are written back on read, scrub
+    runs only when :meth:`ReliabilityManager.scrub` is called, and the
+    quarantine threshold and restore budget are :data:`QUARANTINE_THRESHOLD`
+    and :data:`RESTORE_ATTEMPTS`.
     """
 
     ecc: bool = True
-    correct_writeback: bool = True
-    quarantine_threshold: int = 3
-    scrub_interval: int = 0
     victim_capacity: int = 256
     max_retries: int = 4
-    restore_attempts: int = 8
 
     def __post_init__(self) -> None:
-        if self.quarantine_threshold < 1:
+        if self.victim_capacity < 0:
             raise ConfigurationError(
-                f"quarantine_threshold must be >= 1: "
-                f"{self.quarantine_threshold}"
-            )
-        if self.scrub_interval < 0 or self.victim_capacity < 0:
-            raise ConfigurationError(
-                "scrub_interval and victim_capacity must be non-negative"
+                f"victim_capacity must be non-negative: "
+                f"{self.victim_capacity}"
             )
         if self.max_retries < 0:
             raise ConfigurationError(
                 f"max_retries must be non-negative: {self.max_retries}"
-            )
-        if self.restore_attempts < 0:
-            raise ConfigurationError(
-                f"restore_attempts must be non-negative: "
-                f"{self.restore_attempts}"
             )
 
 
@@ -143,11 +134,7 @@ class ReliabilityManager:
                 )
             self.injectors.append(injector)
             guard = RowGuard(
-                array,
-                array_index=index,
-                injector=injector,
-                ecc=policy.ecc,
-                correct_writeback=policy.correct_writeback,
+                array, array_index=index, injector=injector, ecc=policy.ecc
             )
             guard.search_stats = group.stats
             self.guards.append(guard)
@@ -158,7 +145,6 @@ class ReliabilityManager:
         #: clean (the quarantine-escalation input).
         self.restore_counts: Dict[int, int] = {}
         self.restores = 0
-        self._since_scrub = 0
 
     def detach(self) -> None:
         """Remove the guards (the arrays return to unprotected reads)."""
@@ -271,7 +257,7 @@ class ReliabilityManager:
             error.array_index or 0, error.row
         )
         attempts = self.restore_counts.get(bucket, 0)
-        if attempts >= self.policy.restore_attempts:
+        if attempts >= RESTORE_ATTEMPTS:
             self.quarantine_bucket(bucket)
             return
         self.restore_counts[bucket] = attempts + 1
@@ -284,7 +270,6 @@ class ReliabilityManager:
 
     def guarded_search(self, key, search_mask: int, search_fn):
         """Run one scalar lookup with retry-on-detect."""
-        self._tick(1)
         retries = 0
         while True:
             try:
@@ -345,7 +330,6 @@ class ReliabilityManager:
         corrected (or quarantined) at the next verified re-decode.
         """
         ids = np.asarray(buckets, dtype=np.int64)
-        self._tick(int(ids.size))
         if self.fault_config is None or not self.fault_config.bit_flip_rate:
             return
         for array_index, (injector, rows) in enumerate(
@@ -365,15 +349,6 @@ class ReliabilityManager:
     # Scrubbing
     # ------------------------------------------------------------------
 
-    def _tick(self, accesses: int) -> None:
-        interval = self.policy.scrub_interval
-        if not interval:
-            return
-        self._since_scrub += accesses
-        if self._since_scrub >= interval:
-            self._since_scrub = 0
-            self.scrub()
-
     def scrub(self) -> Dict[str, int]:
         """One background pass over every row of every array.
 
@@ -386,7 +361,6 @@ class ReliabilityManager:
         """
         corrected = 0
         quarantined = 0
-        threshold = self.policy.quarantine_threshold
         geometry = self.group.geometry
         for array_index, guard in enumerate(self.guards):
             guard.stats.scrub_passes += 1
@@ -405,7 +379,8 @@ class ReliabilityManager:
                 )
                 if status not in (ECC_CLEAN, ECC_CORRECTED) or (
                     persistent
-                    and guard.corrected_counts.get(row, 0) > threshold
+                    and guard.corrected_counts.get(row, 0)
+                    > QUARANTINE_THRESHOLD
                 ):
                     if status not in (ECC_CLEAN, ECC_CORRECTED):
                         self.group.stats.record_corruption_detected()
@@ -437,7 +412,6 @@ class ReliabilityManager:
         self.victims = []
         self.quarantined_buckets.clear()
         self.restore_counts.clear()
-        self._since_scrub = 0
 
     def as_dict(self) -> Dict[str, object]:
         """Structured export (the telemetry provider contract)."""
@@ -463,4 +437,9 @@ class ReliabilityManager:
         }
 
 
-__all__ = ["ReliabilityManager", "ReliabilityPolicy"]
+__all__ = [
+    "ReliabilityManager",
+    "ReliabilityPolicy",
+    "QUARANTINE_THRESHOLD",
+    "RESTORE_ATTEMPTS",
+]

@@ -20,13 +20,14 @@ from hypothesis import strategies as st
 from repro.core.config import Arrangement, SliceConfig
 from repro.core.index import IndexGenerator
 from repro.core.key import TernaryKey
-from repro.core.record import RecordFormat
+from repro.core.record import Record, RecordFormat
 from repro.core.slice import CARAMSlice
+from repro.core.stats import SearchStats
 from repro.core.subsystem import SliceGroup
-from repro.errors import CapacityError, ConfigurationError
+from repro.errors import CapacityError, ConfigurationError, KeyFormatError
 from repro.hashing.base import ModuloHash
 from repro.hashing.bit_select import BitSelectHash
-from repro.memory.mirror import DecodedMirror
+from repro.memory.mirror import DecodedMirror, keys_to_words
 
 KEY_BITS = 16
 
@@ -79,6 +80,15 @@ def make_pairs(rng, count, ternary, multi_home, hash_mask):
     return pairs
 
 
+def columnar_args(pairs):
+    """The same records in ``bulk_load(keys, data)`` form: a word matrix
+    when every key is an int, else the key sequence."""
+    keys = [key for key, _ in pairs]
+    if not any(isinstance(key, TernaryKey) for key in keys):
+        keys = keys_to_words(keys, KEY_BITS)
+    return keys, [data for _, data in pairs]
+
+
 def sequential_reference(store_factory, pairs):
     """Build the scalar reference; returns (store, error-or-None)."""
     store = store_factory()
@@ -109,6 +119,7 @@ def assert_mirror_matches_rows(store):
     assert np.array_equal(installed.key_words, fresh.key_words)
     assert np.array_equal(installed.mask_words, fresh.mask_words)
     assert np.array_equal(installed.reach, fresh.reach)
+    assert np.array_equal(installed.data_words, fresh.data_words)
     buckets, slots = np.nonzero(fresh.valid)
     assert installed.records_at(buckets, slots) == fresh.records_at(
         buckets, slots
@@ -149,19 +160,26 @@ def test_slice_bulk_load_equals_sequential_insert(case):
         ),
     )
     reference, error = sequential_reference(factory, pairs)
-    bulk = factory()
+    bulk, columnar = factory(), factory()
     if error is not None:
         before = array_snapshots(bulk)
         with pytest.raises(CapacityError):
             bulk.bulk_load(pairs)
+        with pytest.raises(CapacityError):
+            columnar.bulk_load(*columnar_args(pairs))
         # All-or-nothing: the failed bulk load wrote nothing.
         assert array_snapshots(bulk) == before
-        assert bulk.record_count == 0
+        assert array_snapshots(columnar) == before
+        assert bulk.record_count == columnar.record_count == 0
         return
     copies = bulk.bulk_load(pairs)
     assert copies == reference.record_count
     assert_same_state(bulk, reference)
     assert_mirror_matches_rows(bulk)
+    assert columnar.bulk_load(*columnar_args(pairs)) == copies
+    assert_same_state(columnar, reference)
+    assert_mirror_matches_rows(columnar)
+    assert columnar.last_bulk_plan == bulk.last_bulk_plan
     # The installed mirror serves lookups identically to the scalar store.
     queries = [rng.randrange(1 << KEY_BITS) for _ in range(40)]
     assert bulk.search_batch(queries) == [reference.search(q) for q in queries]
@@ -204,16 +222,22 @@ def test_group_bulk_load_equals_sequential_insert(case):
         hash_mask=0,
     )
     reference, error = sequential_reference(factory, pairs)
-    bulk = factory()
+    bulk, columnar = factory(), factory()
     if error is not None:
         with pytest.raises(CapacityError):
             bulk.bulk_load(pairs)
-        assert bulk.record_count == 0
+        with pytest.raises(CapacityError):
+            columnar.bulk_load(*columnar_args(pairs))
+        assert bulk.record_count == columnar.record_count == 0
         return
     copies = bulk.bulk_load(pairs)
     assert copies == reference.record_count
     assert_same_state(bulk, reference)
     assert_mirror_matches_rows(bulk)
+    assert columnar.bulk_load(*columnar_args(pairs)) == copies
+    assert_same_state(columnar, reference)
+    assert_mirror_matches_rows(columnar)
+    assert columnar.last_bulk_plan == bulk.last_bulk_plan
     queries = [rng.randrange(1 << KEY_BITS) for _ in range(40)]
     assert bulk.search_batch(queries) == [reference.search(q) for q in queries]
 
@@ -306,3 +330,135 @@ class TestBulkLoadTargeted:
             group.dma_load([[0] * config.rows])  # one image for two slices
         with pytest.raises(ConfigurationError):
             group.dma_load([[0] * 3, [0] * config.rows])  # short image
+
+
+def make_format_slice(data_bits):
+    """A binary 16-bit slice over 8 modulo-hashed buckets of 2 slots."""
+    fmt = RecordFormat(key_bits=KEY_BITS, data_bits=data_bits)
+    config = SliceConfig(
+        index_bits=3,
+        row_bits=8 + 2 * fmt.slot_bits,
+        record_format=fmt,
+        aux_bits=8,
+    )
+    return CARAMSlice(config, IndexGenerator(ModuloHash(8), 8))
+
+
+class TestBulkLoadRejections:
+    """The build's column parse rejects what ``insert`` rejects, before
+    any row, mirror plane or counter moves."""
+
+    @pytest.mark.parametrize(
+        "key, datum, data_bits",
+        [
+            pytest.param(1 << KEY_BITS, 0, 8, id="key-too-wide"),
+            pytest.param(-1, 0, 8, id="negative-key"),
+            pytest.param(
+                TernaryKey.exact(3, 8), 0, 8, id="ternary-key-of-another-width"
+            ),
+            pytest.param(
+                TernaryKey(4, 0b11, KEY_BITS), 0, 8,
+                id="dont-care-bits-in-a-binary-format",
+            ),
+            pytest.param(5, 256, 8, id="data-too-wide"),
+            pytest.param(5, -1, 8, id="negative-data"),
+            pytest.param(5, -1, 64, id="negative-data-in-a-64-bit-field"),
+            pytest.param(5, 1, 0, id="data-without-a-data-field"),
+        ],
+    )
+    def test_rejects_what_insert_rejects(self, key, datum, data_bits):
+        scalar = make_format_slice(data_bits)
+        with pytest.raises(KeyFormatError):
+            scalar.insert(key, datum)
+        assert scalar.record_count == 0
+
+        keys, data = [3, key], [0, datum]
+        forms = [
+            ([(3, 0), (key, datum)],),
+            (keys, data),
+            (keys, np.array(data, dtype=np.int64)),
+        ]
+        if isinstance(key, int) and key >= 0:
+            forms.append((np.array([[3], [key]], dtype=np.uint64), data))
+        for args in forms:
+            store = make_format_slice(data_bits)
+            mirror = store._synced_mirror()
+            planes = (mirror.valid.copy(), mirror.key_planes.copy(),
+                      mirror.data_words.copy(), mirror.version)
+            with pytest.raises(KeyFormatError):
+                store.bulk_load(*args)
+            assert store.record_count == 0
+            assert store.stats == SearchStats()
+            assert all(v == 0 for v in store.memory.snapshot())
+            assert np.array_equal(mirror.valid, planes[0])
+            assert np.array_equal(mirror.key_planes, planes[1])
+            assert np.array_equal(mirror.data_words, planes[2])
+            assert mirror.version == planes[3]
+
+    def test_data_count_must_match_the_keys(self):
+        store = make_format_slice(8)
+        with pytest.raises(KeyFormatError):
+            store.bulk_load([1, 2, 3], [0, 0])
+        assert store.record_count == 0
+
+
+class TestBulkLoadRecords:
+    def _ternary_group(self):
+        config = make_config(4, 3, ternary=True)
+        hash_function = BitSelectHash(KEY_BITS, tuple(range(12, 16)))
+        return lambda: SliceGroup(
+            config=config,
+            slice_count=2,
+            arrangement=Arrangement.HORIZONTAL,
+            hash_function=hash_function,
+            slot_priority=value_priority,
+            name="records",
+        ), hash_function.position_mask
+
+    def test_bulk_load_builds_no_record(self, monkeypatch):
+        """Int, ``TernaryKey`` (multi-home included) and word-matrix input
+        all reach the rows and the mirror as words."""
+        factory, hash_mask = self._ternary_group()
+        rng = random.Random(77)
+        pairs = make_pairs(rng, 40, True, True, hash_mask)
+        ints = [(rng.randrange(1 << KEY_BITS), rng.randrange(256))
+                for _ in range(40)]
+        inputs = [(pairs,), columnar_args(pairs), (ints,), columnar_args(ints)]
+        assert isinstance(inputs[3][0], np.ndarray)
+        stores = [factory() for _ in inputs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("bulk_load built a Record")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Record, "__init__", refuse)
+            for store, args in zip(stores, inputs):
+                store.bulk_load(*args)
+        assert stores[0].record_count > len(pairs)  # multi-home copies
+        for store, records in zip(stores, (pairs, pairs, ints, ints)):
+            assert_same_state(store, sequential_reference(factory, records)[0])
+            assert_mirror_matches_rows(store)
+
+    def test_first_results_after_a_build_fill_the_memo_once(self, monkeypatch):
+        factory, hash_mask = self._ternary_group()
+        pairs = make_pairs(random.Random(5), 40, True, True, hash_mask)
+        store = factory()
+        store.bulk_load(pairs)
+        queries = [
+            (key.value if isinstance(key, TernaryKey) else key)
+            for key, _ in pairs
+        ]
+        built = []
+        original = Record.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Record, "__init__", counting)
+        first = store.search_batch_columnar(queries).results()
+        assert all(result.hit for result in first)
+        assert len(built) == store.record_count  # every valid slot, once
+        built.clear()
+        assert store.search_batch_columnar(queries).results() == first
+        assert not built

@@ -1,12 +1,17 @@
 """Unit tests for the index generator."""
 
+import numpy as np
 import pytest
 
+import repro.core.index
 from repro.core.index import IndexGenerator, make_index_generator
 from repro.core.key import TernaryKey
 from repro.errors import ConfigurationError, KeyFormatError
 from repro.hashing.base import ModuloHash
 from repro.hashing.bit_select import BitSelectHash
+from repro.hashing.universal import MultiplicativeHash
+from repro.memory.mirror import keys_to_words
+from repro.utils.rng import make_rng
 
 
 class TestConstruction:
@@ -86,3 +91,44 @@ class TestSearchEnumeration:
         gen = make_index_generator(ModuloHash(8))
         with pytest.raises(KeyFormatError):
             gen.indices_for_search(3, search_mask=1)
+
+
+class TestBatchHoming:
+    @pytest.mark.parametrize(
+        "hash_function",
+        [ModuloHash(48), MultiplicativeHash(1024)],
+        ids=["modulo", "multiplicative"],
+    )
+    @pytest.mark.parametrize("key_bits", [8, 32, 64])
+    def test_one_word_keys_hash_as_words(
+        self, hash_function, key_bits, monkeypatch
+    ):
+        """One-word keys reach the integer hashes as a uint64 column, with
+        no Python int per key, and home where the scalar hash does."""
+        rng = make_rng(key_bits)
+        keys = [int(k) for k in rng.integers(0, 1 << key_bits, size=300,
+                                              dtype=np.uint64)]
+        keys += [0, (1 << key_bits) - 1]
+        words = keys_to_words(keys, key_bits)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("indices_batch made Python ints")
+
+        monkeypatch.setattr(repro.core.index, "words_to_ints", refuse)
+        homes, needs_scalar = make_index_generator(
+            hash_function
+        ).indices_batch(words)
+        assert homes.tolist() == [hash_function(key) for key in keys]
+        assert not needs_scalar.any()
+
+    @pytest.mark.parametrize(
+        "hash_function",
+        [ModuloHash(48), MultiplicativeHash(1024)],
+        ids=["modulo", "multiplicative"],
+    )
+    def test_wider_keys_take_the_int_path(self, hash_function):
+        keys = [5, (1 << 64) + 7, (1 << 100) - 1]
+        homes, _ = make_index_generator(hash_function).indices_batch(
+            keys_to_words(keys, 128)
+        )
+        assert homes.tolist() == [hash_function(key) for key in keys]

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.core.index
 from repro.core.config import SliceConfig
 from repro.core.index import make_index_generator
 from repro.core.probing import DoubleHashing, LinearProbing, QuadraticProbing
@@ -129,3 +130,34 @@ class TestProbeBatch:
         monkeypatch.setattr(DoubleHashing, "probe", refuse)
         assert slice_.search_batch(queries) == expected
         assert slice_.stats.scalar_fallbacks == 0
+
+    def test_double_hashing_batch_walk_hashes_word_columns(self, monkeypatch):
+        """Every attempt level's step hash (and the home hash) takes the
+        walk's uint64 key column: no Python int per key per attempt."""
+        fmt = RecordFormat(key_bits=32, data_bits=8)
+        config = SliceConfig(
+            index_bits=5, row_bits=8 + 4 * fmt.slot_bits,
+            record_format=fmt, aux_bits=8,
+        )
+        slice_ = CARAMSlice(
+            config,
+            make_index_generator(ModuloHash(config.rows)),
+            probing=DoubleHashing(MultiplicativeHash(config.rows)),
+        )
+        rng = make_rng(13)
+        keys = [
+            int(k)
+            for k in rng.choice(
+                1 << 32, size=int(0.9 * config.capacity_records), replace=False
+            )
+        ]
+        slice_.bulk_load([(key, key & 0xFF) for key in keys])
+        queries = keys + [key ^ 1 for key in keys[:32]]
+        expected = [slice_.search(key) for key in queries]
+        assert max(r.bucket_accesses for r in expected) > 1
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the batch walk made Python ints")
+
+        monkeypatch.setattr(repro.core.index, "words_to_ints", refuse)
+        assert slice_.search_batch(queries) == expected

@@ -456,9 +456,13 @@ class TestKernelOracle:
         installed = DecodedMirror(
             [MemoryArray(ORACLE_ROWS, layout.row_bits)], layout
         )
+        buckets, slots = np.nonzero(mirror.valid)
         installed.install(
-            mirror.valid, mirror.key_words, mirror.mask_words, mirror.reach,
-            mirror.data_words,
+            buckets, slots,
+            mirror.key_words[buckets, slots].astype(np.uint64),
+            mirror.mask_words[buckets, slots],
+            mirror.data_words[buckets, slots],
+            mirror.reach,
         )
         assert installed.match_rows(ids, words, mask_words).tolist() == expected
 

@@ -19,6 +19,7 @@ from repro.core.subsystem import SliceGroup
 from repro.errors import CaRamError, ConfigurationError, ReliabilityError
 from repro.hashing.base import ModuloHash
 from repro.hashing.bit_select import BitSelectHash
+from repro.reliability import manager as manager_module
 from repro.reliability.faults import FaultConfig
 from repro.reliability.manager import ReliabilityPolicy
 from repro.utils.rng import make_rng
@@ -126,10 +127,13 @@ class TestRestore:
         assert not manager.quarantined_buckets
         assert slice_.stats.lookup_retries >= 1
 
-    def test_restore_budget_escalates_to_quarantine(self, loaded_slice):
+    def test_restore_budget_escalates_to_quarantine(
+        self, loaded_slice, monkeypatch
+    ):
         slice_, keys = loaded_slice
         slice_.search_batch(keys[:4])
-        slice_.enable_reliability(ReliabilityPolicy(restore_attempts=0))
+        monkeypatch.setattr(manager_module, "RESTORE_ATTEMPTS", 0)
+        slice_.enable_reliability()
         target = _home(slice_, keys[0])
         expected = slice_.search(keys[0]).data
         slice_.memory._data[target] ^= 0b11
@@ -276,11 +280,12 @@ class TestQuarantine:
         ]
         assert batch == scalar
 
-    def test_victim_store_capacity_enforced(self, loaded_slice):
+    def test_victim_store_capacity_enforced(self, loaded_slice, monkeypatch):
         slice_, keys = loaded_slice
         target = _home(slice_, keys[0])
+        monkeypatch.setattr(manager_module, "RESTORE_ATTEMPTS", 0)
         slice_.enable_reliability(
-            ReliabilityPolicy(victim_capacity=0, restore_attempts=0),
+            ReliabilityPolicy(victim_capacity=0),
             FaultConfig(dead_rows=(target,)),
         )
         with pytest.raises(ReliabilityError):
@@ -334,10 +339,6 @@ class TestGroupDegradation:
 class TestPolicyValidation:
     def test_bad_policy_rejected(self):
         with pytest.raises(ConfigurationError):
-            ReliabilityPolicy(quarantine_threshold=0)
-        with pytest.raises(ConfigurationError):
             ReliabilityPolicy(max_retries=-1)
-        with pytest.raises(ConfigurationError):
-            ReliabilityPolicy(restore_attempts=-1)
         with pytest.raises(ConfigurationError):
             ReliabilityPolicy(victim_capacity=-1)
