@@ -11,7 +11,7 @@ Usage::
     python -m repro telemetry diff baseline.json current.json
     python -m repro telemetry serve --port 8787 --max-requests 3
     python -m repro telemetry health --slo 0.05 --json health.json
-    python -m repro telemetry health --shards 4      # cluster rollup
+    python -m repro telemetry health --shards 4      # cluster aggregate
     python -m repro serve-bench --shards 4 --users 400 --json serve.json
     python -m repro reliability soak --rates 1e-5 1e-4 --json soak.json
 
@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--shards", type=int, default=1,
             help="serve a sharded cluster instead of a single slice "
             "(consistent-hash router; telemetry mounts under serving.*, "
-            "health rules read the serving.cluster rollup)",
+            "health rules read the serving.cluster aggregate)",
         )
 
     tel_serve = telemetry_commands.add_parser(
@@ -421,7 +421,7 @@ def _prepare_serving_slice(args: argparse.Namespace):
     ``--shards 1`` (default) keeps the original single synthetic slice;
     ``--shards N`` builds an N-shard consistent-hash cluster and drives
     the same workload through the scatter/gather batch path, mounting
-    per-shard telemetry plus the ``serving.cluster`` rollup.
+    per-shard telemetry plus the ``serving.cluster`` aggregate.
 
     Returns ``(target, registry, model_amal, health_prefix)`` — the model
     AMAL is the occupancy model's expectation for the stored key set

@@ -63,6 +63,7 @@ from repro.memory.mirror import (
     plane_dtype,
     words_for_bits,
     words_to_ints,
+    wrapped_negative,
 )
 from repro.telemetry.profiling import profile
 from repro.utils.bits import mask_of
@@ -210,6 +211,13 @@ def _int_column(keys: BatchKeys, key_bits: int) -> Optional[np.ndarray]:
             return None
         if column.ndim != 1:
             return None
+        # Below 64 bits a wrapped negative fails the width check below.
+        if (
+            key_bits >= KEY_WORD_BITS
+            and column.size
+            and wrapped_negative(keys, int(column.max()))
+        ):
+            raise KeyFormatError(f"search key {int(min(keys))} is negative")
     if key_bits < KEY_WORD_BITS and column.size:
         top = int(column.max())
         if top >> key_bits:

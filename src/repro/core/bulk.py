@@ -37,7 +37,7 @@ insertion for other policies.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,6 +77,20 @@ class BulkTotals:
     def as_dict(self) -> Dict[str, object]:
         """Planner totals as a telemetry provider payload."""
         return {**asdict(self), "spill_rate": self.spill_rate}
+
+    @classmethod
+    def merged(cls, plans: Sequence["BulkTotals"]) -> "BulkTotals":
+        """Several builds read as one database: counts add and ``max_*``
+        take the max, so :attr:`spill_rate` comes from the summed counts."""
+        return cls(
+            record_count=sum(plan.record_count for plan in plans),
+            copy_count=sum(plan.copy_count for plan in plans),
+            spilled_copies=sum(plan.spilled_copies for plan in plans),
+            max_displacement=max(
+                (plan.max_displacement for plan in plans), default=0
+            ),
+            max_reach=max((plan.max_reach for plan in plans), default=0),
+        )
 
 
 @dataclass

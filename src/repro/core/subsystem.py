@@ -907,10 +907,11 @@ class SliceGroup:
 
         Each home's probe walk clears the first slot holding the key — one
         row write — and leaves a hole; reach fields are not shrunk.  An
-        attached overflow area drops its copies too.
+        attached overflow area and the reliability layer's victim store
+        drop their copies too.
 
         Returns the number of copies removed.  Raises
-        :class:`~repro.errors.LookupError_` when neither held the key.
+        :class:`~repro.errors.LookupError_` when none of them held the key.
         """
         target = self._config.record_format.normalize_key(
             key if isinstance(key, TernaryKey) else int(key)
@@ -925,6 +926,8 @@ class SliceGroup:
                 removed += self._overflow.delete(target)
             except LookupError_:
                 pass
+        if self._reliability is not None:
+            removed += self._reliability.discard_victims(target)
         if not removed:
             raise LookupError_(f"key {target} not present")
         self.stats.record_delete()
@@ -981,20 +984,29 @@ class SliceGroup:
             All matching ``(bucket, slot, record)`` triples, bucket-major.
             Costs one read per row of every array.
         """
-        if search_mask is None:
-            search_mask = (1 << self._config.record_format.key_bits) - 1
-        mirror = self._synced_mirror()
-        match = mirror.match_predicate(search_key, search_mask)
+        mirror, match = self._sweep(search_key, search_mask)
         buckets, slots = match.nonzero()
-        self._charge_sweep()
         found = mirror.records_at(buckets, slots)
         return list(zip(buckets.tolist(), slots.tolist(), found))
 
     def scan_count(
         self, search_key: int = 0, search_mask: Optional[int] = None
     ) -> int:
-        """Count records matching a ternary predicate (one row pass)."""
-        return len(self.scan(search_key, search_mask))
+        """Count records matching a ternary predicate (one row pass); no
+        ``Record`` is built."""
+        return int(np.count_nonzero(self._sweep(search_key, search_mask)[1]))
+
+    def _sweep(
+        self, search_key: int, search_mask: Optional[int]
+    ) -> Tuple[DecodedMirror, np.ndarray]:
+        """The synced mirror and its ``(buckets, slots)`` predicate match,
+        charged as one read per row (``None`` mask: match everything)."""
+        if search_mask is None:
+            search_mask = (1 << self._config.record_format.key_bits) - 1
+        mirror = self._synced_mirror()
+        match = mirror.match_predicate(search_key, search_mask)
+        self._charge_sweep()
+        return mirror, match
 
     def update_where(
         self,
@@ -1013,9 +1025,7 @@ class SliceGroup:
             array for the sweep, plus one write per row holding a match;
             the matched slots are rewritten in place.
         """
-        mirror = self._synced_mirror()
-        match = mirror.match_predicate(search_key, search_mask)
-        self._charge_sweep()
+        mirror, match = self._sweep(search_key, search_mask)
         rows, columns = match.nonzero()
         found = mirror.records_at(rows, columns)
         stored = dict(zip(zip(rows.tolist(), columns.tolist()), found))

@@ -90,6 +90,18 @@ def int_to_words(value: int, word_count: int) -> List[int]:
     ]
 
 
+def wrapped_negative(values: Sequence[int], top: int) -> bool:
+    """Whether ``values``, whose uint64 conversion peaks at ``top``, held a
+    negative NumPy scalar.
+
+    NumPy converts a signed NumPy scalar to uint64 by wrapping it
+    (``np.int64(-1)`` reads ``0xffff_ffff_ffff_ffff``), where a negative
+    Python int raises.  A wrapped value has its top bit set, so only a
+    conversion whose maximum has it pays the look at ``values``.
+    """
+    return bool(top >> (KEY_WORD_BITS - 1)) and bool(np.min(values) < 0)
+
+
 def keys_to_words(values: Sequence[int], key_bits: int) -> np.ndarray:
     """Pack integer keys into a ``(len(values), words)`` uint64 matrix.
 
@@ -108,11 +120,14 @@ def keys_to_words(values: Sequence[int], key_bits: int) -> np.ndarray:
             raise KeyFormatError(
                 f"search key does not fit in {key_bits} bits: {exc}"
             ) from None
-        if n and int(arr.max()) > full:
+        if n:
             bad = int(arr.max())
-            raise KeyFormatError(
-                f"search key {bad:#x} does not fit in {key_bits} bits"
-            )
+            if wrapped_negative(values, bad):
+                bad = int(min(values))
+            if not 0 <= bad <= full:
+                raise KeyFormatError(
+                    f"search key {bad:#x} does not fit in {key_bits} bits"
+                )
         return arr.reshape(n, 1)
     nbytes = word_count * (KEY_WORD_BITS // 8)
     try:

@@ -59,6 +59,7 @@ from repro.reliability.faults import FaultConfig, FaultInjector
 from repro.reliability.guard import RowGuard
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.key import TernaryKey
     from repro.core.record import Record
     from repro.core.subsystem import SliceGroup
 
@@ -303,6 +304,14 @@ class ReliabilityManager:
     # ------------------------------------------------------------------
     # Victim store (searched by the group's Section 4.3 overlay)
     # ------------------------------------------------------------------
+
+    def discard_victims(self, key: "TernaryKey") -> int:
+        """Remove the victims stored under exactly ``key`` (value and
+        mask), as a delete does; returns how many went."""
+        kept = [record for record in self.victims if record.key != key]
+        removed = len(self.victims) - len(kept)
+        self.victims = kept
+        return removed
 
     def best_victim(self, value: int, mask: int) -> Optional["Record"]:
         """The victim matching ``value`` under don't-care ``mask``: the

@@ -14,7 +14,7 @@ Layers (each its own module, composable separately):
   R=1 by default) behind one router.  Each :class:`CaramShard` owns its
   breaker and the failover loop every lookup runs through; the cluster
   adds loading, the direct synchronous batch reference path, chaos
-  injection, membership, rollup telemetry, lifecycle.
+  injection, membership, cluster-aggregate telemetry, lifecycle.
 * :mod:`repro.serving.service` — :class:`ShardedService`, the asyncio
   front end: request coalescing into columnar batches, admission control
   (:class:`~repro.errors.KeyFormatError` for keys the shards cannot hold,

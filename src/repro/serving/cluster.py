@@ -25,10 +25,11 @@ replicas and the failover loop every lookup runs through, at every R.
   (:meth:`set_tracer`), and a membership snapshot;
 * **telemetry** — every replica mounts under
   ``{prefix}.shard{s}.replica{r}.*`` and the cluster aggregate mounts
-  under ``{prefix}.cluster.*``, computed through
-  :func:`repro.telemetry.rollup.merge_blocks` so counters sum exactly,
+  under ``{prefix}.cluster.*``, computed by the components' own merges
+  (:meth:`total_stats`, summed occupancy, :meth:`BulkTotals.merged
+  <repro.core.bulk.BulkTotals.merged>`) so counters sum exactly,
   latency sketches merge bucket-exactly, and derived ratios (AMAL, hit
-  rate, spill rate) are recomputed from the merged bases — the existing
+  rate, spill rate) come from the merged counts — the existing
   ``repro telemetry serve``/``health`` CLI reads the whole cluster off
   these mounts;
 * **lifecycle** — :meth:`close` drops every replica's batch engine; the
@@ -58,6 +59,7 @@ from repro.errors import (
     ShardUnavailableError,
 )
 from repro.core.bucket import SlotPriority
+from repro.core.bulk import BulkTotals
 from repro.core.config import Arrangement, SliceConfig
 from repro.core.index import KeyInput
 from repro.core.record import RecordFormat
@@ -714,22 +716,21 @@ class CaramCluster:
     def register_telemetry(
         self, registry: "MetricsRegistry", prefix: str = "serving"
     ) -> None:
-        """Mount every replica plus the rollup aggregate.
+        """Mount every replica plus the cluster aggregate.
 
         Replica *r* of shard *s* mounts its full group telemetry under
         ``{prefix}.shard{s}.replica{r}.*``; the cluster-wide view mounts
         under ``{prefix}.cluster.search`` / ``.occupancy`` / ``.bulk``,
-        merged at snapshot time with the rollup leaf rules (exact counter
-        sums, sketch merges, recomputed ratios) so health rules and
-        dashboards can address the whole cluster as one database.
-        Activity (search stats, physical row fetches) adds over every
-        replica; stored state (record and capacity counts, the bulk plan)
-        is counted once per shard, from its primary.  Breaker state and
-        failover counters mount at ``{prefix}.replica.membership``, the
-        layout at ``{prefix}.cluster.topology``.
+        computed at snapshot time by the components' own merges
+        (:meth:`total_stats`, summed occupancy, ``BulkTotals.merged``), in
+        fixed shard and replica order, so health rules and dashboards can
+        address the whole cluster as one database.  Activity (search
+        stats, physical row fetches) adds over every replica; stored state
+        (record and capacity counts, the bulk plan) is counted once per
+        shard, from its primary.  Breaker state and failover counters
+        mount at ``{prefix}.replica.membership``, the layout at
+        ``{prefix}.cluster.topology``.
         """
-        from repro.telemetry.rollup import merge_blocks
-
         for shard in self.shards:
             for replica in shard.replicas:
                 replica.group.register_telemetry(
@@ -740,45 +741,34 @@ class CaramCluster:
                     ),
                 )
 
-        def replicas() -> List[SliceGroup]:
-            return [r.group for shard in self.shards for r in shard.replicas]
-
-        def primaries() -> List[SliceGroup]:
-            return [shard.group for shard in self.shards]
-
-        def _merged(block_of, groups) -> Callable[[], dict]:
-            return lambda: merge_blocks([block_of(g) for g in groups()])
-
-        registry.register_provider(
-            f"{prefix}.cluster.search",
-            _merged(lambda group: group.stats.as_dict(), replicas),
-        )
-        stored = _merged(
-            lambda group: {
-                "record_count": group.record_count,
-                "capacity_records": group.capacity_records,
-                "load_factor": group.load_factor,
-            },
-            primaries,
-        )
-        fetches = _merged(
-            lambda group: {"physical_row_fetches": group.physical_row_fetches},
-            replicas,
-        )
-        registry.register_provider(
-            f"{prefix}.cluster.occupancy", lambda: {**stored(), **fetches()}
-        )
-        registry.register_provider(
-            f"{prefix}.cluster.bulk",
-            _merged(
-                lambda group: (
-                    group.last_bulk_plan.as_dict()
-                    if group.last_bulk_plan is not None
-                    else {}
+        def occupancy() -> Dict[str, object]:
+            primaries = [shard.group for shard in self.shards]
+            records = sum(group.record_count for group in primaries)
+            capacity = sum(group.capacity_records for group in primaries)
+            return {
+                "record_count": records,
+                "capacity_records": capacity,
+                "load_factor": records / capacity if capacity else 0.0,
+                "physical_row_fetches": sum(
+                    replica.group.physical_row_fetches
+                    for shard in self.shards
+                    for replica in shard.replicas
                 ),
-                primaries,
-            ),
+            }
+
+        def bulk() -> Dict[str, object]:
+            plans = [
+                shard.group.last_bulk_plan
+                for shard in self.shards
+                if shard.group.last_bulk_plan is not None
+            ]
+            return BulkTotals.merged(plans).as_dict() if plans else {}
+
+        registry.register_provider(
+            f"{prefix}.cluster.search", lambda: self.total_stats().as_dict()
         )
+        registry.register_provider(f"{prefix}.cluster.occupancy", occupancy)
+        registry.register_provider(f"{prefix}.cluster.bulk", bulk)
         registry.register_provider(
             f"{prefix}.replica.membership", self.membership
         )

@@ -450,7 +450,8 @@ class ShardedService:
     def register_telemetry(
         self, registry, prefix: str = "serving"
     ) -> None:
-        """Mount the cluster (shards + rollup aggregate) and the
+        """Mount the cluster (every replica, plus the aggregate its
+        components merge: :meth:`CaramCluster.register_telemetry`) and the
         coalescer counters under ``{prefix}.*``."""
         self.cluster.register_telemetry(registry, prefix=prefix)
         registry.register_provider(

@@ -2,9 +2,10 @@
 
 The cross-cutting observability layer of the CA-RAM stack:
 
-* :mod:`repro.telemetry.metrics` — :class:`MetricsRegistry` with counters,
-  gauges, exact histograms, and mounted stat providers (``SearchStats``,
-  ``ArrayStats``, bulk-plan totals), exported via ``snapshot()``;
+* :mod:`repro.telemetry.metrics` — :class:`MetricsRegistry`, which mounts
+  component-owned stat providers (``SearchStats``, ``ArrayStats``,
+  bulk-plan totals, a cluster's merged totals) and exports them via
+  ``snapshot()``;
 * :mod:`repro.telemetry.trace` — a ring-buffered typed-event
   :class:`Tracer` with pluggable sinks (in-memory, JSONL, null); off by
   default, one ``is None`` check on the hot paths when disabled, and
@@ -15,9 +16,6 @@ The cross-cutting observability layer of the CA-RAM stack:
   timing regressions beyond a threshold;
 * :mod:`repro.telemetry.histogram` — mergeable log-bucketed
   :class:`LatencyHistogram` quantile sketches (bounded relative error);
-* :mod:`repro.telemetry.rollup` — hierarchical label-tagged aggregation of
-  registry snapshots (slice → group → subsystem, serving shards as
-  children) with commutative merge;
 * :mod:`repro.telemetry.export` — Prometheus text exposition, a periodic
   JSONL sampler, and an opt-in stdlib HTTP scrape endpoint;
 * :mod:`repro.telemetry.health` — rule-driven health monitor (occupancy
@@ -55,27 +53,14 @@ from repro.telemetry.histogram import (
     DEFAULT_RELATIVE_ERROR,
     LatencyHistogram,
     is_sketch_dict,
-    merge_sketch_dicts,
 )
-from repro.telemetry.metrics import (
-    CounterMetric,
-    GaugeMetric,
-    HistogramMetric,
-    MetricsRegistry,
-)
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.profiling import (
     PhaseProfiler,
     enabled_profiler,
     get_profiler,
     profile,
     set_profiler,
-)
-from repro.telemetry.rollup import (
-    RollupNode,
-    build_rollup,
-    flatten_rollup,
-    merge_blocks,
-    rollup_from_dict,
 )
 from repro.telemetry.workload import run_synthetic_workload
 from repro.telemetry.trace import (
@@ -91,9 +76,6 @@ from repro.telemetry.trace import (
 
 __all__ = [
     "MetricsRegistry",
-    "CounterMetric",
-    "GaugeMetric",
-    "HistogramMetric",
     "Tracer",
     "TraceEvent",
     "TraceSink",
@@ -117,12 +99,6 @@ __all__ = [
     "LatencyHistogram",
     "DEFAULT_RELATIVE_ERROR",
     "is_sketch_dict",
-    "merge_sketch_dicts",
-    "RollupNode",
-    "build_rollup",
-    "rollup_from_dict",
-    "flatten_rollup",
-    "merge_blocks",
     "render_prometheus",
     "validate_exposition",
     "JsonlSampler",

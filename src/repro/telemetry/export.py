@@ -4,12 +4,11 @@ Three ways out of the process for a :class:`~repro.telemetry.metrics.
 MetricsRegistry` snapshot:
 
 * :func:`render_prometheus` — the Prometheus **text exposition format**
-  (version 0.0.4): counters/gauges typed, exact histograms and latency
-  sketches rendered as summaries with quantile labels, every other numeric
-  provider leaf as an untyped sample carrying its dotted path in a
-  ``path`` label.  :func:`validate_exposition` is the matching grammar
-  checker (used by the tests *and* the CI scrape step, so format drift is
-  caught without promtool).
+  (version 0.0.4): latency sketches rendered as summaries with quantile
+  labels, every other numeric provider leaf as a gauge carrying its
+  dotted mount path in a ``path`` label.  :func:`validate_exposition` is
+  the matching grammar checker (used by the tests *and* the CI scrape
+  step, so format drift is caught without promtool).
 * :class:`JsonlSampler` — a periodic background sampler appending one
   timestamped snapshot per line to a JSONL file, flushed per sample so a
   crashed soak run still leaves a replayable series.  ``sample()`` can
@@ -72,45 +71,18 @@ def _format_value(value: object) -> str:
     return str(value)
 
 
-def _summary_lines(
-    name: str,
-    quantile_values: List[Tuple[str, float]],
-    count: int,
-    total: float,
-    labels: str = "",
-) -> List[str]:
-    lines = [f"# TYPE {name} summary"]
-    for quantile, value in quantile_values:
-        sep = "," if labels else ""
-        lines.append(
-            f'{name}{{{labels}{sep}quantile="{quantile}"}} '
-            f"{_format_value(value)}"
-        )
-    suffix = f"{{{labels}}}" if labels else ""
-    lines.append(f"{name}_count{suffix} {count}")
-    lines.append(f"{name}_sum{suffix} {_format_value(total)}")
-    return lines
-
-
-def _exact_histogram_quantiles(block: Dict[str, object]) -> List[Tuple[str, float]]:
-    """Quantiles of an exact ``HistogramMetric.as_dict`` counts block."""
-    counts = sorted(
-        (int(k), int(v)) for k, v in block.get("counts", {}).items()
+def _summary_lines(name: str, sketch: Dict[str, object], label: str) -> List[str]:
+    """One serialized latency sketch's samples in a summary family."""
+    lines = [
+        f'{name}{{{label},quantile="{q}"}} '
+        f"{_format_value(float(sketch[leaf]))}"
+        for q, leaf in EXPORTED_QUANTILES
+    ]
+    lines.append(f"{name}_count{{{label}}} {int(sketch.get('count', 0))}")
+    lines.append(
+        f"{name}_sum{{{label}}} {_format_value(float(sketch.get('sum', 0.0)))}"
     )
-    n = sum(c for _, c in counts)
-    out: List[Tuple[str, float]] = []
-    for q, _ in EXPORTED_QUANTILES:
-        if n == 0:
-            out.append((str(q), 0.0))
-            continue
-        rank = max(1, -(-int(q * n * 1000) // 1000))  # ceil without floats
-        cumulative = 0
-        for value, count in counts:
-            cumulative += count
-            if cumulative >= rank:
-                out.append((str(q), float(value)))
-                break
-    return out
+    return lines
 
 
 def render_prometheus(
@@ -118,34 +90,15 @@ def render_prometheus(
 ) -> str:
     """Render one registry snapshot as Prometheus text exposition.
 
-    Counters and gauges become typed samples under their sanitized dotted
-    names.  Exact histograms and serialized latency sketches render as
-    summaries (quantile-labelled samples plus ``_count``/``_sum``).  Every
-    other numeric leaf of a provider block becomes an untyped gauge named
-    after the leaf, labelled with its mount ``path`` — so per-slice blocks
-    share one metric family distinguishable by label, the Prometheus idiom
-    for the rollup tree.
+    Serialized latency sketches render as summaries (quantile-labelled
+    samples plus ``_count``/``_sum``).  Every other numeric leaf of a
+    provider block becomes a gauge named after the leaf, labelled with
+    its mount ``path`` — so per-slice blocks share one metric family
+    distinguishable by label, the Prometheus idiom for a tree of mounts.
+    Each family is typed once, however many paths carry it.
     """
-    lines: List[str] = []
-    for name, value in snapshot.get("counters", {}).items():
-        metric = sanitize_name(name, namespace)
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {_format_value(value)}")
-    for name, value in snapshot.get("gauges", {}).items():
-        metric = sanitize_name(name, namespace)
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {_format_value(value)}")
-    for name, block in snapshot.get("histograms", {}).items():
-        metric = sanitize_name(name, namespace)
-        lines.extend(
-            _summary_lines(
-                metric,
-                _exact_histogram_quantiles(block),
-                int(block.get("observations", 0)),
-                float(block.get("total", 0.0)),
-            )
-        )
-    stat_families: Dict[str, List[str]] = {}
+    summaries: Dict[str, List[str]] = {}
+    gauges: Dict[str, List[str]] = {}
     for prefix in sorted(snapshot.get("stats", {})):
         block = snapshot["stats"][prefix]
         if not isinstance(block, dict):
@@ -153,32 +106,22 @@ def render_prometheus(
         label = f'path="{_escape_label(prefix)}"'
         for leaf in sorted(block):
             value = block[leaf]
+            metric = sanitize_name(leaf, namespace)
             if is_sketch_dict(value):
-                metric = sanitize_name(leaf, namespace)
-                lines.extend(
-                    _summary_lines(
-                        metric,
-                        [
-                            (str(q), float(value[qname]))
-                            for q, qname in EXPORTED_QUANTILES
-                        ],
-                        int(value.get("count", 0)),
-                        float(value.get("sum", 0.0)),
-                        labels=label,
-                    )
+                summaries.setdefault(metric, []).extend(
+                    _summary_lines(metric, value, label)
                 )
-            elif isinstance(value, bool) or not isinstance(
-                value, (int, float)
+            elif isinstance(value, (int, float)) and not isinstance(
+                value, bool
             ):
-                continue
-            else:
-                metric = sanitize_name(leaf, namespace)
-                stat_families.setdefault(metric, []).append(
+                gauges.setdefault(metric, []).append(
                     f"{metric}{{{label}}} {_format_value(value)}"
                 )
-    for metric in sorted(stat_families):
-        lines.append(f"# TYPE {metric} gauge")
-        lines.extend(stat_families[metric])
+    lines: List[str] = []
+    for kind, families in (("summary", summaries), ("gauge", gauges)):
+        for metric in sorted(families):
+            lines.append(f"# TYPE {metric} {kind}")
+            lines.extend(families[metric])
     return "\n".join(lines) + "\n"
 
 

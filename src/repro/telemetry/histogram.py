@@ -1,12 +1,12 @@
 """Mergeable log-bucketed latency histograms with bounded relative error.
 
-:class:`~repro.telemetry.metrics.HistogramMetric` keeps *exact* counts —
-right for the paper's integer access histograms, wrong for wall-clock
-latencies, whose support is continuous and spans orders of magnitude.
-:class:`LatencyHistogram` is the serving-tier complement: a DDSketch-style
-sketch whose buckets grow geometrically, so every quantile estimate is
-within a configured **relative error** of the exact sample quantile while
-the whole sketch stays a small sparse dict.
+The paper's access histograms are exact integer counts
+(:class:`~repro.core.stats.SearchStats` keeps them as a ``Counter``);
+wall-clock latencies are not — their support is continuous and spans
+orders of magnitude.  :class:`LatencyHistogram` is the serving-tier
+complement: a DDSketch-style sketch whose buckets grow geometrically, so
+every quantile estimate is within a configured **relative error** of the
+exact sample quantile while the whole sketch stays a small sparse dict.
 
 Design (the classic log-bucket scheme):
 
@@ -19,13 +19,14 @@ Design (the classic log-bucket scheme):
   bucket, reported as exactly ``0.0``.
 
 Because a value's bucket depends only on ``gamma``, two sketches with the
-same ``relative_error`` **merge by adding counts** — the merge is exact,
-commutative, and associative, which is what lets per-slice and
-per-shard histograms roll up into one subsystem or cluster distribution
-without caring about arrival order (:mod:`repro.telemetry.rollup`).
+same ``relative_error`` **merge by adding counts** — the bucket counts
+merge exactly, commutatively and associatively, which is what lets
+``SearchStats.merge`` fold per-replica sketches into one shard or cluster
+distribution.
 
 ``as_dict()`` / :meth:`LatencyHistogram.from_dict` round-trip the full
-sketch through JSON (the form snapshots and bench reports carry); the
+sketch through JSON (the form snapshots and bench reports carry, and the
+way to merge archived sketches: ``from_dict(a).merge(from_dict(b))``); the
 exported dict also carries ready-made ``p50/p90/p99/p999`` leaves so
 snapshot diffs (:mod:`repro.telemetry.compare`) see latency percentiles as
 plain numeric metrics.
@@ -34,7 +35,7 @@ plain numeric metrics.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -44,8 +45,8 @@ DEFAULT_RELATIVE_ERROR = 0.01
 #: Quantiles exported by :meth:`LatencyHistogram.as_dict`.
 EXPORTED_QUANTILES = ((0.5, "p50"), (0.9, "p90"), (0.99, "p99"), (0.999, "p999"))
 
-#: Marker identifying a serialized sketch inside a snapshot tree (the
-#: rollup/export layers duck-type on it).
+#: Marker identifying a serialized sketch inside a snapshot (the export
+#: and compare layers duck-type on it).
 SKETCH_KIND = "latency_histogram"
 
 
@@ -232,20 +233,10 @@ def is_sketch_dict(value: object) -> bool:
     )
 
 
-def merge_sketch_dicts(dicts: Sequence[Dict[str, object]]) -> Dict[str, object]:
-    """Merge serialized sketches (the rollup layer's leaf-merge hook)."""
-    merged: Optional[LatencyHistogram] = None
-    for data in dicts:
-        sketch = LatencyHistogram.from_dict(data)
-        merged = sketch if merged is None else merged.merge(sketch)
-    return merged.as_dict() if merged is not None else {}
-
-
 __all__ = [
     "LatencyHistogram",
     "DEFAULT_RELATIVE_ERROR",
     "EXPORTED_QUANTILES",
     "SKETCH_KIND",
     "is_sketch_dict",
-    "merge_sketch_dicts",
 ]

@@ -17,11 +17,6 @@ into their reports.
 Phases may nest (``bulk-build`` around ``bulk-plan`` + ``bulk-encode``);
 each phase accumulates its own inclusive wall time, so nested totals
 overlap by design — the report is a per-phase profile, not a flame graph.
-
-``track_latency=True`` additionally folds every span duration into a
-per-phase :class:`~repro.telemetry.histogram.LatencyHistogram`, so a phase
-reports p50/p99 alongside its total — the difference between "the probe
-walk is slow" and "one probe-walk chunk in a hundred is slow".
 """
 
 from __future__ import annotations
@@ -30,7 +25,6 @@ import time
 from typing import Dict, Optional
 
 from repro.errors import ConfigurationError
-from repro.telemetry.histogram import DEFAULT_RELATIVE_ERROR, LatencyHistogram
 
 
 class _NullSpan:
@@ -72,20 +66,10 @@ class _Span:
 class PhaseProfiler:
     """Accumulated wall time and call counts per named phase."""
 
-    def __init__(
-        self,
-        enabled: bool = False,
-        track_latency: bool = False,
-        relative_error: Optional[float] = None,
-    ) -> None:
+    def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
-        self.track_latency = track_latency
-        self.relative_error = (
-            DEFAULT_RELATIVE_ERROR if relative_error is None else relative_error
-        )
         self._seconds: Dict[str, float] = {}
         self._calls: Dict[str, int] = {}
-        self._latency: Dict[str, LatencyHistogram] = {}
 
     def profile(self, phase: str):
         """Context manager timing one entry of ``phase`` (no-op when
@@ -97,26 +81,10 @@ class PhaseProfiler:
     def _record(self, phase: str, seconds: float) -> None:
         self._seconds[phase] = self._seconds.get(phase, 0.0) + seconds
         self._calls[phase] = self._calls.get(phase, 0) + 1
-        if self.track_latency:
-            hist = self._latency.get(phase)
-            if hist is None:
-                hist = self._latency[phase] = LatencyHistogram(
-                    self.relative_error
-                )
-            hist.observe(seconds)
-
-    def enable(self) -> "PhaseProfiler":
-        self.enabled = True
-        return self
-
-    def disable(self) -> "PhaseProfiler":
-        self.enabled = False
-        return self
 
     def reset(self) -> None:
         self._seconds.clear()
         self._calls.clear()
-        self._latency.clear()
 
     @property
     def phases(self):
@@ -128,25 +96,12 @@ class PhaseProfiler:
     def calls(self, phase: str) -> int:
         return self._calls.get(phase, 0)
 
-    def latency(self, phase: str) -> Optional[LatencyHistogram]:
-        """The span-latency sketch for ``phase`` (``None`` unless
-        ``track_latency`` was on while the phase ran)."""
-        return self._latency.get(phase)
-
     def as_dict(self) -> Dict[str, Dict[str, float]]:
-        """``{phase: {"seconds": ..., "calls": ...[, "latency": ...]}}``,
-        phases sorted."""
-        report: Dict[str, Dict[str, float]] = {}
-        for phase in sorted(self._seconds):
-            entry = {
-                "seconds": self._seconds[phase],
-                "calls": self._calls[phase],
-            }
-            hist = self._latency.get(phase)
-            if hist is not None:
-                entry["latency"] = hist.as_dict()
-            report[phase] = entry
-        return report
+        """``{phase: {"seconds": ..., "calls": ...}}``, phases sorted."""
+        return {
+            phase: {"seconds": self._seconds[phase], "calls": self._calls[phase]}
+            for phase in sorted(self._seconds)
+        }
 
 
 #: The process-wide profiler the instrumented pipelines report into.
@@ -177,16 +132,8 @@ class enabled_profiler:
     """Scoped enable: ``with enabled_profiler() as prof:`` runs a workload
     with a fresh singleton profiler and restores the previous one after."""
 
-    def __init__(
-        self,
-        track_latency: bool = False,
-        relative_error: Optional[float] = None,
-    ) -> None:
-        self._profiler = PhaseProfiler(
-            enabled=True,
-            track_latency=track_latency,
-            relative_error=relative_error,
-        )
+    def __init__(self) -> None:
+        self._profiler = PhaseProfiler(enabled=True)
         self._previous: Optional[PhaseProfiler] = None
 
     def __enter__(self) -> PhaseProfiler:

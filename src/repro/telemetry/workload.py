@@ -1,11 +1,12 @@
-"""Synthetic telemetry workload: one command, every instrument exercised.
+"""Synthetic telemetry workload: one command, every telemetry path exercised.
 
 Builds a small CA-RAM slice, bulk-loads it, and drives a mixed hit/miss
 lookup stream through both the scalar and batch paths with the full
-telemetry stack attached — metrics registry, structured-event tracer, and
-phase profiler.  The returned report is plain JSON-serializable data, so
-the CLI (``repro telemetry run``), the CI telemetry job, and the tests all
-share this one entry point.
+telemetry stack attached — the slice's providers mounted on a metrics
+registry, a structured-event tracer, and the phase profiler.  The
+returned report is plain JSON-serializable data, so the CLI (``repro
+telemetry run``), the CI telemetry job, and the tests all share this one
+entry point.
 """
 
 from __future__ import annotations
@@ -128,11 +129,6 @@ def run_synthetic_workload(
         for key in mixed[:scalar_queries]:
             slice_.search(key)
         slice_.search_batch(mixed)
-
-        registry.counter("workload.batches").inc()
-        registry.gauge("workload.queries").set(
-            len(mixed) + min(scalar_queries, len(mixed))
-        )
 
     report: Dict[str, object] = {
         "workload": {

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import SliceConfig
 from repro.core.index import make_index_generator
-from repro.core.record import RecordFormat
+from repro.core.record import Record, RecordFormat
 from repro.core.slice import CARAMSlice
 from repro.hashing.base import ModuloHash
 from repro.utils.bits import mask_of
@@ -50,6 +50,26 @@ class TestScan:
         matches = populated.scan(search_key=42, search_mask=0)
         assert len(matches) == 1
         assert matches[0][2].data == 42
+
+    def test_scan_count_builds_no_record(self, monkeypatch):
+        """A fresh build's Record memo is empty; counting matches must
+        not fill it."""
+        sl = make_slice()
+        sl.bulk_load([(k, k % 100) for k in range(60)])
+        predicates = [
+            (0, None), (0x3, mask_of(16) & ~0xF), (42, 0), (0xFFFF, 0)
+        ]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scan_count built a Record")
+
+        reads = sl.memory.stats.reads
+        with monkeypatch.context() as patch:
+            patch.setattr(Record, "__init__", refuse)
+            counts = [sl.scan_count(key, mask) for key, mask in predicates]
+        assert sl.memory.stats.reads - reads == 16 * len(predicates)
+        assert counts == [len(sl.scan(key, mask)) for key, mask in predicates]
+        assert counts == [60, 4, 1, 0]
 
     def test_scan_costs_one_access_per_row(self, populated):
         before = populated.memory.stats.reads

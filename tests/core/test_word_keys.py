@@ -203,6 +203,7 @@ class TestRejectedBatches:
             ),
             pytest.param([3, -1], id="negative-int"),
             pytest.param(np.array([3, -1]), id="negative-int64-column"),
+            pytest.param([3, np.int64(-1)], id="negative-int64-scalar"),
             pytest.param([3, 1 << 100], id="int-too-wide"),
         ],
     )
@@ -243,3 +244,55 @@ class TestRejectedBatches:
     def test_top_word_may_fill_to_the_width(self, group):
         words = keys_to_words([3, 1 << 90, (1 << 100) - 1], 100)
         assert group.search_batch_columnar(words).data_values() == [1, 2, None]
+
+
+def build_group64(records) -> SliceGroup:
+    return build_group({
+        "bits": 64, "ternary": False, "positions": [0, 32, 63],
+        "probing": None, "slice_count": 1, "overflow": False,
+        "records": records,
+    })
+
+
+class TestSignedNumpyKeys:
+    """NumPy converts a signed NumPy scalar to uint64 by wrapping it
+    (``np.int64(-1)`` reads ``0xffff_ffff_ffff_ffff``).  Below 64 bits the
+    wrapped key fails the width check; at 64 bits the parsers must refuse
+    the sign itself."""
+
+    @pytest.fixture
+    def group64(self):
+        group = build_group64([(3, 1), ((1 << 64) - 1, 2)])
+        group.search_batch([3])  # build the engine and the mirror
+        return group
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            pytest.param([np.int64(-1)], id="int64"),
+            pytest.param([3, np.int64(-1)], id="int64-after-an-int"),
+            pytest.param([np.int32(-5), 3], id="int32"),
+        ],
+    )
+    def test_batch_rejects_negative_scalars(self, group64, keys):
+        assert_rejected(group64, keys)
+
+    @pytest.mark.parametrize("stored", [[], [(3, 1)]], ids=["empty", "loaded"])
+    def test_bulk_load_rejects_negative_scalars(self, stored):
+        group = build_group64(stored)
+        rows = [array.snapshot() for array in group._arrays]
+        before = snapshot(group.stats)
+        for args in (([np.int64(-1)], [1]), ([(np.int64(-1), 1)],)):
+            with pytest.raises(KeyFormatError):
+                group.bulk_load(*args)
+        assert [array.snapshot() for array in group._arrays] == rows
+        assert group.stats == before
+        assert group.record_count == len(stored)
+
+    def test_keys_to_words_rejects_negative_scalars(self):
+        with pytest.raises(KeyFormatError):
+            keys_to_words([np.int64(-1)], 64)
+        with pytest.raises(KeyFormatError):
+            keys_to_words([(1 << 64) - 1, np.int64(-2)], 64)
+        words = keys_to_words([(1 << 64) - 1, np.uint64(5)], 64)
+        assert words[:, 0].tolist() == [(1 << 64) - 1, 5]

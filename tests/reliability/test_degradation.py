@@ -291,6 +291,21 @@ class TestQuarantine:
         with pytest.raises(ReliabilityError):
             slice_.search(keys[0])
 
+    def test_delete_removes_a_victim(self):
+        """A quarantined record lives in the victim store; deleting its
+        key removes it there, so neither lookup path finds it again."""
+        slice_ = _small_slice(slots=2)
+        slice_.insert(1, 11)
+        slice_.insert(9, 19)
+        manager = slice_.enable_reliability()
+        assert manager.quarantine_bucket(1) == 2
+        assert slice_.search(1).data == 11
+        assert slice_.delete(1) == 1
+        assert not slice_.search(1).hit
+        assert not slice_.search_batch([1])[0].hit
+        assert [record.key.value for record in manager.victims] == [9]
+        assert slice_.search_batch([9])[0].data == slice_.search(9).data == 19
+
     def test_rebuild_reabsorbs_victims(self, loaded_slice):
         slice_, keys = loaded_slice
         target = _home(slice_, keys[0])

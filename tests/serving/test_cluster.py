@@ -164,6 +164,25 @@ class TestTelemetry:
                 plan.as_dict()["max_reach"] for plan in plans
             )
 
+    def test_cluster_search_mount_equals_component_merge(self):
+        cluster = CaramCluster.build(
+            shard_count=4, index_bits=6, slots=8, replication=2
+        )
+        records = make_records(count=800)
+        keys = [key for key, _ in records] + [1, 2, 3]
+        with cluster:
+            cluster.load(records)
+            cluster.enable_latency_tracking()
+            registry = MetricsRegistry()
+            cluster.register_telemetry(registry)
+            for start in range(0, len(keys), 50):
+                cluster.search_batch(keys[start : start + 50])
+            stats = registry.snapshot()["stats"]
+            merged = stats["serving.cluster.search"]
+            assert merged == cluster.total_stats().as_dict()
+            assert merged["latency"]["count"] > 0
+            assert stats["serving.shard0.replica1.search"]["lookups"] > 0
+
     def test_cluster_ratios_recomputed_not_summed(self):
         cluster, records = build_loaded(shard_count=2)
         with cluster:

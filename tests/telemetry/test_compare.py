@@ -133,58 +133,6 @@ class TestPercentileDirectionRules:
         assert "stats.slice.search.latency.p99" in improved
 
 
-class TestRollupCompareIntegration:
-    """Flattened rollup trees are valid compare_telemetry inputs."""
-
-    def make_tree(self, amal_scale=1.0):
-        from repro.telemetry.rollup import RollupNode
-
-        root = RollupNode("subsystem")
-        for name, lookups, accesses in (
-            ("slice0", 100, int(110 * amal_scale)),
-            ("slice1", 200, int(260 * amal_scale)),
-        ):
-            root.mount(
-                f"{name}.search",
-                {
-                    "lookups": lookups,
-                    "hits": lookups // 2,
-                    "total_bucket_accesses": accesses,
-                    "amal": accesses / lookups,
-                },
-            )
-        return root
-
-    def test_flatten_round_trips_through_serialization(self):
-        from repro.telemetry.rollup import (
-            flatten_rollup,
-            rollup_from_dict,
-        )
-
-        tree = self.make_tree()
-        back = rollup_from_dict(
-            json.loads(json.dumps(tree.as_dict())), "subsystem"
-        )
-        assert flatten_rollup(back) == flatten_rollup(tree)
-        report = compare_telemetry(
-            flatten_rollup(tree), flatten_rollup(back)
-        )
-        assert report.ok
-        assert not report.regressions and not report.improvements
-
-    def test_aggregate_amal_regression_flagged_across_trees(self):
-        from repro.telemetry.rollup import flatten_rollup
-
-        report = compare_telemetry(
-            flatten_rollup(self.make_tree()),
-            flatten_rollup(self.make_tree(amal_scale=2.0)),
-        )
-        assert not report.ok
-        paths = [delta.path for delta in report.regressions]
-        assert "aggregate.search.amal" in paths
-        assert "slice0.search.amal" in paths
-
-
 class TestMetadataGuard:
     """The run-configuration block is compared for equality, not diffed."""
 

@@ -18,13 +18,19 @@ from repro.telemetry.histogram import LatencyHistogram
 from repro.telemetry.metrics import MetricsRegistry
 
 
-def make_registry():
+class WorkloadCounts:
+    """A component-owned provider whose count a test can move."""
+
+    def __init__(self):
+        self.batches = 3
+
+    def as_dict(self):
+        return {"batches": self.batches}
+
+
+def make_registry(workload=None):
     registry = MetricsRegistry()
-    registry.counter("workload.batches").inc(3)
-    registry.gauge("slice.mirror_layout").set(1)
-    hist = registry.histogram("accesses")
-    for value in (1, 1, 2):
-        hist.observe(value)
+    registry.register_provider("workload", workload or WorkloadCounts())
     latency = LatencyHistogram()
     latency.observe_many([0.001, 0.002, 0.010])
     registry.register_provider(
@@ -48,9 +54,25 @@ class TestPrometheusRendering:
         text = render_prometheus(make_registry().snapshot())
         samples = validate_exposition(text)
         assert samples > 0
-        assert "caram_workload_batches 3" in text
+        assert 'caram_batches{path="workload"} 3' in text
         assert 'caram_latency{path="slice.search",quantile="0.99"}' in text
         assert 'caram_hits{path="slice.search"} 70' in text
+
+    def test_sketches_at_several_paths_share_one_family(self):
+        """A cluster mounts a latency sketch per replica and one for the
+        whole cluster: one summary family, one sample set per path."""
+        registry = MetricsRegistry()
+        for path in ("serving.shard0.replica0.search", "serving.cluster.search"):
+            latency = LatencyHistogram()
+            latency.observe_many([0.001, 0.004])
+            registry.register_provider(
+                path, lambda sketch=latency: {"latency": sketch.as_dict()}
+            )
+        text = render_prometheus(registry.snapshot())
+        validate_exposition(text)
+        assert text.count("# TYPE caram_latency summary") == 1
+        for path in ("serving.shard0.replica0.search", "serving.cluster.search"):
+            assert f'caram_latency_count{{path="{path}"}} 2' in text
 
     def test_validator_rejects_garbage(self):
         with pytest.raises(ConfigurationError):
@@ -73,18 +95,19 @@ class TestPrometheusRendering:
 
 class TestJsonlSampler:
     def test_manual_samples_flushed(self, tmp_path):
-        registry = make_registry()
+        workload = WorkloadCounts()
+        registry = make_registry(workload)
         path = tmp_path / "samples.jsonl"
         sampler = JsonlSampler(registry, path, interval=60.0)
         sampler.sample()
-        registry.counter("workload.batches").inc()
+        workload.batches += 1
         sampler.sample()
         sampler.close()
         samples = read_samples(path)
         assert [s["seq"] for s in samples] == [0, 1]
         assert (
-            samples[1]["snapshot"]["counters"]["workload.batches"]
-            == samples[0]["snapshot"]["counters"]["workload.batches"] + 1
+            samples[1]["snapshot"]["stats"]["workload"]["batches"]
+            == samples[0]["snapshot"]["stats"]["workload"]["batches"] + 1
         )
 
     def test_background_thread_and_final_sample(self, tmp_path):
@@ -120,7 +143,7 @@ class TestTelemetryServer:
 
             with urllib.request.urlopen(f"{base}/snapshot", timeout=5) as rsp:
                 snapshot = json.load(rsp)
-            assert snapshot["counters"]["workload.batches"] == 3
+            assert snapshot["stats"]["workload"]["batches"] == 3
 
             with urllib.request.urlopen(f"{base}/health", timeout=5) as rsp:
                 health = json.load(rsp)

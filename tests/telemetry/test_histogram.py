@@ -13,7 +13,6 @@ from repro.telemetry.histogram import (
     EXPORTED_QUANTILES,
     LatencyHistogram,
     is_sketch_dict,
-    merge_sketch_dicts,
 )
 
 
@@ -174,18 +173,21 @@ class TestSerialization:
             assert name in data
         assert data["p50"] <= data["p99"] <= data["p999"]
 
-    def test_is_sketch_dict_rejects_plain_dicts(self):
-        assert not is_sketch_dict({"count": 3})
-        assert not is_sketch_dict(42)
-
-    def test_merge_sketch_dicts(self):
+    def test_archived_sketches_merge_through_from_dict(self):
         part_a = LatencyHistogram()
         part_a.observe_many([0.001, 0.002])
         part_b = LatencyHistogram()
         part_b.observe_many([0.003])
-        merged = merge_sketch_dicts([part_a.as_dict(), part_b.as_dict()])
-        assert merged["count"] == 3
-        assert merge_sketch_dicts([]) == {}
+        archived = json.loads(json.dumps([part_a.as_dict(), part_b.as_dict()]))
+        merged = LatencyHistogram.from_dict(archived[0]).merge(
+            LatencyHistogram.from_dict(archived[1])
+        )
+        assert merged.as_dict() == part_a.copy().merge(part_b).as_dict()
+        assert merged.count == 3
+
+    def test_is_sketch_dict_rejects_plain_dicts(self):
+        assert not is_sketch_dict({"count": 3})
+        assert not is_sketch_dict(42)
 
 
 class TestStatsIntegration:
